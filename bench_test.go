@@ -16,19 +16,20 @@ import (
 	"selfishnet/internal/construct"
 	"selfishnet/internal/core"
 	"selfishnet/internal/dynamics"
-	"selfishnet/internal/experiments"
+	_ "selfishnet/internal/experiments" // register the 13 paper runners
 	"selfishnet/internal/metric"
 	"selfishnet/internal/nash"
 	"selfishnet/internal/opt"
 	"selfishnet/internal/overlay"
 	"selfishnet/internal/rng"
+	"selfishnet/internal/scenario"
 )
 
 // benchExperiment runs one experiment table per iteration (quick mode).
 func benchExperiment(b *testing.B, id string) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		tb, err := experiments.Run(id, experiments.Params{Quick: true, Seed: 1})
+		tb, err := scenario.Run(id, scenario.Params{Quick: true, Seed: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -197,29 +198,37 @@ func BenchmarkSocialCostDial256(b *testing.B) {
 // name, date, machine, per-benchmark ns/op and allocs) — never
 // overwrite earlier entries; the scaling claim is the trajectory.
 
+// starSetup builds the banded benchmarks' workload: the star profile on
+// the implicit uniform metric at α = 2, plus its closed-form social cost
+// that every fold is checked against.
+func starSetup(b *testing.B, n int) (*core.Evaluator, core.Profile, core.Cost) {
+	b.Helper()
+	space, err := metric.UniformImplicit(n)
+	if err != nil {
+		b.Fatal(err)
+	}
+	inst, err := core.NewInstance(space, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	p, err := core.StarProfile(n)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return core.NewEvaluator(inst), p, core.StarSocialCost(n, 2)
+}
+
 // BenchmarkSocialCostBanded evaluates the exact all-pairs social cost
 // through the banded multi-source BFS (64 source rows resident, bit-
 // identical to the slab fold) across the n-scaling curve. The n=65536
 // point is the certify acceptance workload: 2³² pair terms, no dense
-// matrix. Compare the n=1024 point with BenchmarkSocialCost1024 (the
-// slab path) to see the banded overhead at slab-feasible sizes.
+// matrix. BenchmarkSocialCostSlabStar1024 folds the n=1024 instance
+// through the slab path, for a like-for-like comparison at a
+// slab-feasible size.
 func BenchmarkSocialCostBanded(b *testing.B) {
 	for _, n := range []int{1024, 4096, 16384, 65536} {
 		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
-			space, err := metric.UniformImplicit(n)
-			if err != nil {
-				b.Fatal(err)
-			}
-			inst, err := core.NewInstance(space, 2)
-			if err != nil {
-				b.Fatal(err)
-			}
-			ev := core.NewEvaluator(inst)
-			p, err := core.StarProfile(n)
-			if err != nil {
-				b.Fatal(err)
-			}
-			want := core.StarSocialCost(n, 2)
+			ev, p, want := starSetup(b, n)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -232,6 +241,20 @@ func BenchmarkSocialCostBanded(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkSocialCostSlabStar1024 is the slab-path twin of
+// BenchmarkSocialCostBanded/n1024: the same star, metric and α, folded
+// by SocialCost, so the pair differs only in the path.
+func BenchmarkSocialCostSlabStar1024(b *testing.B) {
+	ev, p, want := starSetup(b, 1024)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if got := ev.SocialCost(p); got != want {
+			b.Fatalf("slab %+v != closed form %+v", got, want)
+		}
 	}
 }
 
@@ -453,7 +476,7 @@ func BenchmarkRunAllQuick(b *testing.B) {
 	// The whole reproduction harness, all 13 experiments, quick mode,
 	// default parallelism.
 	for i := 0; i < b.N; i++ {
-		tables, err := experiments.RunAll(nil, experiments.Params{Quick: true, Seed: 1}, 0)
+		tables, err := scenario.RunAll(nil, scenario.Params{Quick: true, Seed: 1}, 0)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -2,8 +2,8 @@
 // sweep fabric and the serve layer's result cache: immutable
 // write-once blobs keyed by canonical content hashes
 // (scenario.Spec.Hash / Sweep.Hash), written atomically (tmp + fsync +
-// rename) with an fsync'd index carrying consistent-hash placement
-// metadata, so entries are owner-addressable across a fleet of nodes.
+// rename) with an fsync'd index recording each blob's size and
+// checksum.
 //
 // Keys are (namespace, hash) pairs: the hash is the scenario layer's
 // "sha256:<hex>" content address, the namespace separates value
@@ -56,14 +56,11 @@ var nsPattern = regexp.MustCompile(`^[a-z][a-z0-9-]{0,31}$`)
 // indexFile is the store's fsync'd metadata file, relative to root.
 const indexFile = "index.json"
 
-// Entry is one indexed blob: its key, size, and — when the store has a
-// placement ring — the fleet node that owns the key under consistent
-// hashing.
+// Entry is one indexed blob: its key, size and checksum.
 type Entry struct {
 	Namespace string `json:"namespace"`
 	Hash      string `json:"hash"`
 	Size      int64  `json:"size"`
-	Owner     string `json:"owner,omitempty"`
 	// Sum is the content address of the blob bytes themselves, recorded
 	// when the blob was written (the key's hash addresses the spec that
 	// produced the blob, so it cannot verify the blob). Get re-hashes
@@ -92,7 +89,6 @@ type Stats struct {
 type Store struct {
 	mu      sync.Mutex
 	root    string
-	ring    *Ring
 	entries map[string]Entry // key() → entry
 	bytes   int64
 	// putFault, when non-nil, rewrites the bytes Put actually writes —
@@ -195,7 +191,7 @@ func (s *Store) reconcile() error {
 			// what's on disk so later corruption is still caught (the
 			// bytes as found are the best available statement of
 			// intent).
-			s.entries[key(ns, hash)] = Entry{Namespace: ns, Hash: hash, Size: info.Size(), Owner: s.ownerOf(key(ns, hash)), Sum: sumOfFile(path)}
+			s.entries[key(ns, hash)] = Entry{Namespace: ns, Hash: hash, Size: info.Size(), Sum: sumOfFile(path)}
 		}
 		return nil
 	})
@@ -229,35 +225,6 @@ func sumOfFile(path string) string {
 		return ""
 	}
 	return HashOf(b)
-}
-
-// SetRing installs the fleet placement ring: subsequent Puts (and the
-// next index rewrite) record each key's owner node. A nil ring clears
-// placement metadata on future writes.
-func (s *Store) SetRing(r *Ring) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.ring = r
-	for k, e := range s.entries {
-		e.Owner = s.ownerOf(k)
-		s.entries[k] = e
-	}
-	_ = s.writeIndexLocked()
-}
-
-func (s *Store) ownerOf(k string) string {
-	if s.ring == nil {
-		return ""
-	}
-	return s.ring.Owner(k)
-}
-
-// Owner returns the fleet node owning the key under the installed
-// placement ring ("" without a ring).
-func (s *Store) Owner(ns, hash string) string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.ownerOf(key(ns, hash))
 }
 
 // Put stores blob under (ns, hash), write-once: an existing key is a
@@ -307,7 +274,7 @@ func (s *Store) Put(ns, hash string, blob []byte) error {
 		return fmt.Errorf("cas: writing blob %s: %w", key(ns, hash), err)
 	}
 	syncDir(filepath.Dir(path))
-	e := Entry{Namespace: ns, Hash: hash, Size: int64(len(blob)), Owner: s.ownerOf(key(ns, hash)), Sum: sum}
+	e := Entry{Namespace: ns, Hash: hash, Size: int64(len(blob)), Sum: sum}
 	s.entries[key(ns, hash)] = e
 	s.bytes += e.Size
 	s.puts++

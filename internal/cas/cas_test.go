@@ -3,9 +3,11 @@ package cas
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -338,33 +340,92 @@ func TestOpenCrashRecovery(t *testing.T) {
 	}
 }
 
-func TestPlacementMetadata(t *testing.T) {
+// TestOpenAcceptsLegacyOwnerIndex: indexes written by stores that kept
+// consistent-hash placement metadata carry an "owner" key per entry.
+// Such a store must reopen with every entry, size and checksum taken
+// from that index, and its next index rewrite must be byte-identical to
+// an index that never carried owners. Reads still verify: a blob
+// rotted on disk after the index was written is caught by the indexed
+// checksum (an index dropped on decode would re-hash the rotted bytes
+// and serve them).
+func TestOpenAcceptsLegacyOwnerIndex(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ring := NewRing([]string{"node-a", "node-b", "node-c"}, 0)
-	s.SetRing(ring)
-	if err := s.Put("point", h("a"), []byte("x")); err != nil {
+	blobs := map[string]string{h("a"): "alpha", h("b"): "beta", h("victim"): "gamma"}
+	for hash, blob := range blobs {
+		if err := s.Put("point", hash, []byte(blob)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	indexPath := filepath.Join(dir, indexFile)
+	clean, err := os.ReadFile(indexPath)
+	if err != nil {
 		t.Fatal(err)
 	}
-	owner := s.Owner("point", h("a"))
-	if owner == "" {
-		t.Fatal("no owner recorded with a ring installed")
+	want := s.Entries()
+
+	// The legacy entry layout: owner sat between size and sum.
+	type legacyEntry struct {
+		Namespace string `json:"namespace"`
+		Hash      string `json:"hash"`
+		Size      int64  `json:"size"`
+		Owner     string `json:"owner,omitempty"`
+		Sum       string `json:"sum,omitempty"`
 	}
-	if want := ring.Owner("point/" + h("a")); owner != want {
-		t.Fatalf("store owner %q, ring owner %q", owner, want)
+	var legacy struct {
+		Entries []legacyEntry `json:"entries"`
 	}
-	// The owner is persisted in the index and survives reopen.
+	for i, e := range want {
+		owner := fmt.Sprintf("node-%c", 'a'+i)
+		legacy.Entries = append(legacy.Entries, legacyEntry{e.Namespace, e.Hash, e.Size, owner, e.Sum})
+	}
+	b, err := json.MarshalIndent(legacy, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(indexPath, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// Same-length rot: the size still matches, only the checksum can
+	// tell.
+	if err := os.WriteFile(blobFile(dir, "point", h("victim")), []byte("gamme"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
 	s2, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range s2.Entries() {
-		if e.Hash == h("a") && e.Owner != owner {
-			t.Fatalf("persisted owner %q, want %q", e.Owner, owner)
+	if got := s2.Entries(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("reopened entries = %+v, want %+v", got, want)
+	}
+	rewritten, err := os.ReadFile(indexPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(rewritten, clean) {
+		t.Fatalf("rewritten index differs from an owner-free index:\n%s\nwant:\n%s", rewritten, clean)
+	}
+	for hash, blob := range blobs {
+		got, ok, err := s2.Get("point", hash)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if hash == h("victim") {
+			if ok {
+				t.Fatalf("rotted blob served: %q", got)
+			}
+			continue
+		}
+		if !ok || string(got) != blob {
+			t.Fatalf("Get %s = %q, ok=%v; want %q", hash, got, ok, blob)
+		}
+	}
+	if st := s2.Stats(); st.Quarantined != 1 || st.Hits != 2 {
+		t.Errorf("stats = %+v, want 2 verified hits and 1 quarantine", st)
 	}
 }
 

@@ -147,10 +147,6 @@ func (e *Engine) Online(v int) bool { return e.online[v] }
 // NumOnline returns the number of online peers.
 func (e *Engine) NumOnline() int { return e.count }
 
-// ActiveMask returns the online mask. The slice is engine-owned; do
-// not mutate it.
-func (e *Engine) ActiveMask() []bool { return e.online }
-
 // Live returns the current live profile (live = stored ∩ online). The
 // value shares storage with the engine; do not mutate it.
 func (e *Engine) Live() core.Profile { return e.dy.Profile() }

@@ -221,16 +221,6 @@ func (in *Instance) distRow(i int) []float64 {
 	return in.dist[i*in.n : (i+1)*in.n]
 }
 
-// denseRows materializes the distance matrix as per-row slices (views
-// into the slab), for callers that want the [][]float64 shape.
-func (in *Instance) denseRows() [][]float64 {
-	rows := make([][]float64, in.n)
-	for i := range rows {
-		rows[i] = in.distRow(i)
-	}
-	return rows
-}
-
 // Alpha returns the link-maintenance price α.
 func (in *Instance) Alpha() float64 { return in.alpha }
 

@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 
 	"selfishnet/internal/bitset"
-	"selfishnet/internal/graph"
 	"selfishnet/internal/metric"
 	"selfishnet/internal/rng"
 )
@@ -223,9 +222,9 @@ func randomProfile(r *rng.RNG, n int, q float64) Profile {
 	return p
 }
 
-func TestEvaluatorSSSPMatchesGraphDijkstra(t *testing.T) {
-	// Cross-validate the evaluator's internal SSSP against the graph
-	// package on materialized profiles.
+func TestDistancesMatchDenseReference(t *testing.T) {
+	// Cross-validate the public Distances entry point against the
+	// retained dense O(n²) reference SSSP on random profiles.
 	r := rng.New(9)
 	for trial := 0; trial < 20; trial++ {
 		n := 3 + r.Intn(10)
@@ -239,26 +238,14 @@ func TestEvaluatorSSSPMatchesGraphDijkstra(t *testing.T) {
 		}
 		ev := NewEvaluator(inst)
 		p := randomProfile(r, n, 0.35)
-		g, err := p.Graph(inst.denseRows())
-		if err != nil {
-			t.Fatal(err)
-		}
 		for src := 0; src < n; src++ {
-			want, err := graph.Dijkstra(g, src)
-			if err != nil {
-				t.Fatal(err)
-			}
+			want := append([]float64(nil), ev.ssspDense(p, src, -1, Strategy{})...)
 			got, err := ev.Distances(p, src)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for j := 0; j < n; j++ {
-				if math.IsInf(want[j], 1) != math.IsInf(got[j], 1) {
-					t.Fatalf("reachability mismatch trial %d (%d,%d)", trial, src, j)
-				}
-				if !math.IsInf(want[j], 1) && math.Abs(want[j]-got[j]) > 1e-9 {
-					t.Fatalf("distance mismatch trial %d (%d,%d): %f vs %f", trial, src, j, got[j], want[j])
-				}
+			if j, ok := distsEqual(got, want, diffTol); !ok {
+				t.Fatalf("trial %d src %d: d[%d]=%v, dense reference %v", trial, src, j, got[j], want[j])
 			}
 		}
 	}

@@ -8,7 +8,6 @@ import (
 	"strings"
 
 	"selfishnet/internal/bitset"
-	"selfishnet/internal/graph"
 )
 
 // Strategy is the set of peers a single peer maintains directed links to.
@@ -268,23 +267,3 @@ func EnumerateProfiles(n, maxProfiles int, yield func(Profile) bool) error {
 // ErrSpaceTooLarge is returned by EnumerateProfiles when the profile
 // space exceeds the caller's budget.
 var ErrSpaceTooLarge = errors.New("core: profile space exceeds budget")
-
-// Graph materializes the profile as a weighted digraph over the given
-// distance matrix (arc weight = direct metric distance).
-func (p Profile) Graph(dist [][]float64) (*graph.Digraph, error) {
-	g, err := graph.NewDigraph(p.N())
-	if err != nil {
-		return nil, err
-	}
-	for i, s := range p.strategies {
-		var addErr error
-		s.ForEach(func(j int) bool {
-			addErr = g.AddArc(i, j, dist[i][j])
-			return addErr == nil
-		})
-		if addErr != nil {
-			return nil, addErr
-		}
-	}
-	return g, nil
-}

@@ -163,27 +163,3 @@ func TestProfileString(t *testing.T) {
 		t.Errorf("String = %q", got)
 	}
 }
-
-func TestProfileGraphMaterialization(t *testing.T) {
-	p := NewProfile(3)
-	_ = p.AddLink(0, 1)
-	_ = p.AddLink(1, 2)
-	dist := [][]float64{
-		{0, 1, 2},
-		{1, 0, 1},
-		{2, 1, 0},
-	}
-	g, err := p.Graph(dist)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w, ok := g.Weight(0, 1); !ok || w != 1 {
-		t.Errorf("arc 0→1 weight = %f, %v", w, ok)
-	}
-	if w, ok := g.Weight(1, 2); !ok || w != 1 {
-		t.Errorf("arc 1→2 weight = %f, %v", w, ok)
-	}
-	if g.ArcCount() != 2 {
-		t.Errorf("ArcCount = %d", g.ArcCount())
-	}
-}

@@ -1,42 +1,25 @@
 // Package experiments implements the reproduction harness: one runner
 // per paper item (theorem, lemma, figure), each returning a typed table
-// with the same rows/series the paper's claims predict. The cmd/topogame
-// CLI, the repository-level benchmarks and EXPERIMENTS.md all consume
-// these runners.
+// with the same rows/series the paper's claims predict.
 //
-// Every runner is deterministic given its Params (explicit seeds, no
-// wall-clock), so tables regenerate bit-identically. That determinism is
-// what lets the engine execute runners concurrently while guaranteeing
-// the exported tables match a sequential run byte for byte.
+// Every runner is deterministic given its scenario.Params (explicit
+// seeds, no wall-clock), so tables regenerate bit-identically. That
+// determinism is what lets the engine execute runners concurrently while
+// guaranteeing the exported tables match a sequential run byte for byte.
 //
-// The runners register as native entries in the internal/scenario
-// catalog at init; this package's Run/RunAll/IDs/Describe are thin
-// wrappers kept for compatibility, and the scenario spec engine is the
-// canonical way to execute them (a Spec with "experiment": "<id>").
+// Importing the package registers the 13 runners as native entries in
+// the internal/scenario catalog; the scenario engine runs them
+// (scenario.Run, scenario.RunAll, or a Spec with "experiment": "<id>").
 package experiments
 
-import (
-	"selfishnet/internal/export"
-	"selfishnet/internal/scenario"
-)
+import "selfishnet/internal/scenario"
 
-// Params tunes experiment scale (an alias of scenario.Params, the
-// single home of the Seed-default and parallel-budget conventions). The
-// zero value means "paper defaults"; Quick trims sizes for smoke tests
-// and benchmarks; Parallelism is a runner's internal fan-out budget and
-// never changes results.
-type Params = scenario.Params
-
-// Runner produces one experiment's table.
-type Runner func(Params) (*export.Table, error)
-
-// register declares the 13 paper runners as native scenario-catalog
-// entries. The catalog is the registry of record; everything in this
-// package delegates to it.
+// init registers the 13 paper runners in the scenario catalog, the
+// registry of record.
 func init() {
 	for _, e := range []struct {
 		id     string
-		runner Runner
+		runner scenario.Native
 		desc   string
 	}{
 		{"e1-upper", E1Upper, "Theorem 4.1: max stretch ≤ α+1 in Nash equilibria; PoA within O(min(α,n))"},
@@ -53,23 +36,6 @@ func init() {
 		{"e12-oracle", E12Oracles, "Ablation: heuristic oracles vs the exact best response; pruning effectiveness"},
 		{"e13-congest", E13Congestion, "Extension (§6): congestion-aware links — equilibria avoid hubs as γ grows"},
 	} {
-		scenario.RegisterNative(e.id, e.desc, scenario.Native(e.runner))
+		scenario.RegisterNative(e.id, e.desc, e.runner)
 	}
-}
-
-// IDs returns the experiment identifiers in sorted order.
-func IDs() []string { return scenario.IDs() }
-
-// Describe returns the one-line description of an experiment.
-func Describe(id string) (string, error) { return scenario.Describe(id) }
-
-// Run executes the experiment with the given ID through the scenario
-// spec engine.
-func Run(id string, p Params) (*export.Table, error) { return scenario.Run(id, p) }
-
-// RunAll executes the given experiments concurrently and returns their
-// tables in input order; see scenario.RunAll for the determinism and
-// budget-splitting contract.
-func RunAll(ids []string, p Params, parallelism int) ([]*export.Table, error) {
-	return scenario.RunAll(ids, p, parallelism)
 }

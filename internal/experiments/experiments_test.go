@@ -4,23 +4,25 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"selfishnet/internal/scenario"
 )
 
 func TestRegistryComplete(t *testing.T) {
-	ids := IDs()
+	ids := scenario.IDs()
 	if len(ids) != 13 {
 		t.Fatalf("got %d experiments: %v", len(ids), ids)
 	}
 	for _, id := range ids {
-		desc, err := Describe(id)
+		desc, err := scenario.Describe(id)
 		if err != nil || desc == "" {
-			t.Errorf("Describe(%q) = %q, %v", id, desc, err)
+			t.Errorf("scenario.Describe(%q) = %q, %v", id, desc, err)
 		}
 	}
-	if _, err := Describe("nope"); err == nil {
+	if _, err := scenario.Describe("nope"); err == nil {
 		t.Error("unknown id should error")
 	}
-	if _, err := Run("nope", Params{}); err == nil {
+	if _, err := scenario.Run("nope", scenario.Params{}); err == nil {
 		t.Error("unknown id should error")
 	}
 }
@@ -28,11 +30,11 @@ func TestRegistryComplete(t *testing.T) {
 func TestAllExperimentsQuick(t *testing.T) {
 	// Every experiment must run in quick mode and produce a well-formed
 	// table (headers, ≥1 row, consistent widths).
-	for _, id := range IDs() {
+	for _, id := range scenario.IDs() {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			t.Parallel()
-			tb, err := Run(id, Params{Quick: true, Seed: 2})
+			tb, err := scenario.Run(id, scenario.Params{Quick: true, Seed: 2})
 			if err != nil {
 				t.Fatalf("%s: %v", id, err)
 			}
@@ -56,7 +58,7 @@ func TestAllExperimentsQuick(t *testing.T) {
 }
 
 func TestE1BoundsHold(t *testing.T) {
-	tb, err := E1Upper(Params{Quick: true, Seed: 3})
+	tb, err := E1Upper(scenario.Params{Quick: true, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +79,7 @@ func TestE1BoundsHold(t *testing.T) {
 }
 
 func TestE2AllNash(t *testing.T) {
-	tb, err := E2Figure1(Params{Quick: true})
+	tb, err := E2Figure1(scenario.Params{Quick: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +97,7 @@ func TestE2AllNash(t *testing.T) {
 }
 
 func TestE5NeverConverges(t *testing.T) {
-	tb, err := E5NoNash(Params{Quick: true})
+	tb, err := E5NoNash(scenario.Params{Quick: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +115,7 @@ func TestE5NeverConverges(t *testing.T) {
 }
 
 func TestE6MatchesPaperAtK1(t *testing.T) {
-	tb, err := E6CandidateCycle(Params{Quick: true})
+	tb, err := E6CandidateCycle(scenario.Params{Quick: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +136,7 @@ func TestE6MatchesPaperAtK1(t *testing.T) {
 }
 
 func TestE11PriceOfStabilityIsOne(t *testing.T) {
-	tb, err := E11Landscape(Params{Quick: true})
+	tb, err := E11Landscape(scenario.Params{Quick: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +160,7 @@ func TestE11PriceOfStabilityIsOne(t *testing.T) {
 }
 
 func TestE12HeuristicsNearExact(t *testing.T) {
-	tb, err := E12Oracles(Params{Quick: true})
+	tb, err := E12Oracles(scenario.Params{Quick: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +184,7 @@ func TestE12HeuristicsNearExact(t *testing.T) {
 }
 
 func TestE13StretchGrowsWithGamma(t *testing.T) {
-	tb, err := E13Congestion(Params{Quick: true})
+	tb, err := E13Congestion(scenario.Params{Quick: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,11 +208,11 @@ func TestE13StretchGrowsWithGamma(t *testing.T) {
 }
 
 func TestDeterministicTables(t *testing.T) {
-	a, err := E4PriceOfAnarchy(Params{Quick: true, Seed: 5})
+	a, err := E4PriceOfAnarchy(scenario.Params{Quick: true, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := E4PriceOfAnarchy(Params{Quick: true, Seed: 5})
+	b, err := E4PriceOfAnarchy(scenario.Params{Quick: true, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

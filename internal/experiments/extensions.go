@@ -13,6 +13,7 @@ import (
 	"selfishnet/internal/nash"
 	"selfishnet/internal/opt"
 	"selfishnet/internal/rng"
+	"selfishnet/internal/scenario"
 )
 
 // E11Landscape maps the full equilibrium landscape of tiny instances by
@@ -20,7 +21,7 @@ import (
 // optimum, and therefore the exact Price of Anarchy (worst Nash / OPT)
 // and Price of Stability (best Nash / OPT). The paper studies the worst
 // Nash; the landscape shows how wide the equilibrium set actually is.
-func E11Landscape(p Params) (*export.Table, error) {
+func E11Landscape(p scenario.Params) (*export.Table, error) {
 	type instSpec struct {
 		name      string
 		positions []float64
@@ -87,7 +88,7 @@ func E11Landscape(p Params) (*export.Table, error) {
 // reports the fraction of exactly-optimal answers, the mean relative
 // cost gap, and the subsets the exact oracle actually evaluated versus
 // the unpruned 2^(n-1).
-func E12Oracles(p Params) (*export.Table, error) {
+func E12Oracles(p scenario.Params) (*export.Table, error) {
 	n := 12
 	trials := 60
 	if p.Quick {
@@ -177,7 +178,7 @@ func E12Oracles(p Params) (*export.Table, error) {
 // compares equilibria reached by dynamics for increasing γ: hub-ness
 // (max in-degree, degree Gini), links, and stretch. Congestion should
 // flatten hubs and spread load.
-func E13Congestion(p Params) (*export.Table, error) {
+func E13Congestion(p scenario.Params) (*export.Table, error) {
 	n := 12
 	runs := 5
 	if p.Quick {

@@ -9,6 +9,7 @@ import (
 	"selfishnet/internal/dynamics"
 	"selfishnet/internal/export"
 	"selfishnet/internal/rng"
+	"selfishnet/internal/scenario"
 )
 
 // E5NoNash reproduces Theorem 5.1. For k = 1 it enumerates the entire
@@ -17,7 +18,7 @@ import (
 // deterministic best-response dynamics from the six Figure 3 candidates
 // and from random profiles, reporting that every run ends in a proven
 // cycle rather than convergence.
-func E5NoNash(p Params) (*export.Table, error) {
+func E5NoNash(p scenario.Params) (*export.Table, error) {
 	ks := []int{1, 2, 3}
 	randomStarts := 6
 	certify := true
@@ -109,7 +110,7 @@ func E5NoNash(p Params) (*export.Table, error) {
 // to an exact best response), it reports the best bottom-cluster
 // deviation and the successor candidate, recovering the paper's
 // transition structure 1→3→4→2→1 with 5 and 6 feeding into the loop.
-func E6CandidateCycle(p Params) (*export.Table, error) {
+func E6CandidateCycle(p scenario.Params) (*export.Table, error) {
 	ks := []int{1, 2}
 	if p.Quick {
 		ks = []int{1}
@@ -163,7 +164,7 @@ func E6CandidateCycle(p Params) (*export.Table, error) {
 // 2-D metrics best-response dynamics converge quickly under every
 // activation policy, while I_k never does. The table reports convergence
 // rates, steps, and distinct equilibria reached.
-func E8Convergence(p Params) (*export.Table, error) {
+func E8Convergence(p scenario.Params) (*export.Table, error) {
 	alphas := []float64{1, 4, 16}
 	runs := 12
 	n := 10

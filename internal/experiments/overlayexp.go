@@ -13,6 +13,7 @@ import (
 	"selfishnet/internal/opt"
 	"selfishnet/internal/overlay"
 	"selfishnet/internal/rng"
+	"selfishnet/internal/scenario"
 )
 
 // metricUniform draws a uniform 2-D point set (shared helper).
@@ -25,7 +26,7 @@ func metricUniform(r *rng.RNG, n int) (metric.Space, error) {
 // asymptotically optimal. The table compares the portfolio constructions
 // at α = √n: social cost normalized by the universal lower bound, max
 // degree and max stretch.
-func E7SqrtRegime(p Params) (*export.Table, error) {
+func E7SqrtRegime(p scenario.Params) (*export.Table, error) {
 	ns := []int{16, 36, 64, 100}
 	if p.Quick {
 		ns = []int{16, 36}
@@ -81,7 +82,7 @@ func E7SqrtRegime(p Params) (*export.Table, error) {
 // churn. Reported: lookup success, mean stretch (the latency inflation
 // the paper's cost function penalizes), maintenance pings (the α side),
 // and repairs.
-func E9Churn(p Params) (*export.Table, error) {
+func E9Churn(p scenario.Params) (*export.Table, error) {
 	n := 24
 	duration := 300.0
 	if p.Quick {
@@ -189,7 +190,7 @@ func repairName(r overlay.RepairStrategy) string {
 // pairwise-stable configuration: social cost, link count and max
 // stretch. It shows how the stretch objective preserves locality while
 // the hop-count objective does not.
-func E10Baselines(p Params) (*export.Table, error) {
+func E10Baselines(p scenario.Params) (*export.Table, error) {
 	n := 10
 	alpha := 2.0
 	if p.Quick {

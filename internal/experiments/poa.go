@@ -13,6 +13,7 @@ import (
 	"selfishnet/internal/nash"
 	"selfishnet/internal/opt"
 	"selfishnet/internal/rng"
+	"selfishnet/internal/scenario"
 	"selfishnet/internal/stats"
 )
 
@@ -21,7 +22,7 @@ import (
 // the table reports the maximum stretch observed (the theorem bounds it
 // by α+1) and the equilibrium's social cost against the universal lower
 // bound (the theorem bounds the ratio by O(min(α, n))).
-func E1Upper(p Params) (*export.Table, error) {
+func E1Upper(p scenario.Params) (*export.Table, error) {
 	ns := []int{8, 10, 12}
 	alphas := []float64{1, 2, 4, 8, 16, 32}
 	runs := 8
@@ -96,7 +97,7 @@ func E1Upper(p Params) (*export.Table, error) {
 // equilibrium for α ≥ 3.4, for every odd n checked, and reports the
 // empirical α threshold at which stability begins, alongside the
 // analytic threshold (3+√13)/2 ≈ 3.303 from the lemma's series bound.
-func E2Figure1(p Params) (*export.Table, error) {
+func E2Figure1(p scenario.Params) (*export.Table, error) {
 	ns := []int{5, 7, 9, 11, 13}
 	alphas := []float64{3.4, 4, 6, 10}
 	if p.Quick {
@@ -169,7 +170,7 @@ func E2Figure1(p Params) (*export.Table, error) {
 // grows as Θ(αn²) and the link cost as Θ(αn). The table reports log-log
 // growth exponents of C_S and C_E in n (expect ~2 and ~1) and the
 // normalized constants C_S/(αn²).
-func E3CostScaling(p Params) (*export.Table, error) {
+func E3CostScaling(p scenario.Params) (*export.Table, error) {
 	ns := []int{9, 17, 33, 65, 129}
 	alphas := []float64{4, 8, 16}
 	if p.Quick {
@@ -221,7 +222,7 @@ func E3CostScaling(p Params) (*export.Table, error) {
 // equilibrium's social cost to the optimal topology's is Θ(min(α, n)).
 // OPT is sandwiched between the paper's G̃ upper bound and the universal
 // lower bound, so the table reports both normalized ratios.
-func E4PriceOfAnarchy(p Params) (*export.Table, error) {
+func E4PriceOfAnarchy(p scenario.Params) (*export.Table, error) {
 	ns := []int{9, 17, 33, 65}
 	alphas := []float64{4, 8, 16, 32, 64}
 	if p.Quick {

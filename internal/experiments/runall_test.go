@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"selfishnet/internal/export"
+	"selfishnet/internal/scenario"
 )
 
 // renderTables serializes tables to CSV bytes, the exported form whose
@@ -29,18 +30,18 @@ func renderTables(t *testing.T, tables []*export.Table) []byte {
 // contract: for every registered experiment, RunAll at parallelism 1
 // and at higher widths must export byte-identical tables (Quick mode).
 func TestRunAllParallelismByteIdentical(t *testing.T) {
-	params := Params{Quick: true, Seed: 1}
-	seq, err := RunAll(nil, params, 1)
+	params := scenario.Params{Quick: true, Seed: 1}
+	seq, err := scenario.RunAll(nil, params, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(seq) != len(IDs()) {
-		t.Fatalf("sequential RunAll returned %d tables, want %d", len(seq), len(IDs()))
+	if len(seq) != len(scenario.IDs()) {
+		t.Fatalf("sequential RunAll returned %d tables, want %d", len(seq), len(scenario.IDs()))
 	}
 	want := renderTables(t, seq)
 
 	for _, par := range []int{2, 4, 13} {
-		got, err := RunAll(nil, params, par)
+		got, err := scenario.RunAll(nil, params, par)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,14 +65,14 @@ func firstDiff(a, b []byte) int {
 // TestRunAllMatchesRun confirms RunAll produces the same table as the
 // single-experiment Run entry point for each id.
 func TestRunAllMatchesRun(t *testing.T) {
-	params := Params{Quick: true, Seed: 7}
+	params := scenario.Params{Quick: true, Seed: 7}
 	ids := []string{"e2-fig1", "e4-poa", "e8-dyn"}
-	tables, err := RunAll(ids, params, 3)
+	tables, err := scenario.RunAll(ids, params, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, id := range ids {
-		want, err := Run(id, params)
+		want, err := scenario.Run(id, params)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,9 +92,9 @@ func TestRunAllMatchesRun(t *testing.T) {
 // TestRunAllOrderAndValidation checks input-order results and upfront
 // id validation.
 func TestRunAllOrderAndValidation(t *testing.T) {
-	params := Params{Quick: true, Seed: 1}
+	params := scenario.Params{Quick: true, Seed: 1}
 	ids := []string{"e6-cycle", "e2-fig1"} // deliberately unsorted
-	tables, err := RunAll(ids, params, 2)
+	tables, err := scenario.RunAll(ids, params, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +102,7 @@ func TestRunAllOrderAndValidation(t *testing.T) {
 		t.Fatalf("tables out of input order: %q, %q", tables[0].Title, tables[1].Title)
 	}
 
-	if _, err := RunAll([]string{"e2-fig1", "nope"}, params, 2); err == nil {
+	if _, err := scenario.RunAll([]string{"e2-fig1", "nope"}, params, 2); err == nil {
 		t.Fatal("unknown id not rejected")
 	}
 }

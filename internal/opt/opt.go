@@ -17,7 +17,6 @@ import (
 	"sort"
 
 	"selfishnet/internal/core"
-	"selfishnet/internal/graph"
 	"selfishnet/internal/rng"
 )
 
@@ -74,24 +73,52 @@ func DirectedCycle(n int) core.Profile {
 
 // MSTProfile links the minimum-spanning-tree edges of the metric
 // bidirectionally: 2(n-1) links, short total length.
-func MSTProfile(inst *core.Instance) (core.Profile, error) {
-	edges, err := graph.PrimMST(spaceAdapter{inst})
-	if err != nil {
-		return core.Profile{}, err
-	}
+func MSTProfile(inst *core.Instance) core.Profile {
 	p := core.NewProfile(inst.N())
-	for _, e := range edges {
+	for _, e := range primMST(inst) {
 		_ = p.AddLink(e[0], e[1])
 		_ = p.AddLink(e[1], e[0])
 	}
-	return p, nil
+	return p
 }
 
-// spaceAdapter exposes an instance's cached distances as graph.MetricLike.
-type spaceAdapter struct{ inst *core.Instance }
-
-func (a spaceAdapter) N() int                    { return a.inst.N() }
-func (a spaceAdapter) Distance(i, j int) float64 { return a.inst.Distance(i, j) }
+// primMST returns the edges of a minimum spanning tree of the complete
+// graph over the instance's metric, as (parent, child) pairs in the
+// order Prim's algorithm grows the tree from peer 0. O(n²). Instances
+// have n ≥ 2 and finite distances, so the tree always spans.
+func primMST(inst *core.Instance) [][2]int {
+	n := inst.N()
+	inTree := make([]bool, n)
+	best := make([]float64, n)
+	parent := make([]int, n)
+	for i := range best {
+		best[i] = math.Inf(1)
+		parent[i] = -1
+	}
+	best[0] = 0
+	edges := make([][2]int, 0, n-1)
+	for iter := 0; iter < n; iter++ {
+		u, bd := -1, math.Inf(1)
+		for v := 0; v < n; v++ {
+			if !inTree[v] && best[v] < bd {
+				u, bd = v, best[v]
+			}
+		}
+		inTree[u] = true
+		if parent[u] >= 0 {
+			edges = append(edges, [2]int{parent[u], u})
+		}
+		for v := 0; v < n; v++ {
+			if !inTree[v] {
+				if d := inst.Distance(u, v); d < best[v] {
+					best[v] = d
+					parent[v] = u
+				}
+			}
+		}
+	}
+	return edges
+}
 
 // KNearest links every peer to its k nearest neighbors (ties broken by
 // index). k is clamped to n-1.
@@ -232,11 +259,7 @@ func Portfolio(inst *core.Instance) (map[string]core.Profile, error) {
 		return nil, err
 	}
 	out["star"] = star
-	mst, err := MSTProfile(inst)
-	if err != nil {
-		return nil, err
-	}
-	out["mst"] = mst
+	out["mst"] = MSTProfile(inst)
 	knn, err := KNearest(inst, int(math.Ceil(math.Sqrt(float64(n)))))
 	if err != nil {
 		return nil, err

@@ -94,15 +94,29 @@ func TestDirectedCycleMinimalArcs(t *testing.T) {
 
 func TestMSTProfileConnected(t *testing.T) {
 	inst, ev := uniformInstance(t, 4, 9, 1)
-	p, err := MSTProfile(inst)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := MSTProfile(inst)
 	if p.LinkCount() != 2*(9-1) {
 		t.Fatalf("links = %d, want 16", p.LinkCount())
 	}
 	if !ev.Connected(p) {
 		t.Fatal("MST overlay must be connected")
+	}
+}
+
+func TestPrimMSTOnLine(t *testing.T) {
+	inst, _ := lineInstance(t, []float64{0, 10, 1, 11, 2}, 1)
+	edges := primMST(inst)
+	if len(edges) != 4 {
+		t.Fatalf("MST edge count = %d, want 4", len(edges))
+	}
+	total := 0.0
+	for _, e := range edges {
+		total += inst.Distance(e[0], e[1])
+	}
+	// Optimal tree connects 0-2-4 (cost 1+1) and 1-3 (cost 1) and the two
+	// groups via 4-1 (cost 8): total 11.
+	if math.Abs(total-11) > 1e-12 {
+		t.Errorf("MST weight = %f, want 11", total)
 	}
 }
 
