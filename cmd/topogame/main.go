@@ -26,8 +26,9 @@
 //	-json   emit JSON (machine-readable; run prints one array of
 //	        table objects, spec/sweep one table object)
 //	-seed N deterministic seed override (default: spec/flag default 1)
-//	-par N  concurrent runners / grid points (default 0 = all cores);
-//	        tables print in order and are bit-identical at any N
+//	-par N  concurrent runners / grid points (default 0 = all cores;
+//	        negative N is an error); tables print in order and are
+//	        bit-identical at any N
 //	-cpuprofile f  write a pprof CPU profile of the run to f
 //	-memprofile f  write a pprof heap profile (post-run, after GC) to f
 package main
@@ -112,6 +113,18 @@ func (o *outputFlags) register(fs *flag.FlagSet, seedDefault uint64) {
 	fs.StringVar(&o.memprofile, "memprofile", "", "write a pprof heap profile to this file")
 }
 
+// parse parses args into fs and rejects a negative -par, which would
+// otherwise silently mean "all cores".
+func (o *outputFlags) parse(fs *flag.FlagSet, args []string) error {
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if o.par < 0 {
+		return fmt.Errorf("%s: invalid -par %d: want 0 (all cores) or a positive width", fs.Name(), o.par)
+	}
+	return nil
+}
+
 // profiled runs work under the requested pprof profiles, so kernel
 // investigations are profile-guided (`go tool pprof`) instead of
 // requiring ad-hoc instrumentation patches. The CPU profile covers
@@ -161,7 +174,7 @@ func runExperiments(args []string) error {
 	fs := flag.NewFlagSet("run", flag.ContinueOnError)
 	var out outputFlags
 	out.register(fs, scenario.DefaultSeed)
-	if err := fs.Parse(args); err != nil {
+	if err := out.parse(fs, args); err != nil {
 		return err
 	}
 	ids := fs.Args()
@@ -203,7 +216,7 @@ func runSpec(args []string) error {
 	// Seed 0 = "defer to the spec's own seed".
 	out.register(fs, 0)
 	emit := fs.String("emit", "", "print the catalog spec with this id as JSON and exit")
-	if err := fs.Parse(args); err != nil {
+	if err := out.parse(fs, args); err != nil {
 		return err
 	}
 	if *emit != "" {
@@ -282,7 +295,7 @@ func runChurn(args []string) error {
 	duration := fs.Float64("duration", 5, "simulated churn horizon (seconds)")
 	repair := fs.String("repair", "selfish", "repair strategy: selfish, nearest or none")
 	family := fs.String("metric", "uniform", "metric family (sized families only)")
-	if err := fs.Parse(args); err != nil {
+	if err := out.parse(fs, args); err != nil {
 		return err
 	}
 	if fs.NArg() > 0 {
@@ -336,7 +349,7 @@ func runCertify(args []string) error {
 	alpha := fs.Float64("alpha", 2, "link price α")
 	band := fs.Int("band", 64, "resident source rows in the banded social-cost check")
 	samples := fs.Int("samples", 0, "cross-check with the sampled estimator over this many sources (0 = skip)")
-	if err := fs.Parse(args); err != nil {
+	if err := out.parse(fs, args); err != nil {
 		return err
 	}
 	if fs.NArg() > 0 {
@@ -441,7 +454,7 @@ func runSweep(args []string) error {
 	var out outputFlags
 	out.register(fs, 0)
 	keepGoing := fs.Bool("keep-going", false, "do not abort on point failures; render failed rows as placeholders and report them")
-	if err := fs.Parse(args); err != nil {
+	if err := out.parse(fs, args); err != nil {
 		return err
 	}
 	if fs.NArg() != 1 {

@@ -33,6 +33,23 @@ func TestTopogameCommands(t *testing.T) {
 	}
 }
 
+// TestTopogameRejectsNegativePar: a negative -par is a usage error
+// naming the flag on every subcommand that takes it, not "all cores".
+func TestTopogameRejectsNegativePar(t *testing.T) {
+	for _, args := range [][]string{
+		{"run", "-par", "-5", "e4-poa"},
+		{"spec", "-par", "-5", "testdata/spec_example.json"},
+		{"sweep", "-par", "-5", "testdata/sweep_smoke.json"},
+		{"churn", "-par", "-5"},
+		{"certify", "-par", "-5"},
+	} {
+		err := run(args)
+		if err == nil || !strings.Contains(err.Error(), "-par -5") {
+			t.Errorf("%v: err = %v, want a usage error naming -par -5", args, err)
+		}
+	}
+}
+
 func TestTopogameRunQuick(t *testing.T) {
 	// One representative experiment in quick+CSV mode (stdout goes to
 	// the test log, which is fine).

@@ -103,6 +103,12 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 	if *fabricWorkers > 0 && !*fabricOn {
 		return fmt.Errorf("-fabric-workers requires -fabric")
 	}
+	if *runPar < 0 {
+		return fmt.Errorf("invalid -run-par %d: want 0 (all cores) or a positive width", *runPar)
+	}
+	if *pointPar < 0 {
+		return fmt.Errorf("invalid -point-par %d: want 0 (all cores) or a positive width", *pointPar)
+	}
 
 	var store *cas.Store
 	if *casDir != "" {

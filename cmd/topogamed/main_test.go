@@ -119,6 +119,12 @@ func TestTopogamedFlagErrors(t *testing.T) {
 	if err := run(context.Background(), []string{"-fabric-workers", "2"}, nil); err == nil {
 		t.Error("-fabric-workers without -fabric should error")
 	}
+	for _, flag := range []string{"-run-par", "-point-par"} {
+		err := run(context.Background(), []string{flag, "-1"}, nil)
+		if err == nil || !strings.Contains(err.Error(), flag+" -1") {
+			t.Errorf("%s -1: err = %v, want a usage error naming the flag", flag, err)
+		}
+	}
 }
 
 // TestTopogamedFabricSweep boots the daemon in fabric mode with

@@ -51,6 +51,9 @@ func run(ctx context.Context, args []string) error {
 	if fs.NArg() > 0 {
 		return fmt.Errorf("unexpected argument %q", fs.Arg(0))
 	}
+	if *par < 0 {
+		return fmt.Errorf("invalid -par %d: want 0 (all cores) or a positive width", *par)
+	}
 	if *name == "" {
 		host, err := os.Hostname()
 		if err != nil {

@@ -131,4 +131,7 @@ func TestWorkerFlagErrors(t *testing.T) {
 	if err := run(context.Background(), []string{"stray"}); err == nil {
 		t.Error("stray argument should error")
 	}
+	if err := run(context.Background(), []string{"-par", "-1"}); err == nil || !strings.Contains(err.Error(), "-par -1") {
+		t.Errorf("-par -1: err = %v, want a usage error naming the flag", err)
+	}
 }

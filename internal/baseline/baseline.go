@@ -36,17 +36,6 @@ func NewFabrikant(n int, alpha float64) (*core.Instance, error) {
 	)
 }
 
-// NewFabrikantMetric builds the distance-cost undirected game over an
-// arbitrary metric space (the weighted generalization of Fabrikant's
-// game, useful for like-for-like comparisons with the stretch game on
-// the same peer positions).
-func NewFabrikantMetric(space metric.Space, alpha float64) (*core.Instance, error) {
-	return core.NewInstance(space, alpha,
-		core.WithModel(core.DistanceModel{}),
-		core.WithUndirected(),
-	)
-}
-
 // NewBilateral builds the Corbo–Parkes style bilateral game over a
 // metric space: distances are the cost terms and links are undirected
 // edges paid for by both endpoints. Profiles for this game must be

@@ -110,7 +110,7 @@ func TestUndirectedTraversalOnlyInFabrikant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	undirected, err := NewFabrikantMetric(space, 1)
+	undirected, err := NewFabrikant(3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -358,14 +358,6 @@ func (s *Store) quarantine(ns, hash, path string) {
 	_ = s.writeIndexLocked()
 }
 
-// Has reports whether (ns, hash) is stored, without touching counters.
-func (s *Store) Has(ns, hash string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.entries[key(ns, hash)]
-	return ok
-}
-
 // Len returns the number of stored blobs.
 func (s *Store) Len() int {
 	s.mu.Lock()

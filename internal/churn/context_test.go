@@ -9,8 +9,9 @@ import (
 )
 
 // TestRunContextUnfiredByteIdentical is the differential obligation of
-// deadline propagation: a context that never fires must leave the churn
-// result byte-identical to Run (the == comparisons in resultsEqual).
+// deadline propagation: a live context that never fires must leave the
+// churn result byte-identical to a run under context.Background (the ==
+// comparisons in resultsEqual).
 func TestRunContextUnfiredByteIdentical(t *testing.T) {
 	r := rng.New(211)
 	inst := buildChurnInstance(t, r, churnCase{n: 10})
@@ -21,15 +22,17 @@ func TestRunContextUnfiredByteIdentical(t *testing.T) {
 		Duration: 3,
 		Seed:     999,
 	}
-	want, err := Run(cfg)
+	want, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunContext(context.Background(), cfg)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	got, err := RunContext(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resultsEqual(t, got, want, "RunContext vs Run")
+	resultsEqual(t, got, want, "live vs background context")
 	if want.Events == 0 {
 		t.Fatal("run produced no churn events; rate/duration too small for the test")
 	}

@@ -76,19 +76,14 @@ type Result struct {
 	FinalCost core.Cost
 }
 
-// Run executes a churn run: a continuous-time stream of uniform peer
-// toggles at aggregate rate Rate·n, each followed by event-triggered
+// RunContext executes a churn run: a continuous-time stream of uniform
+// peer toggles at aggregate rate Rate·n, each followed by event-triggered
 // repairs and a restabilization pass, then the rate→0 tail (everyone
 // rejoins, the full game stabilizes). Deterministic in Seed at any
-// evaluator-pool width.
-func Run(cfg Config) (Result, error) {
-	return RunContext(context.Background(), cfg)
-}
-
-// RunContext is Run with cooperative cancellation: ctx is checked
-// before every churn event and before the tail stabilization, so a
-// deadline or disconnect lands mid-run, and the error is ctx.Err()
-// verbatim. An unfired context leaves the result byte-identical to Run.
+// evaluator-pool width. ctx is checked before every churn event and
+// before the tail stabilization, so a deadline or disconnect lands
+// mid-run, and the error is ctx.Err() verbatim. The result does not
+// depend on ctx unless it fires.
 func RunContext(ctx context.Context, cfg Config) (Result, error) {
 	if cfg.Instance == nil {
 		return Result{}, errors.New("churn: nil instance")

@@ -1,6 +1,7 @@
 package churn
 
 import (
+	"context"
 	"testing"
 
 	"selfishnet/internal/bestresponse"
@@ -84,7 +85,7 @@ func TestRunValidatesConfig(t *testing.T) {
 		{Instance: inst, Start: start, Rate: 1, Duration: 1, Seed: 0},
 	}
 	for k, cfg := range bad {
-		if _, err := Run(cfg); err == nil {
+		if _, err := RunContext(context.Background(), cfg); err == nil {
 			t.Fatalf("config %d: expected an error", k)
 		}
 	}
@@ -106,17 +107,17 @@ func TestRunDeterministicAcrossWidths(t *testing.T) {
 				Repair:   RepairSelfish,
 				Seed:     999,
 			}
-			a, err := Run(cfg)
+			a, err := RunContext(context.Background(), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := Run(cfg)
+			b, err := RunContext(context.Background(), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			resultsEqual(t, a, b, "same seed")
 			cfg.Workers = 4
-			w, err := Run(cfg)
+			w, err := RunContext(context.Background(), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -162,7 +163,7 @@ func TestSustainedChurnTailReachesNash(t *testing.T) {
 				Repair:   RepairSelfish,
 				Seed:     uint64(1000 + n),
 			}
-			res, err := Run(cfg)
+			res, err := RunContext(context.Background(), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -192,7 +193,7 @@ func TestSustainedChurnTailReachesNash(t *testing.T) {
 				}
 			}
 			cfg.Workers = 4
-			wide, err := Run(cfg)
+			wide, err := RunContext(context.Background(), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

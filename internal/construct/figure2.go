@@ -49,7 +49,8 @@ var clusterOrder = [numClusters]Cluster{Pi1, Pi2, PiA, PiB, PiC}
 // distances built from 1, 1±δ, 2±δ and cluster diameter ε/n; the exact
 // coordinates and the formal proof are omitted. We therefore expose the
 // cluster centers directly and ship defaults (DefaultIkParams) found by
-// automated search that certify the paper's property (see FindNoNash).
+// automated search that certify the paper's property (see
+// DefaultIkParams for the certificates).
 type IkParams struct {
 	// Centers maps each cluster to its 2-D center position.
 	Centers map[Cluster][2]float64

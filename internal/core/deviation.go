@@ -127,9 +127,6 @@ func (ev *Evaluator) fillRestRows(p Profile, skip int, rest [][]float64) {
 	}
 }
 
-// Peer returns the deviating peer the batch is bound to.
-func (b *DeviationBatch) Peer() int { return b.i }
-
 // Eval returns peer i's enriched cost if it unilaterally switches to
 // strategy alt while everyone else keeps playing the batch's profile.
 // It is the batched equivalent of Evaluator.DeviationEval; results agree
@@ -166,12 +163,12 @@ func (b *DeviationBatch) fold(alt Strategy) []float64 {
 	return d
 }
 
-// maxSuffixMinFloats caps the memory of a SuffixMins table (the
+// maxSuffixMinFloats caps the memory of a suffix-min table (the
 // branch-and-bound helper): beyond it the exact oracle runs unpruned,
 // which at such sizes it effectively cannot anyway.
 const maxSuffixMinFloats = 1 << 20
 
-// SuffixBound holds, for every suffix of the exact oracle's candidate
+// suffixBound holds, for every suffix of the exact oracle's candidate
 // list, the pointwise-minimal single-link deviation terms:
 //
 //	term[ci][j] = model term of (min over k ∈ candidates[ci:] of d(i,k) + rest[k][j])
@@ -181,7 +178,7 @@ const maxSuffixMinFloats = 1 << 20
 // model term is monotone in the distance, and division by a positive
 // direct distance commutes with min exactly in floating point, so the
 // bound composes with Eval's arithmetic without slack.
-type SuffixBound struct {
+type suffixBound struct {
 	term [][]float64
 	// sum[ci] is the Eval-ordered sum of term[ci] (Σ_{j≠i}), an upper
 	// bound on any bound partial that uses suffix ci: when link + sum[ci]
@@ -195,18 +192,13 @@ type SuffixBound struct {
 	single []Eval
 }
 
-// SuffixMins builds the SuffixBound for the candidate list. Returns nil
+// suffixMins builds the suffixBound for the candidate list. Returns nil
 // when the model is not a built-in monotone one (no sound bound) or the
-// table would exceed the memory cap.
-func (b *DeviationBatch) SuffixMins(candidates []int) *SuffixBound {
-	return b.suffixMins(candidates, nil)
-}
-
-// suffixMins is SuffixMins with an optional active mask: the rows fold
-// all columns (unread inactive entries are harmless) but the sums and
-// single-link Evals accumulate active partners only, matching the
-// masked Eval order the active exact search compares against.
-func (b *DeviationBatch) suffixMins(candidates []int, active []bool) *SuffixBound {
+// table would exceed the memory cap. A non-nil active mask restricts
+// the sums and single-link Evals to active partners, matching the
+// masked Eval order the active exact search compares against; the rows
+// still fold all columns (unread inactive entries are harmless).
+func (b *DeviationBatch) suffixMins(candidates []int, active []bool) *suffixBound {
 	n := len(b.d)
 	m := len(candidates)
 	if !b.ev.builtinMonotoneModel() || (m+1)*n > maxSuffixMinFloats {
@@ -276,5 +268,5 @@ func (b *DeviationBatch) suffixMins(candidates []int, active []bool) *SuffixBoun
 		single[ci] = se
 		out[ci] = cur
 	}
-	return &SuffixBound{term: out, sum: sums, single: single}
+	return &suffixBound{term: out, sum: sums, single: single}
 }

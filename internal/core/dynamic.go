@@ -158,9 +158,6 @@ func (dy *DynEval) Close() {
 // not admit one.
 func (dy *DynEval) Cache() *BatchCache { return dy.cache }
 
-// N returns the number of peers.
-func (dy *DynEval) N() int { return dy.n }
-
 // Profile returns the engine's current profile. The returned value
 // shares storage; callers must not mutate it.
 func (dy *DynEval) Profile() Profile { return dy.p }

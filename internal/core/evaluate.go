@@ -280,7 +280,7 @@ type Evaluator struct {
 	// rest rows across oracle calls (see batchcache.go). Nil by default.
 	batchCache *BatchCache
 	// Scratch for the exact oracle's stack search (one live
-	// DeviationStack / SuffixMins table per evaluator at a time).
+	// DeviationStack / suffix-min table per evaluator at a time).
 	stackLevels  []float64
 	stackTerms   []float64
 	suffixFlat   []float64
@@ -820,12 +820,6 @@ func (ev *Evaluator) DeviationEval(p Profile, i int, alt Strategy) Eval {
 // part is +Inf if i cannot reach some peer.
 func (ev *Evaluator) PeerCost(p Profile, i int) Cost {
 	return ev.PeerEval(p, i).Cost
-}
-
-// DeviationCost returns peer i's cost if it unilaterally switches to
-// strategy alt while everyone else keeps playing p.
-func (ev *Evaluator) DeviationCost(p Profile, i int, alt Strategy) Cost {
-	return ev.DeviationEval(p, i, alt).Cost
 }
 
 // SocialCost returns the decomposed social cost C(G) = α|E| + Σ terms.

@@ -140,7 +140,7 @@ func TestDeviationCostMatchesSetStrategy(t *testing.T) {
 	_ = p.AddLink(3, 0)
 
 	alt := bitset.FromSlice([]int{2, 3})
-	dev := ev.DeviationCost(p, 0, alt)
+	dev := ev.DeviationEval(p, 0, alt).Cost
 
 	q := p.Clone()
 	if err := q.SetStrategy(0, alt); err != nil {
@@ -148,7 +148,7 @@ func TestDeviationCostMatchesSetStrategy(t *testing.T) {
 	}
 	direct := ev.PeerCost(q, 0)
 	if math.Abs(dev.Total()-direct.Total()) > 1e-12 {
-		t.Errorf("DeviationCost = %f, SetStrategy+PeerCost = %f", dev.Total(), direct.Total())
+		t.Errorf("DeviationEval cost = %f, SetStrategy+PeerCost = %f", dev.Total(), direct.Total())
 	}
 }
 

@@ -119,21 +119,6 @@ func (p Profile) LinkCount() int {
 // OutDegree returns |s_i|.
 func (p Profile) OutDegree(i int) int { return p.strategies[i].Count() }
 
-// Grow returns a copy of the profile extended to newN peers: existing
-// strategies are cloned unchanged and the new peers start with empty
-// strategies (no links in either direction, since no old strategy can
-// reference an index ≥ N). Shrinking is not supported.
-func (p Profile) Grow(newN int) (Profile, error) {
-	if newN < p.N() {
-		return Profile{}, fmt.Errorf("core: cannot grow profile from %d to %d peers", p.N(), newN)
-	}
-	cp := make([]Strategy, newN)
-	for i, s := range p.strategies {
-		cp[i] = s.Clone()
-	}
-	return Profile{strategies: cp}, nil
-}
-
 // Clone returns a deep copy of the profile.
 func (p Profile) Clone() Profile {
 	cp := make([]Strategy, len(p.strategies))

@@ -10,8 +10,8 @@ import (
 )
 
 // TestRunContextUnfiredByteIdentical is the differential obligation of
-// deadline propagation: threading a context that never fires must leave
-// the trajectory byte-identical to Run — same final profile, step
+// deadline propagation: threading a live context that never fires must
+// leave the trajectory byte-identical to Run — same final profile, step
 // count, and convergence flags, compared with == throughout.
 func TestRunContextUnfiredByteIdentical(t *testing.T) {
 	for _, pol := range policies() {
@@ -22,9 +22,11 @@ func TestRunContextUnfiredByteIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
 			ev2 := lineEvaluator(t, []float64{0, 1, 2, 3, 4, 5}, 2)
 			cfg.Rand = rng.New(7)
-			got, err := RunContext(context.Background(), ev2, core.NewProfile(6), cfg)
+			got, err := RunContext(ctx, ev2, core.NewProfile(6), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -64,16 +66,19 @@ func TestRunContextCancelled(t *testing.T) {
 }
 
 // TestReplicasContextUnfiredByteIdentical extends the differential
-// obligation to replica mode at width > 1: every replica's result must
-// match the context-free path exactly.
+// obligation to replica mode at width > 1: under a live context that
+// never fires, every replica's result must match a run under
+// context.Background exactly.
 func TestReplicasContextUnfiredByteIdentical(t *testing.T) {
 	cfg := Config{MaxSteps: 500, Parallelism: 3}
 	ev := lineEvaluator(t, []float64{0, 1, 2, 3, 4, 5, 6, 7}, 2)
-	want, err := Replicas(ev, cfg, 4, 0.3, rng.New(11))
+	want, err := ReplicasContext(context.Background(), ev, cfg, 4, 0.3, rng.New(11))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReplicasContext(context.Background(), ev, cfg, 4, 0.3, rng.New(11))
+	live, stop := context.WithCancel(context.Background())
+	defer stop()
+	got, err := ReplicasContext(live, ev, cfg, 4, 0.3, rng.New(11))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,11 +7,18 @@
 // measurement. A repeated (profile, scheduler-state) pair under a
 // deterministic policy is a proof that the run loops forever.
 //
-// Multi-replica drivers (Converge, WorstEquilibrium) fan independent
-// runs across a worker pool of evaluator clones, governed by
-// Config.Parallelism. Per-replica RNG streams and starting profiles are
-// pre-drawn sequentially and outcomes reduced in replica order, so
-// aggregates are bit-identical at every parallelism width.
+// One step loop serves two engines. The fresh engine evaluates peers
+// from scratch each step; the incremental engine reads them off a
+// core.DynEval and keeps best responses across moves. They differ only
+// in where a peer's current eval and its environment version come from
+// (see Run), so their trajectories are byte-identical.
+//
+// The replica driver ReplicasContext, and Converge on top of it, fan
+// independent runs across a worker pool of evaluator clones, governed
+// by Config.Parallelism. Per-replica RNG streams and starting profiles
+// are pre-drawn sequentially and outcomes reduced in replica order, so
+// aggregates are bit-identical at every parallelism width;
+// WorstConverged picks the Price-of-Anarchy winner from them.
 package dynamics
 
 import (
@@ -213,14 +220,14 @@ type Config struct {
 	DetectCycles bool
 	// OnStep, when non-nil, receives every applied move.
 	OnStep func(StepEvent)
-	// Parallelism bounds how many replica runs Converge and
-	// WorstEquilibrium execute concurrently (each on its own evaluator
-	// clone). 0 selects runtime.GOMAXPROCS(0); 1 forces sequential
-	// execution. Results are bit-identical at every width: per-replica
-	// RNG streams and starting profiles are drawn sequentially up
-	// front, and outcomes are aggregated in replica order. A non-nil
-	// OnStep forces sequential execution so callbacks never run
-	// concurrently. Single runs (Run) are unaffected.
+	// Parallelism bounds how many replica runs ReplicasContext and
+	// Converge execute concurrently (each on its own evaluator clone).
+	// 0 selects runtime.GOMAXPROCS(0); 1 forces sequential execution.
+	// Results are bit-identical at every width: per-replica RNG streams
+	// and starting profiles are drawn sequentially up front, and
+	// outcomes are aggregated in replica order. A non-nil OnStep forces
+	// sequential execution so callbacks never run concurrently. Single
+	// runs (Run) are unaffected.
 	Parallelism int
 	// BatchWorkers is the intra-step parallelism of deviation-batch
 	// construction: the n−1 rest-SSSP rows behind each best-response
@@ -228,15 +235,15 @@ type Config struct {
 	// 0 selects runtime.GOMAXPROCS(0) when n ≥ BatchParallelMinPeers and
 	// sequential below; 1 forces sequential. Rows land in slots indexed
 	// by source, so oracle answers — and therefore trajectories — are
-	// byte-identical at any width. Parallel replica fan-out (Converge /
-	// WorstEquilibrium / Replicas with more than one worker) forces
+	// byte-identical at any width. Parallel replica fan-out
+	// (ReplicasContext or Converge with more than one worker) forces
 	// per-run sequential batches so the two levels never multiply.
 	BatchWorkers int
-	// ForceFresh disables the incremental engine: every step recomputes
-	// peer evals and best responses from scratch, the pre-incremental
-	// behavior. Trajectories are byte-identical either way (the
-	// incremental engine's invalidation is conservative-sound, the
-	// picked mover is re-validated with a fresh oracle call, and every
+	// ForceFresh selects the fresh engine: peer evals come from
+	// Evaluator.PeerEval and every cached best response expires at each
+	// move. Trajectories are byte-identical either way (the incremental
+	// engine's invalidation is conservative-sound, a mover picked from a
+	// persisted gain is re-validated with a fresh oracle call, and every
 	// Converged=true result is certified by a full fresh sweep); the
 	// switch exists as an escape hatch and for differential testing.
 	ForceFresh bool
@@ -286,18 +293,23 @@ var ErrNoProgress = errors.New("dynamics: selected peer has no improving deviati
 // Run executes best-response dynamics from the start profile. The start
 // profile is not mutated.
 //
-// By default the run uses the incremental engine: a core.DynEval keeps
-// every peer's shortest-path distances current across moves (so current
-// evals cost O(n) instead of an SSSP), best responses persist across
-// steps under conservative-sound invalidation keyed to the move deltas,
-// and — where the instance admits batched deviation evaluation — the
-// oracles' rest-SSSP rows persist too, re-settling only rows a move
-// could have touched. Safety is layered: invalidation only ever
-// over-invalidates, a mover picked from a persisted gain is re-validated
-// with a fresh oracle call before its move is applied, and a
-// Converged=true result is certified by a fresh sweep of every peer.
-// Trajectories are therefore byte-identical to Config.ForceFresh runs
-// (asserted by the differential tests in incremental_test.go).
+// Both engines run one step loop. From IncrementalMinPeers peers up
+// (or under Config.ForceIncremental) it runs incremental: a
+// core.DynEval keeps every peer's shortest-path distances current
+// across moves (so current evals cost O(n) instead of an SSSP), best
+// responses persist across steps under conservative-sound invalidation
+// keyed to the move deltas, and — where the instance admits batched
+// deviation evaluation — the oracles' rest-SSSP rows persist too,
+// re-settling only rows a move could have touched. Below the threshold
+// (or under Config.ForceFresh) peer evals come from Evaluator.PeerEval
+// and every move expires every cached best response. Safety is layered:
+// invalidation only ever over-invalidates, a mover picked from a
+// persisted gain is re-validated with a fresh oracle call before its
+// move is applied, and a Converged=true result is certified by a fresh
+// sweep of every peer. Trajectories are therefore byte-identical across
+// the engines (asserted by the differential tests in
+// incremental_test.go, with the oracle work pinned by
+// enginework_test.go).
 func Run(ev *core.Evaluator, start core.Profile, cfg Config) (Result, error) {
 	return RunContext(context.Background(), ev, start, cfg)
 }
@@ -327,16 +339,13 @@ func RunContext(ctx context.Context, ev *core.Evaluator, start core.Profile, cfg
 	cfg.Policy.Reset()
 	// The pool is only consulted through NewDeviationBatch, so regimes
 	// that cannot serve a batch skip the attach entirely. A pool the
-	// caller already attached (e.g. replicaRuns reusing one across a
+	// caller already attached (e.g. ReplicasContext reusing one across a
 	// sequential replica loop) is kept as-is.
 	if workers := batchWorkerCount(cfg.BatchWorkers, n); workers > 1 && ev.Pool() == nil && ev.Instance().SupportsBatchEval() {
 		ev.AttachPool(core.NewPool(ev.Instance(), workers))
 		defer ev.AttachPool(nil)
 	}
-	if cfg.ForceFresh || (!cfg.ForceIncremental && n < IncrementalMinPeers) {
-		return runFresh(ctx, ev, start, cfg)
-	}
-	return runIncremental(ctx, ev, start, cfg)
+	return run(ctx, ev, start, cfg, cfg.ForceFresh || (!cfg.ForceIncremental && n < IncrementalMinPeers))
 }
 
 // BatchParallelMinPeers is the default size threshold for intra-step
@@ -377,7 +386,7 @@ type cycleVisit struct {
 
 // cycleTracker detects repeated (profile, scheduler-state) pairs. Each
 // step stores exactly one clone of the pre-move profile, shared between
-// the hash bucket and the ordered trail (and, in the engines, with the
+// the hash bucket and the ordered trail (and, in the step loop, with the
 // previous step's OnStep snapshot), so cycle detection costs one clone
 // per step instead of two.
 type cycleTracker struct {
@@ -393,8 +402,7 @@ func newCycleTracker() *cycleTracker {
 }
 
 // report fills res's cycle fields for a repeat of the visit at `first`
-// observed again at `step` — shared by both engines so cycle reporting
-// cannot drift between them.
+// observed again at `step`.
 func (ct *cycleTracker) report(res *Result, p core.Profile, deterministic bool, first, step int) {
 	res.CycleDetected = true
 	res.CycleLength = step - first
@@ -419,13 +427,66 @@ func (ct *cycleTracker) observe(snap core.Profile, state uint64, step int) (int,
 	return 0, false
 }
 
-// runFresh is the from-scratch engine: per-step caches only, cleared
-// wholesale after every applied move. It is the reference the
-// incremental engine is differentially tested against.
-func runFresh(ctx context.Context, ev *core.Evaluator, start core.Profile, cfg Config) (Result, error) {
+// run is the one best-response loop behind both engines (see Run). The
+// engines differ only in two sources, chosen once on entry:
+//
+//   - a peer's current eval: ev.PeerEval, kept until the next move
+//     (fresh), or the maintained distance rows of a core.DynEval
+//     (incremental) — the same floating-point fixpoint a fresh SSSP
+//     computes;
+//   - a peer's environment version, which keys its cached best
+//     response: BatchCache.PeerVersion where the DynEval has a batch
+//     store, and otherwise a counter bumped on every move, which expires
+//     every cached best response at each move.
+//
+// Mover re-validation and the convergence sweep re-ask the oracle only
+// for entries not computed in the current step. Every entry a policy
+// consults is computed in the current step unless a persisted version
+// kept it alive, so in the fresh engine both cost nothing.
+func run(ctx context.Context, ev *core.Evaluator, start core.Profile, cfg Config, fresh bool) (Result, error) {
 	n := ev.Instance().N()
 	p := start.Clone()
 	res := Result{}
+
+	moves := uint64(0)
+	var dy *core.DynEval
+	var cache *core.BatchCache
+	var peerEval func(int) core.Eval
+	if fresh {
+		evals := make([]core.Eval, n)
+		at := make([]uint64, n) // moves+1 when evals[i] was taken; 0 = never
+		peerEval = func(i int) core.Eval {
+			if at[i] != moves+1 {
+				evals[i], at[i] = ev.PeerEval(p, i), moves+1
+			}
+			return evals[i]
+		}
+	} else {
+		var err error
+		if dy, err = core.NewDynEval(ev, p); err != nil {
+			return Result{}, err
+		}
+		defer dy.Close()
+		cache = dy.Cache()
+		peerEval = dy.PeerEval
+	}
+	envOf := func(i int) uint64 {
+		if cache != nil {
+			return cache.PeerVersion(i)
+		}
+		return moves
+	}
+	// done fills what only a DynEval knows: the batch store's counters
+	// and, when withCost, the final social cost read off its rows.
+	done := func(withCost bool) (Result, error) {
+		if dy != nil && withCost {
+			res.FinalCost, res.FinalCostOK = dy.SocialCost(), true
+		}
+		if cache != nil {
+			res.CacheStats = cache.Stats()
+		}
+		return res, nil
+	}
 
 	var ct *cycleTracker
 	if cfg.DetectCycles {
@@ -434,138 +495,6 @@ func runFresh(ctx context.Context, ev *core.Evaluator, start core.Profile, cfg C
 	needSnap := cfg.DetectCycles || cfg.OnStep != nil
 	var snap core.Profile // clone of p taken after the last applied move
 	haveSnap := false
-
-	// Per-step caches of current evals and best responses so PickNext's
-	// gains are reused when applying the move.
-	devCache := make(map[int]bestresponse.Result, n)
-	curCache := make(map[int]core.Eval, n)
-	curEval := func(i int) core.Eval {
-		c, ok := curCache[i]
-		if !ok {
-			c = ev.PeerEval(p, i)
-			curCache[i] = c
-		}
-		return c
-	}
-	var oracleErr error
-	gain := func(i int) float64 {
-		if oracleErr != nil {
-			return 0
-		}
-		cur := curEval(i)
-		dev, ok := devCache[i]
-		if !ok {
-			res, err := cfg.Oracle.BestResponse(ev, p, i)
-			if err != nil {
-				oracleErr = err
-				return 0
-			}
-			dev = res
-			devCache[i] = dev
-		}
-		if dev.Strategy.Equal(p.Strategy(i)) {
-			// Staying put is not a deviation. Guards against phantom
-			// gains when the oracle's scorer and PeerEval disagree by
-			// floating-point association and the caller's Tol is below
-			// that noise.
-			return 0
-		}
-		return cur.Gain(dev.Eval)
-	}
-
-	for step := 0; step < cfg.MaxSteps; step++ {
-		if err := ctx.Err(); err != nil {
-			return Result{}, err
-		}
-		if cfg.DetectCycles {
-			cl := snap
-			if !haveSnap {
-				cl = p.Clone()
-			}
-			if first, hit := ct.observe(cl, cfg.Policy.StateKey(), step); hit {
-				ct.report(&res, p, cfg.Policy.Deterministic(), first, step)
-				return res, nil
-			}
-		}
-		haveSnap = false
-
-		mover := cfg.Policy.PickNext(n, gain, cfg.Tol, cfg.Rand)
-		if oracleErr != nil {
-			return Result{}, oracleErr
-		}
-		if mover == -1 {
-			res.Final = p
-			res.Converged = true
-			res.Steps = step
-			return res, nil
-		}
-		dev, ok := devCache[mover]
-		if !ok {
-			return Result{}, ErrNoProgress
-		}
-		old := curEval(mover)
-		if !dev.Eval.Better(old, cfg.Tol) {
-			return Result{}, ErrNoProgress
-		}
-		if err := p.SetStrategy(mover, dev.Strategy); err != nil {
-			return Result{}, err
-		}
-		clear(devCache)
-		clear(curCache)
-		res.Steps = step + 1
-		if needSnap {
-			snap = p.Clone()
-			haveSnap = true
-		}
-		if cfg.OnStep != nil {
-			cfg.OnStep(StepEvent{
-				Step:    step,
-				Peer:    mover,
-				Old:     old,
-				New:     dev.Eval,
-				Profile: snap,
-			})
-		}
-	}
-	res.Final = p
-	return res, nil // neither converged nor (detected) cycling: budget ran out
-}
-
-// runIncremental is the persistent-cache engine (see Run). Its gains
-// are byte-identical to runFresh's: current evals come from the
-// DynEval's maintained rows (the same floating-point fixpoint a fresh
-// SSSP computes), and a cached best response is only reused while the
-// peer's deviation environment is provably untouched.
-func runIncremental(ctx context.Context, ev *core.Evaluator, start core.Profile, cfg Config) (Result, error) {
-	n := ev.Instance().N()
-	p := start.Clone()
-	dy, err := core.NewDynEval(ev, p)
-	if err != nil {
-		return Result{}, err
-	}
-	defer dy.Close()
-	cache := dy.Cache()
-	res := Result{}
-
-	var ct *cycleTracker
-	if cfg.DetectCycles {
-		ct = newCycleTracker()
-	}
-	needSnap := cfg.DetectCycles || cfg.OnStep != nil
-	var snap core.Profile
-	haveSnap := false
-
-	// moveVersion is the environment version for peers without a
-	// persisted batch entry (and for regimes without a BatchCache): it
-	// changes on every applied move, so their cached best responses are
-	// conservatively invalidated each step.
-	moveVersion := uint64(0)
-	envOf := func(i int) uint64 {
-		if cache != nil {
-			return cache.PeerVersion(i)
-		}
-		return moveVersion
-	}
 
 	// devEntry is peer i's persisted best response: res as returned by
 	// the oracle, env the environment version it was computed under, and
@@ -591,10 +520,13 @@ func runIncremental(ctx context.Context, ev *core.Evaluator, start core.Profile,
 	}
 	gainOf := func(e *devEntry, i int) float64 {
 		if e.res.Strategy.Equal(p.Strategy(i)) {
-			// Staying put is not a deviation (see runFresh).
+			// Staying put is not a deviation. Guards against phantom
+			// gains when the oracle's scorer and the current eval
+			// disagree by floating-point association and the caller's
+			// Tol is below that noise.
 			return 0
 		}
-		return dy.PeerEval(i).Gain(e.res.Eval)
+		return peerEval(i).Gain(e.res.Eval)
 	}
 	gain := func(i int) float64 {
 		if oracleErr != nil {
@@ -622,10 +554,7 @@ func runIncremental(ctx context.Context, ev *core.Evaluator, start core.Profile,
 			}
 			if first, hit := ct.observe(cl, cfg.Policy.StateKey(), step); hit {
 				ct.report(&res, p, cfg.Policy.Deterministic(), first, step)
-				if cache != nil {
-					res.CacheStats = cache.Stats()
-				}
-				return res, nil
+				return done(false)
 			}
 		}
 		haveSnap = false
@@ -666,12 +595,7 @@ func runIncremental(ctx context.Context, ev *core.Evaluator, start core.Profile,
 				res.Final = p
 				res.Converged = true
 				res.Steps = step
-				res.FinalCost = dy.SocialCost()
-				res.FinalCostOK = true
-				if cache != nil {
-					res.CacheStats = cache.Stats()
-				}
-				return res, nil
+				return done(true)
 			}
 		}
 		e := &dev[mover]
@@ -686,17 +610,19 @@ func runIncremental(ctx context.Context, ev *core.Evaluator, start core.Profile,
 				return Result{}, oracleErr
 			}
 		}
-		old := dy.PeerEval(mover)
+		old := peerEval(mover)
 		if !e.res.Eval.Better(old, cfg.Tol) {
 			return Result{}, ErrNoProgress
 		}
 		if err := p.SetStrategy(mover, e.res.Strategy); err != nil {
 			return Result{}, err
 		}
-		if _, err := dy.Apply(mover, e.res.Strategy); err != nil {
-			return Result{}, err
+		if dy != nil {
+			if _, err := dy.Apply(mover, e.res.Strategy); err != nil {
+				return Result{}, err
+			}
 		}
-		moveVersion++
+		moves++
 		// The mover's environment (the graph minus its own out-arcs) is
 		// untouched by its own move, but its cached best response is
 		// dropped anyway: an oracle's answer may depend on the peer's
@@ -720,13 +646,8 @@ func runIncremental(ctx context.Context, ev *core.Evaluator, start core.Profile,
 			})
 		}
 	}
-	res.Final = p
-	res.FinalCost = dy.SocialCost()
-	res.FinalCostOK = true
-	if cache != nil {
-		res.CacheStats = cache.Stats()
-	}
-	return res, nil
+	res.Final = p // neither converged nor (detected) cycling: budget ran out
+	return done(true)
 }
 
 // mix is a 64-bit finalizer applied to scheduler state before XOR-ing it
@@ -769,12 +690,13 @@ func RandomProfile(r *rng.RNG, n int, q float64) core.Profile {
 	return p
 }
 
-// Replicas executes `runs` independent dynamics runs from random
-// starting profiles of density linkProb, fanning them across
+// ReplicasContext executes `runs` independent dynamics runs from
+// random starting profiles of density linkProb, fanning them across
 // cfg.Parallelism workers with one evaluator clone per goroutine, and
-// returns the per-replica results in replica order. Converge and
-// WorstEquilibrium are aggregations over it; the scenario engine
-// consumes the raw slice to compute arbitrary measures.
+// returns the per-replica results in replica order. Converge aggregates
+// over it; the scenario engine consumes the raw slice to compute
+// arbitrary measures, and WorstConverged picks the worst equilibrium
+// from it.
 //
 // Determinism at every parallelism width comes from two invariants:
 // each replica's RNG stream and start profile are drawn from r
@@ -783,25 +705,17 @@ func RandomProfile(r *rng.RNG, n int, q float64) core.Profile {
 // slice indexed by replica so callers aggregate in replica order. The
 // returned error is the lowest-index replica failure, matching what a
 // sequential loop would have reported first.
-func Replicas(ev *core.Evaluator, cfg Config, runs int, linkProb float64, r *rng.RNG) ([]Result, error) {
-	return ReplicasContext(context.Background(), ev, cfg, runs, linkProb, r)
-}
-
-// ReplicasContext is Replicas with cooperative cancellation: ctx is
-// threaded into every replica's RunContext, so a deadline or disconnect
-// interrupts the fan-out mid-step on whichever replicas are running.
-// An unfired context leaves the results byte-identical to Replicas.
+//
+// ctx is threaded into every replica's RunContext, so a deadline or
+// disconnect interrupts the fan-out mid-step on whichever replicas are
+// running. The results do not depend on ctx unless it fires.
 func ReplicasContext(ctx context.Context, ev *core.Evaluator, cfg Config, runs int, linkProb float64, r *rng.RNG) ([]Result, error) {
 	if runs <= 0 {
 		return nil, fmt.Errorf("dynamics: runs = %d, want > 0", runs)
 	}
 	if r == nil {
-		return nil, errors.New("dynamics: Replicas needs an RNG")
+		return nil, errors.New("dynamics: replicas need an RNG")
 	}
-	return replicaRuns(ctx, ev, cfg, runs, linkProb, r)
-}
-
-func replicaRuns(ctx context.Context, ev *core.Evaluator, cfg Config, runs int, linkProb float64, r *rng.RNG) ([]Result, error) {
 	n := ev.Instance().N()
 	type replica struct {
 		cfg   Config
@@ -888,13 +802,7 @@ func replicaRuns(ctx context.Context, ev *core.Evaluator, cfg Config, runs int, 
 // from r. Replicas execute concurrently per cfg.Parallelism; the
 // aggregate is bit-identical at any width.
 func Converge(ev *core.Evaluator, cfg Config, runs int, linkProb float64, r *rng.RNG) (ConvergenceStats, error) {
-	if runs <= 0 {
-		return ConvergenceStats{}, fmt.Errorf("dynamics: runs = %d, want > 0", runs)
-	}
-	if r == nil {
-		return ConvergenceStats{}, errors.New("dynamics: Converge needs an RNG")
-	}
-	results, err := replicaRuns(context.Background(), ev, cfg, runs, linkProb, r)
+	results, err := ReplicasContext(context.Background(), ev, cfg, runs, linkProb, r)
 	if err != nil {
 		return ConvergenceStats{}, err
 	}
@@ -928,32 +836,11 @@ func Converge(ev *core.Evaluator, cfg Config, runs int, linkProb float64, r *rng
 	return stats, nil
 }
 
-// WorstEquilibrium runs dynamics from many random starts and returns the
-// converged equilibrium with the highest social cost, along with how
-// many runs converged. Used by the Price-of-Anarchy experiments to
-// search for bad equilibria. Returns ok=false if no run converged.
-// Replicas execute concurrently per cfg.Parallelism; the winner is
-// selected in replica order, so it is identical at any width.
-func WorstEquilibrium(ev *core.Evaluator, cfg Config, runs int, linkProb float64, r *rng.RNG) (worst core.Profile, cost core.Cost, converged int, ok bool, err error) {
-	if r == nil {
-		return core.Profile{}, core.Cost{}, 0, false, errors.New("dynamics: WorstEquilibrium needs an RNG")
-	}
-	if runs <= 0 {
-		return core.Profile{}, core.Cost{}, 0, false, nil
-	}
-	results, err := replicaRuns(context.Background(), ev, cfg, runs, linkProb, r)
-	if err != nil {
-		return core.Profile{}, core.Cost{}, 0, false, err
-	}
-	worst, cost, converged, ok = WorstConverged(ev, results)
-	return worst, cost, converged, ok, nil
-}
-
 // WorstConverged scans replica results in order and returns the
 // converged final profile with the highest social cost (the earliest on
-// ties — the Price-of-Anarchy selection convention shared by
-// WorstEquilibrium and the scenario engine), its cost, and how many
-// results converged. ok is false when none did.
+// ties — the Price-of-Anarchy selection convention of the scenario
+// engine), its cost, and how many results converged. ok is false when
+// none did.
 func WorstConverged(ev *core.Evaluator, results []Result) (worst core.Profile, cost core.Cost, converged int, ok bool) {
 	worstCost := math.Inf(-1)
 	for _, res := range results {

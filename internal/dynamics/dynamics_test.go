@@ -1,6 +1,7 @@
 package dynamics
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -235,9 +236,20 @@ func TestConvergeStats(t *testing.T) {
 	}
 }
 
+// worstEquilibrium picks the worst converged replica the way the
+// scenario engine does: ReplicasContext, then WorstConverged.
+func worstEquilibrium(ev *core.Evaluator, cfg Config, runs int, linkProb float64, r *rng.RNG) (core.Profile, core.Cost, int, bool, error) {
+	results, err := ReplicasContext(context.Background(), ev, cfg, runs, linkProb, r)
+	if err != nil {
+		return core.Profile{}, core.Cost{}, 0, false, err
+	}
+	worst, cost, converged, ok := WorstConverged(ev, results)
+	return worst, cost, converged, ok, nil
+}
+
 func TestWorstEquilibrium(t *testing.T) {
 	ev := lineEvaluator(t, []float64{0, 1, 2, 3}, 2)
-	worst, cost, converged, ok, err := WorstEquilibrium(ev, Config{}, 8, 0.3, rng.New(11))
+	worst, cost, converged, ok, err := worstEquilibrium(ev, Config{}, 8, 0.3, rng.New(11))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +266,7 @@ func TestWorstEquilibrium(t *testing.T) {
 	if cost.Total() <= 0 {
 		t.Fatalf("cost = %+v", cost)
 	}
-	if _, _, _, _, err := WorstEquilibrium(ev, Config{}, 1, 0.3, nil); err == nil {
+	if _, _, _, _, err := worstEquilibrium(ev, Config{}, 1, 0.3, nil); err == nil {
 		t.Error("nil rng should error")
 	}
 }

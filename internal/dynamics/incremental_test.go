@@ -55,10 +55,10 @@ type trajectory struct {
 	res        Result
 }
 
-func runTrajectory(t *testing.T, c trajCase, seed uint64, forceFresh bool) trajectory {
+// trajEvaluator builds the case's game on seeded uniform points.
+func trajEvaluator(t *testing.T, c trajCase, seed uint64) *core.Evaluator {
 	t.Helper()
-	r := rng.New(seed)
-	space, err := metric.UniformPoints(r, c.n, 2)
+	space, err := metric.UniformPoints(rng.New(seed), c.n, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,12 @@ func runTrajectory(t *testing.T, c trajCase, seed uint64, forceFresh bool) traje
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev := core.NewEvaluator(inst)
+	return core.NewEvaluator(inst)
+}
+
+func runTrajectory(t *testing.T, c trajCase, seed uint64, forceFresh bool) trajectory {
+	t.Helper()
+	ev := trajEvaluator(t, c, seed)
 	start := core.NewProfile(c.n)
 	if c.start > 0 {
 		start = RandomProfile(rng.New(seed+1), c.n, c.start)
@@ -214,7 +219,7 @@ func TestIncrementalConvergeAggregates(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		worst, cost, _, ok, err := WorstEquilibrium(ev, cfg, 6, 0.25, rng.New(7))
+		worst, cost, _, ok, err := worstEquilibrium(ev, cfg, 6, 0.25, rng.New(7))
 		if err != nil {
 			t.Fatal(err)
 		}

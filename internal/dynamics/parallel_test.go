@@ -75,7 +75,7 @@ func TestConvergeParallelismInvariantRandomPolicy(t *testing.T) {
 func TestWorstEquilibriumParallelismInvariant(t *testing.T) {
 	ev := parallelTestEvaluator(t, 8)
 	base := Config{Policy: &RoundRobin{}, MaxSteps: 3000, Parallelism: 1}
-	wantP, wantC, wantConv, wantOK, err := WorstEquilibrium(ev, base, 8, 0.3, rng.New(3))
+	wantP, wantC, wantConv, wantOK, err := worstEquilibrium(ev, base, 8, 0.3, rng.New(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestWorstEquilibriumParallelismInvariant(t *testing.T) {
 	for _, par := range []int{3, 8} {
 		cfg := base
 		cfg.Parallelism = par
-		gotP, gotC, gotConv, gotOK, err := WorstEquilibrium(ev.Clone(), cfg, 8, 0.3, rng.New(3))
+		gotP, gotC, gotConv, gotOK, err := worstEquilibrium(ev.Clone(), cfg, 8, 0.3, rng.New(3))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,7 +2,6 @@ package export
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 )
 
@@ -85,16 +84,3 @@ func (s *JSONStream) Close() error {
 
 // Err returns the first error the stream has seen, if any.
 func (s *JSONStream) Err() error { return s.err }
-
-// StreamJSONTables writes tables through a JSONStream — a drop-in,
-// constant-memory equivalent of WriteJSONTables for callers that
-// already hold the full slice.
-func StreamJSONTables(w io.Writer, tables []*Table) error {
-	s := NewJSONStream(w)
-	for i, t := range tables {
-		if err := s.Write(t); err != nil {
-			return fmt.Errorf("export: streaming table %d: %w", i, err)
-		}
-	}
-	return s.Close()
-}

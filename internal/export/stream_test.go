@@ -39,13 +39,6 @@ func TestJSONStreamMatchesBuffered(t *testing.T) {
 			t.Errorf("count %d: stream bytes differ\nstreamed: %q\nbuffered: %q",
 				count, got.String(), want.String())
 		}
-		var got2 bytes.Buffer
-		if err := StreamJSONTables(&got2, tables); err != nil {
-			t.Fatal(err)
-		}
-		if got2.String() != want.String() {
-			t.Errorf("count %d: StreamJSONTables bytes differ", count)
-		}
 	}
 }
 

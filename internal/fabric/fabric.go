@@ -9,7 +9,7 @@
 //
 // The determinism argument is compositional:
 //
-//   - scenario.RunPoint renders one grid point's row as a pure
+//   - scenario.RunPointContext renders one grid point's row as a pure
 //     function of the point's normalized spec (every spec field,
 //     including the measure list, is covered by scenario.Spec.Hash).
 //   - The coordinator addresses every row by that hash, fills an

@@ -232,63 +232,6 @@ func Scale(s Space, c float64) (*Matrix, error) {
 	return m, nil
 }
 
-// DoublingConstant estimates the doubling constant of the space: the
-// maximum, over points i and radii r (taken from the distance set), of
-// the number of balls of radius r/2 needed to cover the ball B(i, r),
-// computed with a greedy cover. The doubling dimension is log2 of this.
-// The paper's upper bound holds for arbitrary metrics including doubling
-// ones; this lets experiments report where an instance sits.
-func DoublingConstant(s Space) int {
-	n := s.N()
-	maxCover := 1
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i == j {
-				continue
-			}
-			r := s.Distance(i, j)
-			// Collect members of B(i, r).
-			var ball []int
-			for k := 0; k < n; k++ {
-				if s.Distance(i, k) <= r {
-					ball = append(ball, k)
-				}
-			}
-			// Greedy cover by balls of radius r/2.
-			covered := make(map[int]bool, len(ball))
-			count := 0
-			for len(covered) < len(ball) {
-				// Pick the uncovered point covering the most uncovered points.
-				best, bestGain := -1, -1
-				for _, c := range ball {
-					if covered[c] {
-						continue
-					}
-					gain := 0
-					for _, q := range ball {
-						if !covered[q] && s.Distance(c, q) <= r/2 {
-							gain++
-						}
-					}
-					if gain > bestGain {
-						best, bestGain = c, gain
-					}
-				}
-				for _, q := range ball {
-					if !covered[q] && s.Distance(best, q) <= r/2 {
-						covered[q] = true
-					}
-				}
-				count++
-			}
-			if count > maxCover {
-				maxCover = count
-			}
-		}
-	}
-	return maxCover
-}
-
 // Uniform returns the uniform metric on n points: every pair at
 // distance 1. This is the hop-count world of the Fabrikant et al.
 // network-creation game, where overlay distance equals hop count.
@@ -370,22 +313,4 @@ func (s *UnitSpace) DistanceClass() ClassInfo {
 		info.MaxWeight = int(s.unit)
 	}
 	return info
-}
-
-// Spread returns the ratio of the largest to the smallest pairwise
-// distance, a standard difficulty measure for locality-aware overlays.
-func Spread(s Space) float64 {
-	n := s.N()
-	if n < 2 {
-		return 1
-	}
-	minD, maxD := math.Inf(1), 0.0
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			d := s.Distance(i, j)
-			minD = math.Min(minD, d)
-			maxD = math.Max(maxD, d)
-		}
-	}
-	return maxD / minD
 }

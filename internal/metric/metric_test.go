@@ -309,28 +309,6 @@ func TestClusteredRandom(t *testing.T) {
 	}
 }
 
-func TestSpread(t *testing.T) {
-	s, err := Line([]float64{0, 1, 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := Spread(s); got != 10 {
-		t.Errorf("Spread = %f, want 10", got)
-	}
-}
-
-func TestDoublingConstantLine(t *testing.T) {
-	// Evenly spaced line: doubling constant must be small (≤ 4 in 1-D).
-	s, err := Line([]float64{0, 1, 2, 3, 4, 5, 6, 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := DoublingConstant(s)
-	if c < 1 || c > 4 {
-		t.Errorf("DoublingConstant(line) = %d, want in [1,4]", c)
-	}
-}
-
 func TestQuickEuclideanIsMetric(t *testing.T) {
 	// Property: any set of distinct random points forms a valid metric.
 	f := func(seed uint64) bool {

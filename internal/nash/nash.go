@@ -114,14 +114,11 @@ func isNashEarly(ev *core.Evaluator, p core.Profile, oracle bestresponse.Oracle)
 	return true, nil
 }
 
-// ErrSpaceTooLarge is returned by exhaustive enumeration when the
-// profile space exceeds the caller's budget.
-var ErrSpaceTooLarge = core.ErrSpaceTooLarge
-
 // EnumerateEquilibria exhaustively enumerates the entire profile space
 // and returns every exact pure Nash equilibrium. Exponential: the space
 // has 2^(n(n-1)) profiles, so this is for n ≤ 5. maxProfiles guards the
-// budget (0 means 2^22).
+// budget (0 means 2^22); a larger space fails with an error wrapping
+// core.ErrSpaceTooLarge.
 //
 // This is the machinery behind the Theorem 5.1 experiment: running it on
 // the I_k instance (k = 1) and getting an empty result is a machine

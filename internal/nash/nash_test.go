@@ -202,7 +202,7 @@ func TestEnumerateEquilibriaThreePeersContainsChain(t *testing.T) {
 func TestEnumerateEquilibriaBudget(t *testing.T) {
 	ev := lineEvaluator(t, []float64{0, 1, 2, 4}, 1)
 	_, err := EnumerateEquilibria(ev, 100) // n=4 → 4096 profiles > 100
-	if !errors.Is(err, ErrSpaceTooLarge) {
+	if !errors.Is(err, core.ErrSpaceTooLarge) {
 		t.Fatalf("err = %v, want ErrSpaceTooLarge", err)
 	}
 }

@@ -169,6 +169,3 @@ func (z *Zipf) Sample(r *RNG) int {
 	}
 	return lo
 }
-
-// N returns the support size of the sampler.
-func (z *Zipf) N() int { return len(z.cdf) }

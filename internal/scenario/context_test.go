@@ -10,9 +10,9 @@ import (
 )
 
 // TestRunSpecContextUnfiredByteIdentical is the tentpole differential
-// obligation: RunSpecContext with a context that never fires renders a
-// table byte-identical to RunSpec, across every execution mode the
-// engine dispatches (single run, replica fan-out, churn phase).
+// obligation: RunSpecContext with a live context that never fires
+// renders a table byte-identical to RunSpec, across every execution
+// mode the engine dispatches (single run, replica fan-out, churn phase).
 func TestRunSpecContextUnfiredByteIdentical(t *testing.T) {
 	single := declSpec()
 	single.Quick = true
@@ -40,7 +40,9 @@ func TestRunSpecContextUnfiredByteIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := RunSpecContext(context.Background(), tc.spec, Params{Parallelism: 2})
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			got, err := RunSpecContext(ctx, tc.spec, Params{Parallelism: 2})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -87,15 +89,18 @@ func TestRunSpecContextCancelled(t *testing.T) {
 
 // TestRunPointContextUnfiredByteIdentical extends the differential
 // obligation to the sweep point runner — the entry the fabric workers
-// and job runners use.
+// and job runners use: a live context that never fires renders the row
+// a context.Background run renders.
 func TestRunPointContextUnfiredByteIdentical(t *testing.T) {
 	spec := declSpec()
 	spec.Quick = true
-	want, err := RunPoint(spec, spec.Measures, 2)
+	want, err := RunPointContext(context.Background(), spec, spec.Measures, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunPointContext(context.Background(), spec, spec.Measures, 2)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	got, err := RunPointContext(ctx, spec, spec.Measures, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

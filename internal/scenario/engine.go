@@ -108,7 +108,8 @@ type outcome struct {
 	estStretch *core.Estimate
 
 	// churnWorkers sizes the churn run's evaluator pool (wall-clock
-	// only); churnRes/churnErr cache the single churn.Run execution.
+	// only); churnRes/churnErr cache the single churn.RunContext
+	// execution.
 	churnWorkers int
 	churnRes     *churn.Result
 	churnErr     error
@@ -123,7 +124,7 @@ func (o *outcome) socialCost() core.Cost {
 }
 
 // churnResult lazily executes the spec's churn phase on the chosen
-// profile: one churn.Run per outcome no matter how many churn measures
+// profile: one churn run per outcome no matter how many churn measures
 // read it, seeded by the spec seed (deterministic at any pool width).
 func (o *outcome) churnResult() (churn.Result, error) {
 	if o.churnRes == nil && o.churnErr == nil {
@@ -269,9 +270,8 @@ func runDeclarative(ctx context.Context, spec Spec, parallelism int) (*outcome, 
 	}
 
 	// Replica mode: Start is ignored; runs start from random profiles of
-	// density LinkProb (made explicit by Normalize), exactly like the
-	// Converge/WorstEquilibrium drivers (bit-identical at every
-	// parallelism width).
+	// density LinkProb (made explicit by Normalize), exactly like
+	// dynamics.Converge (bit-identical at every parallelism width).
 	results, err := dynamics.ReplicasContext(ctx, ev, cfg, runs, spec.Dynamics.LinkProb, r)
 	if err != nil {
 		return nil, err

@@ -48,16 +48,12 @@ func forEachIndex(n, workers int, fn func(int)) {
 // polled before each index is claimed, so a cancelled context stops new
 // work while indices already claimed run to completion (the "drain
 // in-flight" convention the serve layer's job cancellation relies on).
-// It reports whether every index ran.
-func forEachIndexCtx(ctx context.Context, n, workers int, fn func(int)) bool {
+func forEachIndexCtx(ctx context.Context, n, workers int, fn func(int)) {
 	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if ctx.Err() != nil {
-				return false
-			}
+		for i := 0; i < n && ctx.Err() == nil; i++ {
 			fn(i)
 		}
-		return true
+		return
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -75,8 +71,4 @@ func forEachIndexCtx(ctx context.Context, n, workers int, fn func(int)) bool {
 		}()
 	}
 	wg.Wait()
-	// next ≥ n means every index was claimed (and, after Wait, ran to
-	// completion) before cancellation stopped the workers — a cancel
-	// that lands after the last claim must not report an aborted run.
-	return int(next.Load()) >= n
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 
 	"selfishnet/internal/export"
@@ -23,7 +24,7 @@ func partialFixture(t *testing.T) (Sweep, []PointResult, *export.Table) {
 	points := sw.Points()
 	results := make([]PointResult, len(points))
 	for i, spec := range points {
-		if results[i], err = RunPoint(spec, measures, 0); err != nil {
+		if results[i], err = RunPointContext(context.Background(), spec, measures, 0); err != nil {
 			t.Fatalf("point %d: %v", i, err)
 		}
 	}
@@ -142,5 +143,77 @@ func TestRunPartialContextValidates(t *testing.T) {
 	sw.Base.Metric.Family = "no-such-family"
 	if _, _, err := sw.RunPartialContext(context.Background(), Params{}, 0, nil); err == nil {
 		t.Error("RunPartialContext ran a sweep with an invalid base spec")
+	}
+}
+
+// failingSweep is a 2-seed × 2-n grid whose n=4 points (0 and 2) fail
+// at run time: their star start names center 5, past the last peer.
+func failingSweep() Sweep {
+	return Sweep{
+		Name: "failing-points",
+		Base: Spec{
+			Quick:  true,
+			Metric: MetricSpec{Family: "uniform", N: 8},
+			Game:   GameSpec{Alpha: 2},
+			Start:  StartSpec{Kind: "star", Center: 5},
+		},
+		Ns:    []int{4, 8},
+		Seeds: []uint64{1, 2},
+	}
+}
+
+// TestSweepFailingPoints drives the failing-point path of both sweep
+// entry points at widths 1 and 2: RunContext fails with the lowest
+// failed index, RunPartialContext reports each failed point once with
+// its hash and renders its row as FailedCell, and every healthy row
+// equals the same point run alone. Progress counts every point.
+func TestSweepFailingPoints(t *testing.T) {
+	sw := failingSweep()
+	points := sw.Points()
+	const cause = "opt: star center 5 out of range [0,4)"
+	for _, width := range []int{1, 2} {
+		var calls int
+		_, err := sw.RunContext(context.Background(), Params{}, width, func(done, total int) { calls++ })
+		if err == nil || !strings.HasPrefix(err.Error(), "scenario: sweep point 0: ") || !strings.Contains(err.Error(), cause) {
+			t.Fatalf("width %d: RunContext err = %v, want sweep point 0 failing with %q", width, err, cause)
+		}
+		if calls != len(points) {
+			t.Errorf("width %d: RunContext progress fired %d times, want %d", width, calls, len(points))
+		}
+
+		tb, failed, err := sw.RunPartialContext(context.Background(), Params{}, width, nil)
+		if err != nil {
+			t.Fatalf("width %d: RunPartialContext: %v", width, err)
+		}
+		if len(failed) != 2 {
+			t.Fatalf("width %d: failed = %+v, want points 0 and 2", width, failed)
+		}
+		for k, idx := range []int{0, 2} {
+			hash, err := points[idx].Hash()
+			if err != nil {
+				t.Fatal(err)
+			}
+			f := failed[k]
+			if f.Index != idx || f.Hash != hash || f.Attempts != 1 || !strings.Contains(f.Error, cause) {
+				t.Errorf("width %d: failed[%d] = %+v, want index %d, hash %s, 1 attempt, error %q", width, k, f, idx, hash, cause)
+			}
+		}
+		for i, row := range tb.Rows {
+			if i == 0 || i == 2 {
+				for col, cell := range row {
+					if cell != FailedCell {
+						t.Errorf("width %d: failed row %d cell %d = %q, want %q", width, i, col, cell, FailedCell)
+					}
+				}
+				continue
+			}
+			alone, err := RunPointContext(context.Background(), points[i], sw.Measures(), 1)
+			if err != nil {
+				t.Fatalf("point %d alone: %v", i, err)
+			}
+			if got, want := fmt.Sprint(row), fmt.Sprint(alone.Row); got != want {
+				t.Errorf("width %d: row %d = %s, want the point run alone: %s", width, i, got, want)
+			}
+		}
 	}
 }

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bytes"
+	"context"
 	"testing"
 )
 
@@ -53,7 +54,7 @@ func TestEnumeratePointsHashesAndOrder(t *testing.T) {
 }
 
 // TestPointRunsConcatenateToSweepRun is the satellite acceptance test:
-// running every grid point individually through RunPoint and
+// running every grid point individually through RunPointContext and
 // reassembling with Assemble must reproduce Sweep.Run byte-for-byte.
 func TestPointRunsConcatenateToSweepRun(t *testing.T) {
 	sw := pointsTestSweep()
@@ -74,7 +75,7 @@ func TestPointRunsConcatenateToSweepRun(t *testing.T) {
 	measures := sw.Measures()
 	results := make([]PointResult, len(pts))
 	for i, pt := range pts {
-		res, err := RunPoint(pt.Spec, measures, 1)
+		res, err := RunPointContext(context.Background(), pt.Spec, measures, 1)
 		if err != nil {
 			t.Fatalf("point %d: %v", i, err)
 		}
@@ -128,7 +129,7 @@ func TestPointRunsConcatenateWithChurnAxes(t *testing.T) {
 	}
 	results := make([]PointResult, len(pts))
 	for i, pt := range pts {
-		res, err := RunPoint(pt.Spec, sw.Measures(), 1)
+		res, err := RunPointContext(context.Background(), pt.Spec, sw.Measures(), 1)
 		if err != nil {
 			t.Fatalf("point %d: %v", i, err)
 		}

@@ -272,7 +272,8 @@ func (s StartSpec) Build(n int, r *rng.RNG) (core.Profile, error) {
 }
 
 // ChurnSpec describes the churn phase layered on a dynamics run: the
-// chosen final profile is fed to churn.Run as the starting overlay.
+// chosen final profile is fed to churn.RunContext as the starting
+// overlay.
 type ChurnSpec struct {
 	// Rate is each peer's toggle rate (events/second, exponential
 	// inter-arrival; the aggregate event rate is rate·n). Zero with

@@ -227,21 +227,15 @@ type PointResult struct {
 	NonEquilibrium bool     `json:"non_equilibrium,omitempty"`
 }
 
-// RunPoint executes one grid point spec and renders its row under the
-// given measure columns (Sweep.Measures of the owning sweep).
+// RunPointContext executes one grid point spec and renders its row
+// under the given measure columns (Sweep.Measures of the owning sweep).
 // parallelism is the point's internal fan-out width and never changes
-// the row. Concatenating RunPoint results in grid order and passing
-// them to Assemble reproduces Sweep.Run byte-for-byte — the invariant
-// the distributed fabric's reassembly rests on.
-func RunPoint(spec Spec, measures []string, parallelism int) (PointResult, error) {
-	return RunPointContext(context.Background(), spec, measures, parallelism)
-}
-
-// RunPointContext is RunPoint with cooperative cancellation: ctx
-// reaches every dynamics step and churn event of the point, so sweep
+// the row. Concatenating RunPointContext results in grid order and
+// passing them to Assemble reproduces Sweep.Run byte-for-byte — the
+// invariant the distributed fabric's reassembly rests on. ctx reaches
+// every dynamics step and churn event of the point, so sweep
 // cancellation and worker shutdown land mid-point instead of at grid
-// boundaries. An unfired context leaves the row byte-identical to
-// RunPoint.
+// boundaries; the row does not depend on ctx unless it fires.
 func RunPointContext(ctx context.Context, spec Spec, measures []string, parallelism int) (PointResult, error) {
 	out, err := runDeclarative(ctx, spec, parallelism)
 	if err != nil {
@@ -381,50 +375,19 @@ func (sw Sweep) Run(p Params, parallelism int) (*export.Table, error) {
 // reporting, the entry point of the serve layer's async sweep jobs.
 // ctx is checked between grid points and threaded into each point
 // (RunPointContext), so cancellation lands mid-point: in-flight points
-// abort at their next dynamics step and the error is ctx.Err().
-// progress, when non-nil, is called after each completed point with
+// abort at their next dynamics step and the error wraps ctx.Err().
+// progress, when non-nil, is called after each finished point with
 // the number of finished points and the grid size; calls are
 // serialized, arrive in completion order (not grid order), and all
 // workers are joined before RunContext returns — no call fires after
 // it returns, even on cancellation. Neither ctx nor progress affects
 // the result table: a run that completes is byte-identical to Run at
-// any parallelism width.
+// any parallelism width. A failed point fails the sweep with the
+// lowest-index point error.
 func (sw Sweep) RunContext(ctx context.Context, p Params, parallelism int, progress func(done, total int)) (*export.Table, error) {
-	if err := sw.Validate(); err != nil {
+	_, results, errs, err := sw.runGrid(ctx, p, parallelism, progress)
+	if err != nil {
 		return nil, err
-	}
-	points := sw.Points()
-	measures := effectiveMeasures(sw.Base)
-	// Grid points get the worker goroutines; each point's internal
-	// replica fan-out gets the remaining budget (one point keeps the
-	// whole width, many points on few cores run replicas sequentially).
-	workers, inner := splitBudget(parallelism, len(points), p.Parallelism)
-
-	results := make([]PointResult, len(points))
-	errs := make([]error, len(points))
-	var progressMu sync.Mutex
-	finished := 0
-	complete := forEachIndexCtx(ctx, len(points), workers, func(i int) {
-		spec := points[i]
-		if p.Quick {
-			spec.Quick = true
-		}
-		results[i], errs[i] = RunPointContext(ctx, spec, measures, inner)
-		if errs[i] != nil {
-			return
-		}
-		if progress != nil {
-			// Count inside the critical section so reported progress is
-			// monotone: increment-then-lock would let a slower worker
-			// report a smaller count after a faster one.
-			progressMu.Lock()
-			finished++
-			progress(finished, len(points))
-			progressMu.Unlock()
-		}
-	})
-	if !complete {
-		return nil, fmt.Errorf("scenario: sweep %q: %w", sw.Name, ctx.Err())
 	}
 	for i, err := range errs {
 		if err != nil {
@@ -442,37 +405,9 @@ func (sw Sweep) RunContext(ctx context.Context, p Params, parallelism int, progr
 // return covers sweep-level problems only (validation, cancellation,
 // assembly); a fully healthy run returns an empty failure list.
 func (sw Sweep) RunPartialContext(ctx context.Context, p Params, parallelism int, progress func(done, total int)) (*export.Table, []FailedPoint, error) {
-	if err := sw.Validate(); err != nil {
+	points, results, errs, err := sw.runGrid(ctx, p, parallelism, progress)
+	if err != nil {
 		return nil, nil, err
-	}
-	points := sw.Points()
-	measures := effectiveMeasures(sw.Base)
-	workers, inner := splitBudget(parallelism, len(points), p.Parallelism)
-
-	results := make([]PointResult, len(points))
-	errs := make([]error, len(points))
-	var progressMu sync.Mutex
-	finished := 0
-	complete := forEachIndexCtx(ctx, len(points), workers, func(i int) {
-		spec := points[i]
-		if p.Quick {
-			spec.Quick = true
-		}
-		results[i], errs[i] = RunPointContext(ctx, spec, measures, inner)
-		if progress != nil {
-			progressMu.Lock()
-			finished++
-			progress(finished, len(points))
-			progressMu.Unlock()
-		}
-	})
-	if !complete {
-		return nil, nil, fmt.Errorf("scenario: sweep %q: %w", sw.Name, ctx.Err())
-	}
-	if err := ctx.Err(); err != nil {
-		// Cancellation that lands mid-point after every index was
-		// claimed: report it as cancellation, not as quarantined points.
-		return nil, nil, fmt.Errorf("scenario: sweep %q: %w", sw.Name, err)
 	}
 	var failed []FailedPoint
 	for i, err := range errs {
@@ -490,6 +425,50 @@ func (sw Sweep) RunPartialContext(ctx context.Context, p Params, parallelism int
 		return nil, nil, err
 	}
 	return table, failed, nil
+}
+
+// runGrid is the grid loop behind RunContext and RunPartialContext: it
+// validates the sweep and executes every point, returning the points
+// with each one's row and error in grid order. The error return is
+// validation or cancellation only; a cancel that lands after the last
+// claim still counts as cancellation.
+func (sw Sweep) runGrid(ctx context.Context, p Params, parallelism int, progress func(done, total int)) ([]Spec, []PointResult, []error, error) {
+	if err := sw.Validate(); err != nil {
+		return nil, nil, nil, err
+	}
+	points := sw.Points()
+	measures := effectiveMeasures(sw.Base)
+	// Grid points get the worker goroutines; each point's internal
+	// replica fan-out gets the remaining budget (one point keeps the
+	// whole width, many points on few cores run replicas sequentially).
+	workers, inner := splitBudget(parallelism, len(points), p.Parallelism)
+
+	results := make([]PointResult, len(points))
+	errs := make([]error, len(points))
+	var progressMu sync.Mutex
+	finished := 0
+	forEachIndexCtx(ctx, len(points), workers, func(i int) {
+		spec := points[i]
+		if p.Quick {
+			spec.Quick = true
+		}
+		results[i], errs[i] = RunPointContext(ctx, spec, measures, inner)
+		if progress != nil {
+			// Count inside the critical section so reported progress is
+			// monotone: increment-then-lock would let a slower worker
+			// report a smaller count after a faster one.
+			progressMu.Lock()
+			finished++
+			progress(finished, len(points))
+			progressMu.Unlock()
+		}
+	})
+	if err := ctx.Err(); err != nil {
+		// Some points never ran, or a point aborted mid-run: either way
+		// the sweep was cancelled, not a point quarantined.
+		return nil, nil, nil, fmt.Errorf("scenario: sweep %q: %w", sw.Name, err)
+	}
+	return points, results, errs, nil
 }
 
 // ReadSweep decodes a Sweep from JSON, rejecting unknown fields.

@@ -59,24 +59,6 @@ func (s *Stream) Min() float64 { return s.min }
 // Max returns the largest observation (0 for an empty stream).
 func (s *Stream) Max() float64 { return s.max }
 
-// Merge folds other into s, as if all of other's samples had been Added.
-func (s *Stream) Merge(other *Stream) {
-	if other.n == 0 {
-		return
-	}
-	if s.n == 0 {
-		*s = *other
-		return
-	}
-	n := s.n + other.n
-	d := other.mean - s.mean
-	mean := s.mean + d*float64(other.n)/float64(n)
-	m2 := s.m2 + other.m2 + d*d*float64(s.n)*float64(other.n)/float64(n)
-	s.min = math.Min(s.min, other.min)
-	s.max = math.Max(s.max, other.max)
-	s.n, s.mean, s.m2 = n, mean, m2
-}
-
 // Mean returns the arithmetic mean of xs.
 func Mean(xs []float64) (float64, error) {
 	if len(xs) == 0 {

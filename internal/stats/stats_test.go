@@ -4,7 +4,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
@@ -37,33 +36,6 @@ func TestStreamEmptyAndSingle(t *testing.T) {
 	s.Add(3.5)
 	if s.Mean() != 3.5 || s.Var() != 0 || s.Min() != 3.5 || s.Max() != 3.5 {
 		t.Fatal("single-sample stream wrong")
-	}
-}
-
-func TestStreamMergeMatchesSequential(t *testing.T) {
-	f := func(raw1, raw2 []int8) bool {
-		var a, b, all Stream
-		for _, v := range raw1 {
-			a.Add(float64(v))
-			all.Add(float64(v))
-		}
-		for _, v := range raw2 {
-			b.Add(float64(v))
-			all.Add(float64(v))
-		}
-		a.Merge(&b)
-		if a.N() != all.N() {
-			return false
-		}
-		if a.N() == 0 {
-			return true
-		}
-		return almostEq(a.Mean(), all.Mean(), 1e-9) &&
-			almostEq(a.Var(), all.Var(), 1e-9) &&
-			a.Min() == all.Min() && a.Max() == all.Max()
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 
