@@ -19,7 +19,8 @@
 //	                              # star/chain at internet scale, verified
 //	                              # == through the banded kernels
 //
-// Flags for run/spec/sweep:
+// Flags for run/spec/sweep/churn (certify takes all but -quick and
+// -par):
 //
 //	-quick  reduced sizes (~10× faster; smoke testing)
 //	-csv    emit CSV instead of aligned text
@@ -65,6 +66,9 @@ func run(args []string) error {
 	}
 	switch args[0] {
 	case "list":
+		if len(args) > 1 {
+			return fmt.Errorf("list takes no arguments (got %q)", args[1])
+		}
 		for _, id := range scenario.IDs() {
 			desc, err := scenario.Describe(id)
 			if err != nil {
@@ -103,12 +107,19 @@ type outputFlags struct {
 	memprofile string
 }
 
+// register registers every shared flag: the output flags plus -quick
+// and -par, which only the experiment-running commands read.
 func (o *outputFlags) register(fs *flag.FlagSet, seedDefault uint64) {
+	o.registerOutput(fs, seedDefault)
 	fs.BoolVar(&o.quick, "quick", false, "reduced experiment sizes")
+	fs.IntVar(&o.par, "par", 0, "concurrent runners (0 = all cores, 1 = sequential)")
+}
+
+// registerOutput registers the rendering, seed and profiling flags.
+func (o *outputFlags) registerOutput(fs *flag.FlagSet, seedDefault uint64) {
 	fs.BoolVar(&o.csv, "csv", false, "emit CSV instead of text tables")
 	fs.BoolVar(&o.json, "json", false, "emit JSON instead of text tables")
 	fs.Uint64Var(&o.seed, "seed", seedDefault, "random seed")
-	fs.IntVar(&o.par, "par", 0, "concurrent runners (0 = all cores, 1 = sequential)")
 	fs.StringVar(&o.cpuprofile, "cpuprofile", "", "write a pprof CPU profile to this file")
 	fs.StringVar(&o.memprofile, "memprofile", "", "write a pprof heap profile to this file")
 }
@@ -343,12 +354,12 @@ func runChurn(args []string) error {
 func runCertify(args []string) error {
 	fs := flag.NewFlagSet("certify", flag.ContinueOnError)
 	var out outputFlags
-	out.register(fs, scenario.DefaultSeed)
+	out.registerOutput(fs, scenario.DefaultSeed)
 	topology := fs.String("topology", "star", "topology to certify: star or chain")
 	n := fs.Int("n", 65536, "peer count")
 	alpha := fs.Float64("alpha", 2, "link price α")
-	band := fs.Int("band", 64, "resident source rows in the banded social-cost check")
-	samples := fs.Int("samples", 0, "cross-check with the sampled estimator over this many sources (0 = skip)")
+	band := fs.Int("band", 64, "band width of the banded social-cost check; at most 64 source rows are resident, so wider bands fold identically")
+	samples := fs.Int("samples", 0, "cross-check with the sampled estimator over this many sources; -seed seeds it (0 = skip)")
 	if err := out.parse(fs, args); err != nil {
 		return err
 	}
@@ -390,7 +401,7 @@ func runCertify(args []string) error {
 
 		// The banded social cost must reproduce the closed form exactly —
 		// this walks every one of the n² pairs through the multi-source
-		// kernel with only `band` rows resident.
+		// kernel with at most min(band, 64) rows resident.
 		banded, err := ev.SocialCostBanded(p, *band)
 		if err != nil {
 			return err
@@ -525,10 +536,11 @@ commands:
   certify [flags]          certify star/chain Nash stability from the
                            paper's closed forms and verify them ==
                            through the banded kernels, no dense matrix
-                           (-topology -n -alpha -band -samples)
+                           (-topology -n -alpha -band -samples); at
+                           most 64 rows of any -band are resident
   help                     show this help
 
-flags (run/spec/sweep):
+flags (run/spec/sweep/churn; certify takes all but -quick and -par):
   -quick      reduced sizes (smoke test)
   -csv        CSV output
   -json       JSON output (machine-readable)

@@ -41,12 +41,38 @@ func TestTopogameRejectsNegativePar(t *testing.T) {
 		{"spec", "-par", "-5", "testdata/spec_example.json"},
 		{"sweep", "-par", "-5", "testdata/sweep_smoke.json"},
 		{"churn", "-par", "-5"},
-		{"certify", "-par", "-5"},
 	} {
 		err := run(args)
 		if err == nil || !strings.Contains(err.Error(), "-par -5") {
 			t.Errorf("%v: err = %v, want a usage error naming -par -5", args, err)
 		}
+	}
+}
+
+// TestTopogameRejectsIgnoredInput: input a command would ignore is a
+// usage error. certify reads neither -quick nor -par, so any value of
+// either is rejected, and list takes no arguments.
+func TestTopogameRejectsIgnoredInput(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"certify", "-par", "-5"}, "-par"},
+		{[]string{"certify", "-n", "64", "-par", "7"}, "-par"},
+		{[]string{"certify", "-n", "64", "-quick"}, "-quick"},
+		{[]string{"certify", "-quick", "-par", "7", "-n", "64"}, "-quick"},
+		{[]string{"list", "foo", "bar"}, `"foo"`},
+	} {
+		err := run(tc.args)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v: err = %v, want a usage error naming %s", tc.args, err, tc.want)
+		}
+	}
+	out := captureStdout(t, func() error {
+		return run([]string{"certify", "-n", "64", "-csv", "-seed", "5", "-samples", "8"})
+	})
+	if !bytes.HasPrefix(out, []byte("topology,n,alpha,band,nash,")) {
+		t.Fatalf("certify -csv output:\n%s", out)
 	}
 }
 

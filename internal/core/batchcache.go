@@ -245,49 +245,36 @@ func (c *BatchCache) batchFor(ev *Evaluator, p Profile, i int) *DeviationBatch {
 	}
 	c.stats.RowsReused += c.n - 1 - e.nDirty
 	if e.nDirty > 0 {
-		ev.prepare(p, i, Strategy{})
-		pending := c.addLog[e.logPos:]
-		// Full re-settles fan across the attached pool when there are
-		// enough of them; relax-repairs stay on the caller below (they
-		// reuse its prepared adjacency and touch only improved regions).
-		// Rows land in slots indexed by source either way, so the entry
-		// is byte-identical at any width.
-		if ev.pool != nil {
-			srcs := ev.srcScratch[:0]
-			for k := 0; k < c.n; k++ {
-				if e.dirty[k] && e.needSettle[k] {
-					srcs = append(srcs, int32(k))
-				}
+		// Full re-settles go through the shared rest-row fill (fanning
+		// across an attached pool when there are enough of them).
+		srcs := ev.srcScratch[:0]
+		for k, dirty := range e.dirty {
+			if dirty && e.needSettle[k] {
+				srcs = append(srcs, int32(k))
 			}
-			ev.srcScratch = srcs
-			if ev.trySettleRowsParallel(p, i, srcs, e.rest) {
-				c.stats.RowsSettled += len(srcs)
-				for _, k := range srcs {
-					e.dirty[k] = false
-					e.needSettle[k] = false
-					e.nDirty--
+		}
+		ev.srcScratch = srcs
+		ev.fillRestRows(p, i, srcs, e.rest)
+		c.stats.RowsSettled += len(srcs)
+		if len(srcs) < e.nDirty {
+			// Rows touched only by additions are repaired by relaxing the
+			// pending arcs (skipping the peer's own, absent from G−peer)
+			// over ev's adjacency of G−peer, which a sequential fill left
+			// prepared. The result is the same min-over-paths fixpoint a
+			// full Dijkstra computes, bit for bit.
+			if ev.fanPool(len(srcs)) != nil {
+				ev.prepare(p, i, Strategy{})
+			}
+			pending := c.addLog[e.logPos:]
+			for k, dirty := range e.dirty {
+				if dirty && !e.needSettle[k] {
+					c.stats.RowsRelaxed++
+					relaxAddedArcs(ev, e.rest[k], pending, i)
 				}
 			}
 		}
-		for k := 0; k < c.n; k++ {
-			if !e.dirty[k] {
-				continue
-			}
-			if e.needSettle[k] {
-				c.stats.RowsSettled++
-				copy(e.rest[k], ev.ssspFrom(k))
-			} else {
-				// Touched only by additions: repair the stored row by
-				// relaxing the pending arcs (skipping the peer's own,
-				// absent from G−peer) over the prepared adjacency. The
-				// result is the same min-over-paths fixpoint a full
-				// Dijkstra computes, bit for bit.
-				c.stats.RowsRelaxed++
-				relaxAddedArcs(ev, e.rest[k], pending, i)
-			}
-			e.dirty[k] = false
-			e.needSettle[k] = false
-		}
+		clear(e.dirty)
+		clear(e.needSettle)
 		e.nDirty = 0
 	}
 	e.logPos = len(c.addLog)

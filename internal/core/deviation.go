@@ -72,59 +72,52 @@ func (ev *Evaluator) NewDeviationBatch(p Profile, i int) *DeviationBatch {
 	}
 	flat := ev.batchFlat[:n*n]
 	rest := ev.batchRows[:n]
+	srcs := ev.srcScratch[:0]
 	for k := 0; k < n; k++ {
 		if k == i {
 			rest[k] = nil // a self-link never shortens a path
 			continue
 		}
 		rest[k] = flat[k*n : (k+1)*n]
+		srcs = append(srcs, int32(k))
 	}
-	ev.fillRestRows(p, i, rest)
+	ev.srcScratch = srcs
+	ev.fillRestRows(p, i, srcs, rest)
 	ev.batch = DeviationBatch{ev: ev, i: i, rest: rest, d: ev.batchD[:n]}
 	return &ev.batch
 }
 
-// trySettleRowsParallel fans the SSSPs from srcs (over p with peer
-// skip's out-arcs removed) across the attached pool, each row landing
-// in dst[src] — byte-identical to a sequential fill at any width. It
-// returns false, leaving dst untouched, when no pool is attached or the
-// fan-out cannot pay (a single worker or fewer than two rows); callers
-// then settle sequentially. This is the one shared gate for both batch
-// paths (fresh build and BatchCache dirty-row re-settle), so the
-// fan-out convention cannot drift between them.
-func (ev *Evaluator) trySettleRowsParallel(p Profile, skip int, srcs []int32, dst [][]float64) bool {
-	pl := ev.pool
-	if pl == nil || pl.Workers() <= 1 || len(srcs) < 2 {
-		return false
+// fillRestRows writes into dst[k], for every source k in srcs, the
+// distances d_{G−skip}(k, ·): SSSP from k over p with peer skip's
+// out-arcs removed. It is the one row fill behind both batch paths (the
+// fresh build and the BatchCache dirty-row re-settle), so their fan-out
+// convention cannot drift: the rows fan across the attached pool when
+// fanPool says so and settle on ev otherwise, and each lands in the
+// slot indexed by its source, so dst is byte-identical at any width.
+func (ev *Evaluator) fillRestRows(p Profile, skip int, srcs []int32, dst [][]float64) {
+	// Each branch has its own visit literal: the pool's escapes to its
+	// workers, and sharing it would put the sequential fill on the heap.
+	if pl := ev.fanPool(len(srcs)); pl != nil {
+		pl.settleRows(p, skip, Strategy{}, srcs, func(_ *Evaluator, k int32, d []float64) bool {
+			copy(dst[k], d)
+			return true
+		})
+		return
 	}
-	pl.settleRestRows(p, skip, srcs, dst)
-	return true
+	ev.settleRows(p, skip, Strategy{}, srcs, 0, func(k int32, d []float64) bool {
+		copy(dst[k], d)
+		return true
+	})
 }
 
-// fillRestRows computes rest[k] = d_{G−skip}(k, ·) for every non-nil
-// row: SSSP from k over p with peer skip's out-arcs removed. With an
-// attached pool the rows fan across its evaluator clones (each row
-// lands in its own slot, so results are byte-identical at any width);
-// otherwise they settle sequentially on ev.
-func (ev *Evaluator) fillRestRows(p Profile, skip int, rest [][]float64) {
-	if ev.pool != nil {
-		srcs := ev.srcScratch[:0]
-		for k := range rest {
-			if rest[k] != nil {
-				srcs = append(srcs, int32(k))
-			}
-		}
-		ev.srcScratch = srcs
-		if ev.trySettleRowsParallel(p, skip, srcs, rest) {
-			return
-		}
+// fanPool returns the attached pool when a fill of m rows fans across
+// it, or nil when the rows settle on ev: no pool, a single worker, or
+// fewer than two rows, where the fan-out cannot pay.
+func (ev *Evaluator) fanPool(m int) *Pool {
+	if pl := ev.pool; pl != nil && pl.Workers() > 1 && m > 1 {
+		return pl
 	}
-	ev.prepare(p, skip, Strategy{}) // empty override removes skip's out-arcs
-	for k := range rest {
-		if rest[k] != nil {
-			copy(rest[k], ev.ssspFrom(k))
-		}
-	}
+	return nil
 }
 
 // Eval returns peer i's enriched cost if it unilaterally switches to

@@ -130,11 +130,14 @@ func NewDynEval(ev *Evaluator, p Profile) (*DynEval, error) {
 		newScale: make([]float64, n),
 	}
 	dy.rebuildAdjacency()
-	if !dy.settleAllRowsKernel() {
-		for s := 0; s < n; s++ {
-			dy.settleRow(s)
-		}
-	}
+	// Construction is the only full-matrix settle. It runs on the
+	// evaluator's row loop over the evaluator's own adjacency of p, which
+	// carries the same traversal arcs and weights as dy's CSR, so the rows
+	// are bit-identical whichever kernel the instance dispatches to.
+	ev.settleRows(dy.p, -1, Strategy{}, ev.inst.peers, 0, func(s int32, d []float64) bool {
+		copy(dy.Row(int(s)), d)
+		return true
+	})
 	for s := 0; s < n; s++ {
 		dy.rebuildRowCounts(s)
 	}
@@ -302,65 +305,6 @@ func (dy *DynEval) rebuildAdjacency() {
 	}
 	dy.isDelta = dy.isDelta[:m]
 	dy.posNewW = dy.posNewW[:m]
-}
-
-// settleAllRowsKernel settles every distance row with the instance's
-// specialized kernel when one applies (see kernels.go), returning false
-// to fall back to the per-row heap Dijkstra. The rows are bit-identical
-// either way: both kernels exist only under γ = 0, where the combined
-// traversal adjacency carries plain direct distances (all equal to the
-// unit for kernelBFS, all small integers for kernelDial). Construction
-// is the only full-matrix settle — the incremental phases touch bounded
-// regions seeded at arbitrary distances, which a level-synchronous BFS
-// or a zero-anchored bucket queue cannot express — so the transient
-// kernel scratch is allocated only here.
-func (dy *DynEval) settleAllRowsKernel() bool {
-	inst := dy.ev.inst
-	n := dy.n
-	switch inst.kernel {
-	case kernelBFS:
-		w := bfsWords(n)
-		rows := make([]uint64, n*w)
-		fillBitRows(rows, n, w, dy.out.head, dy.out.to)
-		front := make([]uint64, w)
-		next := make([]uint64, w)
-		visited := make([]uint64, w)
-		for s := 0; s < n; s++ {
-			bfsUnitSSSP(dy.Row(s), rows, w, s, inst.hopDist, front, next, visited)
-		}
-		return true
-	case kernelDial:
-		var q dialQueue
-		for s := 0; s < n; s++ {
-			dialSSSP(dy.Row(s), &q, inst.span, s, dy.out.head, dy.out.to, dy.out.w, nil, nil, nil)
-		}
-		return true
-	}
-	return false
-}
-
-// settleRow computes the distance row of source s from scratch with a
-// full Dijkstra over the traversal adjacency.
-func (dy *DynEval) settleRow(s int) {
-	n := dy.n
-	d := dy.Row(s)
-	for i := range d {
-		d[i] = math.Inf(1)
-	}
-	d[s] = 0
-	h := &dy.heap
-	h.reset(n)
-	h.fix(int32(s), 0)
-	for !h.empty() {
-		u, du := h.popMin()
-		for k := dy.out.head[u]; k < dy.out.head[u+1]; k++ {
-			to := dy.out.to[k]
-			if nd := du + dy.out.w[k]; nd < d[to] {
-				d[to] = nd
-				h.fix(to, nd)
-			}
-		}
-	}
 }
 
 // rebuildRowCounts recomputes every tight-parent count of source s by a

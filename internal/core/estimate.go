@@ -14,9 +14,9 @@ import (
 // source-sampled estimate with an honest confidence interval. Sources
 // are drawn without replacement from a seeded generator, so every
 // estimate is exactly reproducible: same profile, same seed, same
-// bits. Per-source values are computed by the real kernels through the
-// banded machinery (sampled sources feed msbfs chunks directly on
-// uniform metrics), never by a shadow implementation.
+// bits. Per-source values are computed by the real kernels on the
+// streamed path of the row loop (sampled sources feed msbfs chunks
+// directly on uniform metrics), never by a shadow implementation.
 
 // Estimate is a sampled statistic with a 95% normal-approximation
 // confidence interval, finite-population corrected (the CI collapses
@@ -129,42 +129,18 @@ func (ev *Evaluator) estimate(p Profile, samples int, seed uint64, meanTerm bool
 	return est, nil
 }
 
-// sampledEvals evaluates the Evals of the given source peers under p,
-// preparing the adjacency once and feeding sources through the
-// multi-source BFS in ≤64-source chunks on uniform metrics (the
-// sampled-band path), or the per-source kernel otherwise. Sources are
-// visited in the given order; the slab is never materialized.
+// sampledEvals evaluates the Evals of the given source peers under p
+// on the streamed path of settleRows: the multi-source BFS in ≤64-source
+// chunks on uniform metrics, the per-source kernel otherwise. Sources
+// are visited in the given order; the slab is never materialized.
 func (ev *Evaluator) sampledEvals(p Profile, srcs []int, visit func(src int, e Eval)) {
-	n := ev.inst.N()
-	ev.prepareWith(p, -1, Strategy{}, false)
-	if ev.inst.kernel != kernelBFS {
-		for _, src := range srcs {
-			d := ev.ssspFrom(src)
-			visit(src, ev.peerEvalFrom(d, src, p.OutDegree(src)))
-		}
-		return
+	list := ev.srcScratch[:0]
+	for _, src := range srcs {
+		list = append(list, int32(src))
 	}
-	ev.ms.ensure(n)
-	band := min(len(srcs), 64)
-	if cap(ev.ms.bandBuf) < band*n {
-		ev.ms.bandBuf = make([]float64, band*n)
-		ev.ms.bandRows = make([][]float64, band)
-	}
-	buf := ev.ms.bandBuf[:band*n]
-	rows := ev.ms.bandRows[:band]
-	for r := range rows {
-		rows[r] = buf[r*n : (r+1)*n]
-	}
-	for lo := 0; lo < len(srcs); lo += band {
-		hi := min(lo+band, len(srcs))
-		chunk := ev.ms.srcs[:0]
-		for _, src := range srcs[lo:hi] {
-			chunk = append(chunk, int32(src))
-		}
-		ev.ms.srcs = chunk
-		msbfsChunk(rows[:hi-lo], chunk, ev.inst.hopDist, &ev.fwd, &ev.rev, ev.inst.undirected, &ev.ms)
-		for s, src := range srcs[lo:hi] {
-			visit(src, ev.peerEvalFrom(rows[s], src, p.OutDegree(src)))
-		}
-	}
+	ev.srcScratch = list
+	ev.settleRows(p, -1, Strategy{}, list, 64, func(src int32, d []float64) bool {
+		visit(int(src), ev.peerEvalFrom(d, int(src), p.OutDegree(int(src))))
+		return true
+	})
 }

@@ -48,6 +48,9 @@ type Instance struct {
 	hopDist []float64
 	// span is the largest integer distance (kernelDial).
 	span int
+	// peers is the source list 0..n−1 the all-pairs folds hand the row
+	// loops, shared by every evaluator and pool over the instance.
+	peers []int32
 }
 
 // Option configures an Instance.
@@ -110,6 +113,10 @@ func NewInstance(space metric.Space, alpha float64, opts ...Option) (*Instance, 
 	}
 	n := space.N()
 	in.n = n
+	in.peers = make([]int32, n)
+	for i := range in.peers {
+		in.peers[i] = int32(i)
+	}
 	// Self-classified uniform spaces skip the O(n²) materialization: the
 	// whole direct-distance matrix is one unit value, stored implicitly
 	// (dist == nil) as a shared n-entry row. This is what lets instances
@@ -298,14 +305,14 @@ type Evaluator struct {
 	bfsVisited []uint64
 	// Dial kernel bucket storage (kernelDial instances).
 	dial dialQueue
-	// Banded / multi-source BFS scratch (see msbfs.go): per-vertex
+	// Streamed-path scratch of settleRows (see msbfs.go): per-vertex
 	// source masks, frontier lists and band row storage.
 	ms msScratch
 	// pool, when attached, fans the rest-row SSSPs of NewDeviationBatch
 	// (and BatchCache dirty-row settles) across evaluator clones. See
 	// AttachPool.
 	pool *Pool
-	// Scratch for collecting rest-row source lists (deviation.go).
+	// srcScratch collects source lists for settleRows.
 	srcScratch []int32
 	// batchRows and batch are the DeviationBatch arena: the row-view
 	// slice and the batch value itself are evaluator-owned so a batch
@@ -373,8 +380,8 @@ func strategyOf(p Profile, u, override int, alt Strategy) Strategy {
 // undirected instances — the reverse-adjacency CSR, so traversing links
 // owned by others costs O(indegree) per settled node instead of an O(n)
 // scan. The structures stay valid until the next prepare call; callers
-// evaluating many sources over one profile prepare once and then call
-// ssspFrom per source.
+// evaluating many sources over one profile go through settleRows, which
+// prepares once and then calls ssspFrom per source.
 func (ev *Evaluator) prepare(p Profile, override int, alt Strategy) {
 	ev.prepareWith(p, override, alt, true)
 }
@@ -382,10 +389,10 @@ func (ev *Evaluator) prepare(p Profile, override int, alt Strategy) {
 // prepareWith is prepare with the bitset adjacency build optional:
 // bitsetAdj = false skips the n·⌈n/64⌉-word bfsAdj slab on kernelBFS
 // instances (512 MB at n = 65536) and builds only the CSR structures.
-// The streamed paths (SocialCostBanded, PeerEvalStreamed) run the
-// multi-source BFS over the CSR directly, so they never need the slab;
-// after a bitsetAdj = false call, ssspFrom must not be used on a
-// kernelBFS instance until a full prepare rebuilds it.
+// settleRows' streamed path runs the multi-source BFS over the CSR
+// directly, so it never needs the slab; after a bitsetAdj = false call,
+// ssspFrom must not be used on a kernelBFS instance until a full
+// prepare rebuilds it.
 func (ev *Evaluator) prepareWith(p Profile, override int, alt Strategy, bitsetAdj bool) {
 	n := ev.inst.N()
 	inst := ev.inst
@@ -627,6 +634,42 @@ func (ev *Evaluator) sssp(p Profile, src, override int, alt Strategy) []float64 
 	return ev.ssspFrom(src)
 }
 
+// settleRows is the evaluator's one row loop. It prepares p once, with
+// peer override playing alt (override = -1 disables the override), and
+// hands visit the distance row of each source in srcs, in list order,
+// stopping as soon as visit returns false. The list is always explicit:
+// an empty one visits nothing. A row is valid only inside visit; the
+// prepared adjacency stays valid after the call, as after prepare.
+//
+// band picks the path, and every path yields the same bits:
+//   - band == 0 is the slab path: ssspFrom per source (bitset BFS,
+//     Dial, the heap or the small-frontier loop).
+//   - band ≥ 1 is the streamed path. On kernelBFS instances it runs
+//     msbfsChunk over the CSR in chunks of min(band, 64) sources and
+//     never builds the bitset adjacency slab, so at most 64 rows are
+//     resident. Other kernels run ssspFrom per source.
+func (ev *Evaluator) settleRows(p Profile, override int, alt Strategy, srcs []int32, band int, visit func(src int32, d []float64) bool) {
+	ev.prepareWith(p, override, alt, band == 0)
+	if band == 0 || ev.inst.kernel != kernelBFS {
+		for _, src := range srcs {
+			if !visit(src, ev.ssspFrom(int(src))) {
+				return
+			}
+		}
+		return
+	}
+	rows := ev.ms.rows(min(band, 64, len(srcs)), ev.inst.N())
+	for lo := 0; lo < len(srcs); lo += len(rows) {
+		chunk := srcs[lo:min(lo+len(rows), len(srcs))]
+		msbfsChunk(rows, chunk, ev.inst.hopDist, &ev.fwd, &ev.rev, ev.inst.undirected, &ev.ms)
+		for s, src := range chunk {
+			if !visit(src, rows[s]) {
+				return
+			}
+		}
+	}
+}
+
 // ssspDense is the retained dense O(n²) reference implementation of the
 // profile SSSP (selection-scan Dijkstra, congestion-aware, with the
 // undirected case paying an O(n) ownership scan per settled node). It is
@@ -824,14 +867,19 @@ func (ev *Evaluator) PeerCost(p Profile, i int) Cost {
 
 // SocialCost returns the decomposed social cost C(G) = α|E| + Σ terms.
 // The adjacency is prepared once and shared by all n source runs.
-func (ev *Evaluator) SocialCost(p Profile) Cost {
-	ev.prepare(p, -1, Strategy{})
+func (ev *Evaluator) SocialCost(p Profile) Cost { return ev.socialCost(p, 0) }
+
+// socialCost folds every peer's cost in source order through settleRows
+// at the given band; the fold is the same sequence of additions at
+// every band, so the bits are too.
+func (ev *Evaluator) socialCost(p Profile, band int) Cost {
 	total := Cost{}
-	for i := 0; i < ev.inst.N(); i++ {
-		c := ev.peerEvalFrom(ev.ssspFrom(i), i, p.OutDegree(i)).Cost
+	ev.settleRows(p, -1, Strategy{}, ev.inst.peers, band, func(src int32, d []float64) bool {
+		c := ev.peerEvalFrom(d, int(src), p.OutDegree(int(src))).Cost
 		total.Link += c.Link
 		total.Term += c.Term
-	}
+		return true
+	})
 	return total
 }
 
@@ -839,20 +887,11 @@ func (ev *Evaluator) SocialCost(p Profile) Cost {
 // term for pair (i,j) (the stretch, under the paper's model). Diagonal
 // entries are 0; unreachable pairs are +Inf.
 func (ev *Evaluator) TermMatrix(p Profile) [][]float64 {
-	n := ev.inst.N()
-	ev.prepare(p, -1, Strategy{})
-	out := make([][]float64, n)
-	for i := 0; i < n; i++ {
-		d := ev.ssspFrom(i)
-		row := make([]float64, n)
-		direct := ev.inst.distRow(i)
-		for j := 0; j < n; j++ {
-			if i != j {
-				row[j] = ev.inst.model.Term(d[j], direct[j])
-			}
-		}
-		out[i] = row
-	}
+	out := make([][]float64, ev.inst.N())
+	ev.settleRows(p, -1, Strategy{}, ev.inst.peers, 0, func(src int32, d []float64) bool {
+		out[src] = ev.inst.termRow(d, int(src))
+		return true
+	})
 	return out
 }
 
@@ -860,35 +899,62 @@ func (ev *Evaluator) TermMatrix(p Profile) [][]float64 {
 // the paper's model). Theorem 4.1's key step bounds this by α+1 in any
 // Nash equilibrium.
 func (ev *Evaluator) MaxTerm(p Profile) float64 {
-	n := ev.inst.N()
-	ev.prepare(p, -1, Strategy{})
 	maxT := 0.0
-	for i := 0; i < n; i++ {
-		d := ev.ssspFrom(i)
-		direct := ev.inst.distRow(i)
-		for j := 0; j < n; j++ {
-			if i == j {
-				continue
-			}
-			if t := ev.inst.model.Term(d[j], direct[j]); t > maxT {
-				maxT = t
-			}
+	ev.settleRows(p, -1, Strategy{}, ev.inst.peers, 0, func(src int32, d []float64) bool {
+		if t := ev.inst.rowMaxTerm(d, int(src)); t > maxT {
+			maxT = t
 		}
-	}
+		return true
+	})
 	return maxT
 }
 
 // Connected reports whether every peer reaches every other along the
 // directed overlay.
 func (ev *Evaluator) Connected(p Profile) bool {
-	n := ev.inst.N()
-	ev.prepare(p, -1, Strategy{})
-	for i := 0; i < n; i++ {
-		d := ev.ssspFrom(i)
-		for j := 0; j < n; j++ {
-			if i != j && math.IsInf(d[j], 1) {
-				return false
-			}
+	connected := true
+	ev.settleRows(p, -1, Strategy{}, ev.inst.peers, 0, func(src int32, d []float64) bool {
+		connected = reachesAll(d, int(src))
+		return connected
+	})
+	return connected
+}
+
+// termRow returns source src's row of TermMatrix given its distance
+// row d: the model term of every pair, 0 on the diagonal.
+func (in *Instance) termRow(d []float64, src int) []float64 {
+	row := make([]float64, in.n)
+	direct := in.distRow(src)
+	for j := range row {
+		if j != src {
+			row[j] = in.model.Term(d[j], direct[j])
+		}
+	}
+	return row
+}
+
+// rowMaxTerm returns the largest model term over source src's pairs
+// given its distance row d (0 if no term is positive).
+func (in *Instance) rowMaxTerm(d []float64, src int) float64 {
+	maxT := 0.0
+	direct := in.distRow(src)
+	for j := range d {
+		if j == src {
+			continue
+		}
+		if t := in.model.Term(d[j], direct[j]); t > maxT {
+			maxT = t
+		}
+	}
+	return maxT
+}
+
+// reachesAll reports whether source src's distance row d reaches every
+// other peer.
+func reachesAll(d []float64, src int) bool {
+	for j, dj := range d {
+		if j != src && math.IsInf(dj, 1) {
+			return false
 		}
 	}
 	return true

@@ -35,6 +35,12 @@ import (
 //
 //   - kernelHeap: everything else, including every γ > 0 regime (the
 //     congestion scale factors destroy both structures).
+//
+// Evaluator.ssspFrom is the only caller of these kernels. Rows reach
+// their users through the row loop, Evaluator.settleRows (or its
+// pool twin): band 0 runs ssspFrom per source, and band ≥ 1 on
+// kernelBFS instances runs the multi-source BFS of msbfs.go instead.
+// DynEval settles its construction matrix through the same loop.
 
 // kernelKind tags the SSSP kernel an instance dispatches to.
 type kernelKind uint8
@@ -133,22 +139,6 @@ func bfsUnitSSSP(d []float64, adj []uint64, w, src int, hopDist []float64, front
 			return
 		}
 		front, next = next, front
-	}
-}
-
-// fillBitRows writes the out-arcs of a CSR adjacency into bitset rows
-// (w words per row), the shape bfsUnitSSSP consumes. Used by DynEval to
-// reuse the BFS kernel over its combined traversal CSR.
-func fillBitRows(rows []uint64, n, w int, head, to []int32) {
-	for i := range rows {
-		rows[i] = 0
-	}
-	for u := 0; u < n; u++ {
-		row := rows[u*w : u*w+w]
-		for k := head[u]; k < head[u+1]; k++ {
-			v := to[k]
-			row[v>>6] |= 1 << uint(v&63)
-		}
 	}
 }
 

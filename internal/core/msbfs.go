@@ -6,14 +6,15 @@ import (
 	"math/bits"
 )
 
-// This file holds the banded distance store and the multi-source bitset
-// BFS kernel behind it. The slab world (evaluate.go) materializes all n
-// SSSP rows at once; at internet scale that is the O(n²) wall — n=65536
-// is a 34 GB matrix. The banded store keeps only B source rows resident
-// and streams them to the caller in source order, so social cost and
-// the large-n statistics run in O(B·n) memory at any n.
+// This file holds the streamed path of the row loop (settleRows in
+// evaluate.go) and the multi-source bitset BFS kernel behind it. A
+// materialized all-pairs matrix is the O(n²) wall at internet scale —
+// n=65536 is a 34 GB matrix. The streamed path keeps at most 64 source
+// rows resident and hands them to the caller in list order, so social
+// cost, the sampled estimators and the streamed per-peer evaluators run
+// in O(n) memory at any n.
 //
-// On uniform metrics (kernelBFS) the bands are fed by msbfsChunk, a
+// On uniform metrics (kernelBFS) the rows are fed by msbfsChunk, a
 // word-parallel BFS over *sources*: where bfsUnitSSSP packs 64
 // candidate arcs per word, msbfsChunk packs 64 concurrent sources per
 // word — each vertex carries one uint64 mask whose bit s means "source
@@ -24,14 +25,14 @@ import (
 // is bit-identical to bfsUnitSSSP — and hence to heap Dijkstra.
 //
 // Determinism conventions (shared with the rest of the core):
-//   - rows are produced and folded in global source order 0..n-1, the
-//     same left-fold the slab path uses, at every band width;
+//   - rows are handed over in list order, so the folds over 0..n-1 run
+//     the same left-fold as the slab path, at every band width;
 //   - per-row values replay hopDist[h] (kernelBFS) or the kernel's own
 //     fixpoint (other kernels), never a re-derived expression;
 //   - therefore SocialCostBanded == SocialCost bit for bit, for any
 //     band ≥ 1, any kernel, directed or undirected.
 
-// msScratch is the reusable scratch of the banded/streamed paths: the
+// msScratch is the reusable scratch of the streamed path: the
 // per-vertex source masks and frontier lists of msbfsChunk plus the
 // band row storage. Owned by an Evaluator, so steady-state banded
 // evaluation allocates nothing.
@@ -40,15 +41,13 @@ type msScratch struct {
 	frontier, wave       []int32
 	bandBuf              []float64
 	bandRows             [][]float64
-	srcs                 []int32
-	oneRow               [][]float64
 }
 
-// ensure sizes the per-vertex scratch for n peers. front, next and
-// reached are returned all-zero only on first allocation; msbfsChunk
-// re-zeroes what it used, preserving the all-zero invariant between
-// calls.
-func (st *msScratch) ensure(n int) {
+// rows returns k band rows of n entries over the reused band buffer,
+// sizing the per-vertex scratch for n peers as well. front, next and
+// reached are all-zero only on first allocation; msbfsChunk re-zeroes
+// what it used, preserving the all-zero invariant between calls.
+func (st *msScratch) rows(k, n int) [][]float64 {
 	if len(st.front) < n {
 		st.front = make([]uint64, n)
 		st.next = make([]uint64, n)
@@ -56,6 +55,17 @@ func (st *msScratch) ensure(n int) {
 		st.frontier = make([]int32, 0, n)
 		st.wave = make([]int32, 0, n)
 	}
+	if cap(st.bandBuf) < k*n {
+		st.bandBuf = make([]float64, k*n)
+	}
+	if cap(st.bandRows) < k {
+		st.bandRows = make([][]float64, k)
+	}
+	rows := st.bandRows[:k]
+	for r := range rows {
+		rows[r] = st.bandBuf[r*n : (r+1)*n]
+	}
+	return rows
 }
 
 // msbfsChunk runs the word-parallel multi-source unit-weight BFS for
@@ -65,7 +75,7 @@ func (st *msScratch) ensure(n int) {
 // index, the same arc set bfsUnitSSSP pre-ORs into its bitset rows.
 // hopDist is the instance's IEEE left-fold replay table, so row values
 // are bit-identical to the single-source kernels. st.front/next/reached
-// must be all-zero on entry (ensure + the re-zeroing on exit keep that
+// must be all-zero on entry (rows + the re-zeroing on exit keep that
 // invariant).
 func msbfsChunk(rows [][]float64, srcs []int32, hopDist []float64, fwd, rev *csr, undirected bool, st *msScratch) {
 	front, next, reached := st.front, st.next, st.reached
@@ -142,119 +152,43 @@ func msbfsChunk(rows [][]float64, srcs []int32, hopDist []float64, fwd, rev *csr
 	st.frontier, st.wave = frontier[:0], wave[:0]
 }
 
-// SSSPBands prepares p once and streams every SSSP row to visit in
-// source order 0..n-1 with at most band rows resident, never
-// materializing the n×n matrix. On kernelBFS instances the rows are
-// produced by the multi-source bitset BFS (64 sources per word) over
-// the CSR adjacency — the bitset adjacency slab is skipped too, so the
-// whole pass is O(band·n) memory. Other kernels fill bands with their
-// single-source SSSP. Rows are valid only inside the visit callback; a
-// non-nil error from visit aborts the stream.
-func (ev *Evaluator) SSSPBands(p Profile, band int, visit func(src int, d []float64) error) error {
-	n := ev.inst.N()
-	if band < 1 {
-		return fmt.Errorf("core: band width %d, want ≥ 1", band)
-	}
-	if band > n {
-		band = n
-	}
-	ev.prepareWith(p, -1, Strategy{}, false)
-	useMS := ev.inst.kernel == kernelBFS
-	if useMS {
-		ev.ms.ensure(n)
-	}
-	if cap(ev.ms.bandBuf) < band*n {
-		ev.ms.bandBuf = make([]float64, band*n)
-		ev.ms.bandRows = make([][]float64, band)
-	}
-	buf := ev.ms.bandBuf[:band*n]
-	rows := ev.ms.bandRows[:band]
-	for r := 0; r < band; r++ {
-		rows[r] = buf[r*n : (r+1)*n]
-	}
-	for lo := 0; lo < n; lo += band {
-		hi := min(lo+band, n)
-		if useMS {
-			// Fill the band in word-sized chunks: ≤64 sources share one
-			// mask word per vertex.
-			for cs := lo; cs < hi; cs += 64 {
-				ce := min(cs+64, hi)
-				srcs := ev.ms.srcs[:0]
-				for s := cs; s < ce; s++ {
-					srcs = append(srcs, int32(s))
-				}
-				ev.ms.srcs = srcs
-				msbfsChunk(rows[cs-lo:ce-lo], srcs, ev.inst.hopDist, &ev.fwd, &ev.rev, ev.inst.undirected, &ev.ms)
-			}
-		} else {
-			for s := lo; s < hi; s++ {
-				copy(rows[s-lo], ev.ssspFrom(s))
-			}
-		}
-		for s := lo; s < hi; s++ {
-			if err := visit(s, rows[s-lo]); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// SocialCostBanded computes SocialCost with at most band SSSP rows
-// resident, bit-identical to the slab path at every band width: the
+// SocialCostBanded computes SocialCost through the streamed path of
+// settleRows, bit-identical to the slab path at every band width: the
 // rows carry the same kernel-computed values and the fold runs in the
 // same source order, so the float64 left-fold is the same sequence of
-// additions. This is the social-cost entry point past the O(n²) wall —
-// at n = 65536 with band 64 it touches ~34 MB where the slab needs
-// 34 GB.
+// additions. This is the social-cost entry point past the O(n²) wall.
+// At most min(band, 64) rows are resident, because the multi-source
+// BFS fills 64 rows per sweep and a wider band would only cost memory:
+// at n = 65536 the fold touches ~34 MB where the slab needs 34 GB.
 func (ev *Evaluator) SocialCostBanded(p Profile, band int) (Cost, error) {
-	total := Cost{}
-	err := ev.SSSPBands(p, band, func(src int, d []float64) error {
-		c := ev.peerEvalFrom(d, src, p.OutDegree(src)).Cost
-		total.Link += c.Link
-		total.Term += c.Term
-		return nil
-	})
-	if err != nil {
-		return Cost{}, err
+	if band < 1 {
+		return Cost{}, fmt.Errorf("core: band width %d, want ≥ 1", band)
 	}
-	return total, nil
-}
-
-// ssspStreamed computes the single-source distances from src without
-// the bitset adjacency slab: kernelBFS instances run a one-source
-// msbfsChunk over the CSR (bit-identical to bfsUnitSSSP), everything
-// else uses its regular kernel. The result shares ev.d and stays valid
-// until the next SSSP or prepare call.
-func (ev *Evaluator) ssspStreamed(p Profile, src, override int, alt Strategy) []float64 {
-	ev.prepareWith(p, override, alt, false)
-	if ev.inst.kernel != kernelBFS {
-		return ev.ssspFrom(src)
-	}
-	ev.ms.ensure(ev.inst.N())
-	if ev.ms.oneRow == nil {
-		ev.ms.oneRow = make([][]float64, 1)
-		ev.ms.srcs = make([]int32, 0, 64)
-	}
-	ev.ms.oneRow[0] = ev.d
-	srcs := append(ev.ms.srcs[:0], int32(src))
-	ev.ms.srcs = srcs
-	msbfsChunk(ev.ms.oneRow, srcs, ev.inst.hopDist, &ev.fwd, &ev.rev, ev.inst.undirected, &ev.ms)
-	return ev.d
+	return ev.socialCost(p, band), nil
 }
 
 // PeerEvalStreamed is PeerEval without the O(n·⌈n/64⌉)-word bitset
 // adjacency slab: identical bits, O(n) memory, the per-peer evaluation
 // primitive for best-response steps at internet scale.
 func (ev *Evaluator) PeerEvalStreamed(p Profile, i int) Eval {
-	d := ev.ssspStreamed(p, i, -1, Strategy{})
-	return ev.peerEvalFrom(d, i, p.OutDegree(i))
+	return ev.streamedEval(p, i, -1, Strategy{}, p.OutDegree(i))
 }
 
 // DeviationEvalStreamed is DeviationEval without the bitset adjacency
 // slab: peer i's enriched cost if it unilaterally switches to alt,
 // identical bits, O(n) memory.
 func (ev *Evaluator) DeviationEvalStreamed(p Profile, i int, alt Strategy) Eval {
-	d := ev.ssspStreamed(p, i, i, alt)
-	return ev.peerEvalFrom(d, i, alt.Count())
+	return ev.streamedEval(p, i, i, alt, alt.Count())
+}
+
+// streamedEval evaluates peer i, of out-degree degree, on the streamed
+// path of settleRows with one source.
+func (ev *Evaluator) streamedEval(p Profile, i, override int, alt Strategy, degree int) Eval {
+	var e Eval
+	src := [1]int32{int32(i)}
+	ev.settleRows(p, override, alt, src[:], 1, func(_ int32, d []float64) bool {
+		e = ev.peerEvalFrom(d, i, degree)
+		return true
+	})
+	return e
 }

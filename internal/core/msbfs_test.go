@@ -49,10 +49,11 @@ func TestSocialCostBandedMatchesSlabBitForBit(t *testing.T) {
 	}
 }
 
-// TestSSSPBandsRowsMatchSlabBitForBit checks every streamed row against
-// the slab-path ssspFrom row, exactly, at band widths straddling the
-// 64-source chunk boundary — the multi-word, disconnected and
-// undirected BFS regimes are where the mask bookkeeping could go wrong.
+// TestSSSPBandsRowsMatchSlabBitForBit checks every row of the streamed
+// path of settleRows over all n sources against the slab-path ssspFrom
+// row, exactly, at band widths straddling the 64-source chunk boundary
+// — the multi-word, disconnected and undirected BFS regimes are where
+// the mask bookkeeping could go wrong.
 func TestSSSPBandsRowsMatchSlabBitForBit(t *testing.T) {
 	r := rng.New(59)
 	for _, c := range diffCases() {
@@ -68,8 +69,8 @@ func TestSSSPBandsRowsMatchSlabBitForBit(t *testing.T) {
 			}
 			for _, band := range bandWidths(c.n) {
 				seen := 0
-				err := evBand.SSSPBands(p, band, func(src int, d []float64) error {
-					if src != seen {
+				evBand.settleRows(p, -1, Strategy{}, inst.peers, band, func(src int32, d []float64) bool {
+					if int(src) != seen {
 						t.Fatalf("band %d: visited src %d, want %d (order contract)", band, src, seen)
 					}
 					seen++
@@ -77,11 +78,8 @@ func TestSSSPBandsRowsMatchSlabBitForBit(t *testing.T) {
 						t.Fatalf("band %d src %d: banded d[%d]=%v, slab d[%d]=%v",
 							band, src, j, d[j], j, slab[src][j])
 					}
-					return nil
+					return true
 				})
-				if err != nil {
-					t.Fatal(err)
-				}
 				if seen != c.n {
 					t.Fatalf("band %d: visited %d sources, want %d", band, seen, c.n)
 				}
@@ -124,19 +122,17 @@ func TestStreamedEvalsMatchBitForBit(t *testing.T) {
 	}
 }
 
-// TestSSSPBandsRejectsInvalidBand pins the band validation.
+// TestSSSPBandsRejectsInvalidBand pins the band validation of the
+// banded fold (band 0 is the row loop's slab path, not a band width).
 func TestSSSPBandsRejectsInvalidBand(t *testing.T) {
 	r := rng.New(67)
 	inst := buildDiffInstance(t, r, diffCase{n: 8, linkProb: 0.3, space: "unit"})
 	ev := NewEvaluator(inst)
 	p := randomDiffProfile(r, 8, 0.3)
 	for _, band := range []int{0, -1} {
-		if err := ev.SSSPBands(p, band, func(int, []float64) error { return nil }); err == nil {
-			t.Errorf("band %d: expected error", band)
+		if _, err := ev.SocialCostBanded(p, band); err == nil {
+			t.Errorf("SocialCostBanded(%d): expected error", band)
 		}
-	}
-	if _, err := ev.SocialCostBanded(p, 0); err == nil {
-		t.Error("SocialCostBanded(0): expected error")
 	}
 }
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -43,86 +42,45 @@ func (pl *Pool) Workers() int { return len(pl.evs) }
 // Instance returns the bound instance.
 func (pl *Pool) Instance() *Instance { return pl.evs[0].inst }
 
-// forEachSource runs fn for every source peer, fanning across the
-// workers. fn receives the worker's evaluator (with the profile already
-// prepared) and the SSSP distances from src, which it must not retain.
-// A non-nil stop is polled before each source; once it returns true the
-// remaining sources are skipped (early exit for short-circuit queries).
-func (pl *Pool) forEachSource(p Profile, stop func() bool, fn func(ev *Evaluator, src int, d []float64)) {
-	n := pl.Instance().N()
-	if len(pl.evs) == 1 {
-		ev := pl.evs[0]
-		ev.prepare(p, -1, Strategy{})
-		for i := 0; i < n; i++ {
-			if stop != nil && stop() {
+// settleRows is the pool's one claim-counter loop, the fan-out twin of
+// Evaluator.settleRows on the slab path. Each worker prepares its own
+// adjacency for p (peer override playing alt) on its first claim, then
+// claims sources of srcs from a shared counter and hands visit its
+// evaluator and the source's row, which visit must not retain. Workers
+// run visit concurrently, so it may write only per-source slots; once
+// it returns false, no worker claims another source. With one worker
+// or at most one source the loop runs on the caller's goroutine.
+func (pl *Pool) settleRows(p Profile, override int, alt Strategy, srcs []int32, visit func(ev *Evaluator, src int32, d []float64) bool) {
+	var next atomic.Int64
+	var stop atomic.Bool
+	claim := func(ev *Evaluator) {
+		prepared := false
+		for !stop.Load() {
+			idx := int(next.Add(1)) - 1
+			if idx >= len(srcs) {
 				return
 			}
-			fn(ev, i, ev.ssspFrom(i))
+			if !prepared {
+				ev.prepare(p, override, alt)
+				prepared = true
+			}
+			src := srcs[idx]
+			if !visit(ev, src, ev.ssspFrom(int(src))) {
+				stop.Store(true)
+			}
 		}
+	}
+	if len(pl.evs) == 1 || len(srcs) <= 1 {
+		claim(pl.evs[0])
 		return
 	}
-	var next atomic.Int64
 	var wg sync.WaitGroup
 	for _, ev := range pl.evs {
 		wg.Add(1)
-		go func(ev *Evaluator) {
+		go func() {
 			defer wg.Done()
-			prepared := false
-			for {
-				if stop != nil && stop() {
-					return
-				}
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				if !prepared {
-					ev.prepare(p, -1, Strategy{})
-					prepared = true
-				}
-				fn(ev, i, ev.ssspFrom(i))
-			}
-		}(ev)
-	}
-	wg.Wait()
-}
-
-// settleRestRows fills dst[src], for every src in srcs, with the SSSP
-// distances from src over profile p with peer skip's strategy emptied —
-// the "graph minus the deviating peer" rows behind DeviationBatch and
-// the BatchCache. Each worker prepares its own adjacency and claims
-// sources from a shared counter; every row lands in the slot indexed by
-// its source, so the result is byte-identical at any worker count (the
-// ordered-reduce convention).
-func (pl *Pool) settleRestRows(p Profile, skip int, srcs []int32, dst [][]float64) {
-	if len(pl.evs) == 1 || len(srcs) == 1 {
-		ev := pl.evs[0]
-		ev.prepare(p, skip, Strategy{})
-		for _, k := range srcs {
-			copy(dst[k], ev.ssspFrom(int(k)))
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for _, ev := range pl.evs {
-		wg.Add(1)
-		go func(ev *Evaluator) {
-			defer wg.Done()
-			prepared := false
-			for {
-				idx := int(next.Add(1)) - 1
-				if idx >= len(srcs) {
-					return
-				}
-				if !prepared {
-					ev.prepare(p, skip, Strategy{})
-					prepared = true
-				}
-				k := srcs[idx]
-				copy(dst[k], ev.ssspFrom(int(k)))
-			}
-		}(ev)
+			claim(ev)
+		}()
 	}
 	wg.Wait()
 }
@@ -130,8 +88,9 @@ func (pl *Pool) settleRestRows(p Profile, skip int, srcs []int32, dst [][]float6
 // PeerEvals returns every peer's enriched cost under p, in peer order.
 func (pl *Pool) PeerEvals(p Profile) []Eval {
 	out := make([]Eval, pl.Instance().N())
-	pl.forEachSource(p, nil, func(ev *Evaluator, src int, d []float64) {
-		out[src] = ev.peerEvalFrom(d, src, p.OutDegree(src))
+	pl.settleRows(p, -1, Strategy{}, pl.Instance().peers, func(ev *Evaluator, src int32, d []float64) bool {
+		out[src] = ev.peerEvalFrom(d, int(src), p.OutDegree(int(src)))
+		return true
 	})
 	return out
 }
@@ -150,21 +109,10 @@ func (pl *Pool) SocialCost(p Profile) Cost {
 
 // MaxTerm returns the largest pairwise term, as Evaluator.MaxTerm.
 func (pl *Pool) MaxTerm(p Profile) float64 {
-	n := pl.Instance().N()
-	perSource := make([]float64, n)
-	pl.forEachSource(p, nil, func(ev *Evaluator, src int, d []float64) {
-		inst := ev.inst
-		maxT := 0.0
-		direct := inst.distRow(src)
-		for j := 0; j < n; j++ {
-			if j == src {
-				continue
-			}
-			if t := inst.model.Term(d[j], direct[j]); t > maxT {
-				maxT = t
-			}
-		}
-		perSource[src] = maxT
+	perSource := make([]float64, pl.Instance().N())
+	pl.settleRows(p, -1, Strategy{}, pl.Instance().peers, func(ev *Evaluator, src int32, d []float64) bool {
+		perSource[src] = ev.inst.rowMaxTerm(d, int(src))
+		return true
 	})
 	maxT := 0.0
 	for _, t := range perSource {
@@ -178,33 +126,23 @@ func (pl *Pool) MaxTerm(p Profile) float64 {
 // Connected reports whether every peer reaches every other along the
 // directed overlay, as Evaluator.Connected.
 func (pl *Pool) Connected(p Profile) bool {
-	n := pl.Instance().N()
 	var disconnected atomic.Bool
-	pl.forEachSource(p, disconnected.Load, func(_ *Evaluator, src int, d []float64) {
-		for j := 0; j < n; j++ {
-			if j != src && math.IsInf(d[j], 1) {
-				disconnected.Store(true)
-				return
-			}
+	pl.settleRows(p, -1, Strategy{}, pl.Instance().peers, func(_ *Evaluator, src int32, d []float64) bool {
+		if !reachesAll(d, int(src)) {
+			disconnected.Store(true)
+			return false
 		}
+		return true
 	})
 	return !disconnected.Load()
 }
 
 // TermMatrix returns the per-pair cost terms, as Evaluator.TermMatrix.
 func (pl *Pool) TermMatrix(p Profile) [][]float64 {
-	n := pl.Instance().N()
-	out := make([][]float64, n)
-	pl.forEachSource(p, nil, func(ev *Evaluator, src int, d []float64) {
-		inst := ev.inst
-		row := make([]float64, n)
-		direct := inst.distRow(src)
-		for j := 0; j < n; j++ {
-			if j != src {
-				row[j] = inst.model.Term(d[j], direct[j])
-			}
-		}
-		out[src] = row
+	out := make([][]float64, pl.Instance().N())
+	pl.settleRows(p, -1, Strategy{}, pl.Instance().peers, func(ev *Evaluator, src int32, d []float64) bool {
+		out[src] = ev.inst.termRow(d, int(src))
+		return true
 	})
 	return out
 }

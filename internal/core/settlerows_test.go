@@ -1,0 +1,208 @@
+package core
+
+// Contract tests for the row loop (Evaluator.settleRows), its pool
+// twin behind the rest-row fill, and the banded fold's resident-memory
+// bound. The row loop takes an explicit source list on every path, so a
+// "nil or empty means every peer" slip must fail here, not only in a
+// benchmark.
+
+import (
+	"runtime"
+	"testing"
+
+	"selfishnet/internal/metric"
+	"selfishnet/internal/rng"
+)
+
+// rowCases are the row-loop regimes: each kernel, directed and
+// undirected, at a size whose sources straddle the 64-source word.
+func rowCases() []diffCase {
+	var out []diffCase
+	for _, space := range []string{"points", "int", "unit"} {
+		for _, undirected := range []bool{false, true} {
+			name := space
+			if undirected {
+				name += "-undirected"
+			}
+			out = append(out, diffCase{name: name, n: 70, linkProb: 0.05, undirected: undirected, space: space})
+		}
+	}
+	return out
+}
+
+// scrambledSources returns an unordered, non-contiguous source list
+// with more than 64 entries on both sides of source 64: a permutation
+// of the peers with three of them left out.
+func scrambledSources(r *rng.RNG, n int) []int32 {
+	var srcs []int32
+	for _, s := range r.Perm(n) {
+		if s != 2 && s != 40 && s != 66 {
+			srcs = append(srcs, int32(s))
+		}
+	}
+	return srcs
+}
+
+// TestSettleRowsContract pins the row loop on every path: an empty list
+// visits nothing, a scrambled list is visited in list order, every row
+// equals the single-source slab reference with the override applied,
+// and a false from visit stops the loop at once.
+func TestSettleRowsContract(t *testing.T) {
+	r := rng.New(79)
+	for _, c := range rowCases() {
+		t.Run(c.name, func(t *testing.T) {
+			inst := buildDiffInstance(t, r, c)
+			if want := map[string]string{"points": "heap", "int": "dial", "unit": "bfs"}[c.space]; inst.Kernel() != want {
+				t.Fatalf("kernel %q, want %q", inst.Kernel(), want)
+			}
+			ev, ref := NewEvaluator(inst), NewEvaluator(inst)
+			p := randomDiffProfile(r, c.n, c.linkProb)
+			srcs := scrambledSources(r, c.n)
+			for _, ov := range []struct {
+				override int
+				alt      Strategy
+			}{
+				{override: -1},
+				{override: 64, alt: randomStrategy(r, c.n, 64, 0.2)},
+				{override: 5}, // empty strategy: peer 5 drops its links
+			} {
+				want := make(map[int32][]float64, len(srcs))
+				for _, src := range srcs {
+					want[src] = append([]float64(nil), ref.sssp(p, int(src), ov.override, ov.alt)...)
+				}
+				for _, band := range []int{0, 1, 63, 64, 65, c.n} {
+					for _, empty := range [][]int32{nil, {}} {
+						ev.settleRows(p, ov.override, ov.alt, empty, band, func(src int32, _ []float64) bool {
+							t.Fatalf("band %d: empty list visited source %d", band, src)
+							return true
+						})
+					}
+					seen := 0
+					ev.settleRows(p, ov.override, ov.alt, srcs, band, func(src int32, d []float64) bool {
+						if src != srcs[seen] {
+							t.Fatalf("override %d band %d: visit %d got source %d, want %d (list order)",
+								ov.override, band, seen, src, srcs[seen])
+						}
+						if j, ok := distsIdentical(d, want[src]); !ok {
+							t.Fatalf("override %d band %d source %d: d[%d]=%v, reference %v",
+								ov.override, band, src, j, d[j], want[src][j])
+						}
+						seen++
+						return true
+					})
+					if seen != len(srcs) {
+						t.Fatalf("override %d band %d: %d visits, want %d", ov.override, band, seen, len(srcs))
+					}
+					for _, k := range []int{1, 40, 65} {
+						visits := 0
+						ev.settleRows(p, ov.override, ov.alt, srcs, band, func(int32, []float64) bool {
+							visits++
+							return visits < k
+						})
+						if visits != k {
+							t.Fatalf("override %d band %d: stop after %d visits ran %d", ov.override, band, k, visits)
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestFillRestRowsWritesOnlyListedSlots pins the shared rest-row fill
+// behind both batch paths, sequentially and on a width-2 pool: listed
+// sources get their G−skip row, every other slot keeps its sentinel.
+func TestFillRestRowsWritesOnlyListedSlots(t *testing.T) {
+	const sentinel = -7.5
+	r := rng.New(83)
+	for _, c := range rowCases() {
+		if c.undirected {
+			continue // the batch paths exist only for directed instances
+		}
+		t.Run(c.name, func(t *testing.T) {
+			inst := buildDiffInstance(t, r, c)
+			p := randomDiffProfile(r, c.n, c.linkProb)
+			const skip = 3
+			ref := NewEvaluator(inst)
+			srcs := scrambledSources(r, c.n)[:20]
+			for _, workers := range []int{0, 2} {
+				ev := NewEvaluator(inst)
+				if workers > 0 {
+					ev.AttachPool(NewPool(inst, workers))
+				}
+				for _, list := range [][]int32{nil, srcs} {
+					dst := make([][]float64, c.n)
+					for k := range dst {
+						if k == skip {
+							continue
+						}
+						dst[k] = make([]float64, c.n)
+						for j := range dst[k] {
+							dst[k][j] = sentinel
+						}
+					}
+					ev.fillRestRows(p, skip, list, dst)
+					listed := map[int]bool{}
+					for _, k := range list {
+						listed[int(k)] = true
+					}
+					for k, row := range dst {
+						if k == skip {
+							if row != nil {
+								t.Fatalf("workers %d: skip slot written", workers)
+							}
+							continue
+						}
+						if !listed[k] {
+							for j, v := range row {
+								if v != sentinel {
+									t.Fatalf("workers %d: unlisted slot %d written at %d (%v)", workers, k, j, v)
+								}
+							}
+							continue
+						}
+						want := ref.sssp(p, k, skip, Strategy{})
+						if j, ok := distsIdentical(row, want); !ok {
+							t.Fatalf("workers %d row %d: d[%d]=%v, reference %v", workers, k, j, row[j], want[j])
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestSocialCostBandedWideBandMemory: the multi-source BFS fills at
+// most 64 rows per sweep, so a wider band keeps only 64 resident. The
+// first fold on a fresh evaluator for the n = 4096 star at band n
+// allocates a few MiB, not band·n floats (128 MiB), and still
+// reproduces the closed form.
+func TestSocialCostBandedWideBandMemory(t *testing.T) {
+	const n = 4096
+	space, err := metric.UniformImplicit(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := NewInstance(space, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := StarProfile(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev := NewEvaluator(inst)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got, err := ev.SocialCostBanded(p, n)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 8<<20 {
+		t.Errorf("SocialCostBanded(p, %d) allocated %.2f MiB, want < 8 MiB", n, float64(alloc)/(1<<20))
+	}
+	if want := StarSocialCost(n, 2); got != want {
+		t.Errorf("SocialCostBanded(p, %d) = %+v, closed form %+v", n, got, want)
+	}
+}

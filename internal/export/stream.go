@@ -7,9 +7,9 @@ import (
 
 // JSONStream writes a JSON array of table documents incrementally: each
 // Write encodes one table and flushes it to the underlying writer, so a
-// long-running producer (the topogamed catalog and job listings, a
-// sweep emitting tables as grid points finish) streams valid output
-// without buffering the whole result set.
+// long-running producer (topogamed's /v1/runall, which writes each
+// catalog table as its run finishes) streams valid output without
+// buffering the whole result set.
 //
 // The byte stream is identical to WriteJSONTables over the same tables
 // (indented array, one document per table), so consumers cannot tell a

@@ -3,14 +3,14 @@
 // and size, game options (α, cost model, directedness, congestion γ),
 // starting profile, best-response dynamics configuration and the
 // measures to record — and a Sweep is a grid of Specs over axes
-// (α, n, seed, γ) executed concurrently with deterministic,
-// order-stable tables.
+// (α, n, seed, γ, churn rate, repair strategy, estimator samples)
+// executed concurrently with deterministic, order-stable tables.
 //
 // The package also hosts the experiment catalog: the 13 paper runners
-// register here as named Specs (Spec.Experiment routes to native Go
-// runners), so `Run`/`RunAll` drive both the paper reproduction tables
-// and user-authored workloads through one engine. Package experiments
-// is a thin delegation layer kept for compatibility.
+// of package experiments register here as named Specs when it is
+// imported (Spec.Experiment routes to those native Go runners), so
+// `Run`/`RunAll` drive both the paper reproduction tables and
+// user-authored workloads through one engine.
 package scenario
 
 // DefaultSeed is the seed used whenever a caller leaves the seed at its
