@@ -350,7 +350,14 @@ func runChurn(args []string) error {
 // the banded multi-source kernel for the social cost, the streamed
 // single-source evaluator for per-peer costs and the witness deviation
 // — and compared with == (no tolerances). No dense distance matrix or
-// n² slab is ever materialized, so n = 65536 fits in well under 2 GiB.
+// n² slab is ever materialized. The banded fold runs on min(GOMAXPROCS,
+// claims) workers, each holding at most min(band, 64) rows that live
+// only for the call, and on fewer when their rows together would pass
+// 512 MiB. At n = 65536 a worker holds about 41 MiB (32 MiB of rows
+// plus its adjacency and scratch), so at most 16 workers fold and the
+// run fits in well under 2 GiB on any core count. The sampled
+// estimator runs on the caller's goroutine. The output bytes do not
+// depend on the width, so GOMAXPROCS=1 is the single-core run.
 func runCertify(args []string) error {
 	fs := flag.NewFlagSet("certify", flag.ContinueOnError)
 	var out outputFlags
@@ -358,7 +365,7 @@ func runCertify(args []string) error {
 	topology := fs.String("topology", "star", "topology to certify: star or chain")
 	n := fs.Int("n", 65536, "peer count")
 	alpha := fs.Float64("alpha", 2, "link price α")
-	band := fs.Int("band", 64, "band width of the banded social-cost check; at most 64 source rows are resident, so wider bands fold identically")
+	band := fs.Int("band", 64, "band width of the banded social-cost check; the fold runs on up to GOMAXPROCS workers whose rows stay within 512 MiB, each holding at most min(band, 64) rows for the call only, so wider bands fold identically")
 	samples := fs.Int("samples", 0, "cross-check with the sampled estimator over this many sources; -seed seeds it (0 = skip)")
 	if err := out.parse(fs, args); err != nil {
 		return err
@@ -536,8 +543,10 @@ commands:
   certify [flags]          certify star/chain Nash stability from the
                            paper's closed forms and verify them ==
                            through the banded kernels, no dense matrix
-                           (-topology -n -alpha -band -samples); at
-                           most 64 rows of any -band are resident
+                           (-topology -n -alpha -band -samples); the
+                           fold runs on every core within 512 MiB of
+                           rows, each worker holding at most 64 rows of
+                           any -band for the call
   help                     show this help
 
 flags (run/spec/sweep/churn; certify takes all but -quick and -par):

@@ -80,22 +80,20 @@ func StarProfile(n int) (Profile, error) {
 }
 
 // ChainProfile returns the chain (line) on n peers: peer i links its
-// neighbors i−1 and i+1.
+// neighbors i−1 and i+1. Each strategy is built in place, higher
+// neighbor first, so its set grows once to the words it keeps.
 func ChainProfile(n int) (Profile, error) {
 	if n < 2 {
 		return Profile{}, fmt.Errorf("core: chain needs n ≥ 2, got %d", n)
 	}
 	p := NewProfile(n)
 	for i := 0; i < n; i++ {
-		s := bitset.New(min(i+2, n))
-		if i > 0 {
-			s.Add(i - 1)
-		}
+		s := &p.strategies[i]
 		if i < n-1 {
 			s.Add(i + 1)
 		}
-		if err := p.SetStrategy(i, s); err != nil {
-			return Profile{}, err
+		if i > 0 {
+			s.Add(i - 1)
 		}
 	}
 	return p, nil

@@ -9,6 +9,7 @@ package core
 // certification never silently degrades into a heuristic.
 
 import (
+	"runtime"
 	"testing"
 
 	"selfishnet/internal/metric"
@@ -128,6 +129,46 @@ func TestChainWitnessAchievesClosedForm(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestChainProfileBuiltInPlace pins ChainProfile against the chain
+// built link by link, strategies and hash, across word boundaries, and
+// bounds what the n = 8192 chain allocates: it keeps about 4.2 MiB of
+// strategy words and must not allocate them twice.
+func TestChainProfileBuiltInPlace(t *testing.T) {
+	for _, n := range []int{2, 3, 64, 65, 129, 8192} {
+		links := map[int][]int{}
+		for i := 0; i < n; i++ {
+			if i > 0 {
+				links[i] = append(links[i], i-1)
+			}
+			if i < n-1 {
+				links[i] = append(links[i], i+1)
+			}
+		}
+		want, err := ProfileFromLinks(n, links)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := ChainProfile(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(want) || got.Hash() != want.Hash() {
+			t.Fatalf("n=%d: ChainProfile differs from the link-by-link chain", n)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	p, err := ChainProfile(8192)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 6<<20 {
+		t.Errorf("ChainProfile(8192) allocated %.2f MiB, want < 6 MiB", float64(alloc)/(1<<20))
+	}
+	runtime.KeepAlive(p)
 }
 
 // mustUniformInstance builds a directed implicit-uniform instance at

@@ -98,8 +98,8 @@ func (ev *Evaluator) fillRestRows(p Profile, skip int, srcs []int32, dst [][]flo
 	// Each branch has its own visit literal: the pool's escapes to its
 	// workers, and sharing it would put the sequential fill on the heap.
 	if pl := ev.fanPool(len(srcs)); pl != nil {
-		pl.settleRows(p, skip, Strategy{}, srcs, func(_ *Evaluator, k int32, d []float64) bool {
-			copy(dst[k], d)
+		pl.settleRows(p, skip, Strategy{}, srcs, 0, func(_ *Evaluator, i int, d []float64) bool {
+			copy(dst[srcs[i]], d)
 			return true
 		})
 		return

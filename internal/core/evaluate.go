@@ -264,6 +264,13 @@ func (c Cost) Total() float64 { return c.Link + c.Term }
 // create one per goroutine with NewEvaluator, or derive per-goroutine
 // copies from an existing evaluator with Clone (the bound Instance is
 // immutable after construction, so clones share it safely).
+//
+// SocialCostBanded uses every core on its own: it fans its rows out
+// across min(GOMAXPROCS, claims) workers, fewer when their rows would
+// pass streamRowBudget (see SocialCostBanded), each holding at most
+// min(band, 64) rows that live only for the call. At width 1 the
+// evaluator runs the streamed loop itself and keeps its rows, so
+// steady-state calls allocate nothing.
 type Evaluator struct {
 	inst *Instance
 	// SSSP distance scratch (one entry per peer).
@@ -359,6 +366,12 @@ func (ev *Evaluator) Clone() *Evaluator { return NewEvaluator(ev.inst) }
 // pool is always consulted; callers that attach one for a sequence of
 // operations (e.g. a replica loop) own its lifetime, and dynamics.Run
 // leaves a caller-attached pool in place instead of layering its own.
+//
+// Those two are its whole scope. The streamed fold (SocialCostBanded)
+// never uses an attached pool: it fans out across min(GOMAXPROCS,
+// claims) workers, capped by streamRowBudget, of a pool built for the
+// call, each holding at most min(band, 64) rows that live only for the
+// call.
 func (ev *Evaluator) AttachPool(pl *Pool) { ev.pool = pl }
 
 // Pool returns the attached worker pool, or nil.
@@ -646,11 +659,15 @@ func (ev *Evaluator) sssp(p Profile, src, override int, alt Strategy) []float64 
 //     Dial, the heap or the small-frontier loop).
 //   - band ≥ 1 is the streamed path. On kernelBFS instances it runs
 //     msbfsChunk over the CSR in chunks of min(band, 64) sources and
-//     never builds the bitset adjacency slab, so at most 64 rows are
-//     resident. Other kernels run ssspFrom per source.
+//     never builds the bitset adjacency slab, so at most min(band, 64)
+//     rows are resident. Other kernels run ssspFrom per source.
+//
+// This loop runs on the caller's goroutine. The streamed fold that fans
+// out (socialCost at band ≥ 1) calls it at width 1 and Pool.settleRows
+// on a pool built for the call otherwise.
 func (ev *Evaluator) settleRows(p Profile, override int, alt Strategy, srcs []int32, band int, visit func(src int32, d []float64) bool) {
 	ev.prepareWith(p, override, alt, band == 0)
-	if band == 0 || ev.inst.kernel != kernelBFS {
+	if !ev.inst.msbfsBand(band) {
 		for _, src := range srcs {
 			if !visit(src, ev.ssspFrom(int(src))) {
 				return
@@ -658,16 +675,33 @@ func (ev *Evaluator) settleRows(p Profile, override int, alt Strategy, srcs []in
 		}
 		return
 	}
-	rows := ev.ms.rows(min(band, 64, len(srcs)), ev.inst.N())
-	for lo := 0; lo < len(srcs); lo += len(rows) {
-		chunk := srcs[lo:min(lo+len(rows), len(srcs))]
-		msbfsChunk(rows, chunk, ev.inst.hopDist, &ev.fwd, &ev.rev, ev.inst.undirected, &ev.ms)
-		for s, src := range chunk {
-			if !visit(src, rows[s]) {
-				return
-			}
+	chunk := ev.inst.claimSize(band)
+	for lo := 0; lo < len(srcs); lo += chunk {
+		part := srcs[lo:min(lo+chunk, len(srcs))]
+		if !ev.settleChunk(part, func(k int, d []float64) bool { return visit(part[k], d) }) {
+			return
 		}
 	}
+}
+
+// msbfsBand reports whether the row loops take the multi-source BFS
+// path at band: band ≥ 1 on a kernelBFS instance.
+func (in *Instance) msbfsBand(band int) bool { return band >= 1 && in.kernel == kernelBFS }
+
+// settleChunk is the chunk body of the multi-source BFS path, shared by
+// both row loops: it fills one row per source of part (at most 64) by
+// msbfsChunk over ev's prepared CSR, in ev's reused row storage, and
+// hands visit each source's position in part and its row, in order. It
+// reports false as soon as visit does.
+func (ev *Evaluator) settleChunk(part []int32, visit func(k int, d []float64) bool) bool {
+	rows := ev.ms.rows(len(part), ev.inst.N())
+	msbfsChunk(rows, part, ev.inst.hopDist, &ev.fwd, &ev.rev, ev.inst.undirected, &ev.ms)
+	for k := range part {
+		if !visit(k, rows[k]) {
+			return false
+		}
+	}
+	return true
 }
 
 // ssspDense is the retained dense O(n²) reference implementation of the
@@ -871,8 +905,13 @@ func (ev *Evaluator) SocialCost(p Profile) Cost { return ev.socialCost(p, 0) }
 
 // socialCost folds every peer's cost in source order through settleRows
 // at the given band; the fold is the same sequence of additions at
-// every band, so the bits are too.
+// every band and every width, so the bits are too. At band ≥ 1 the
+// rows fan out across a pool of streamWidth workers, built for the
+// call, when that is more than one.
 func (ev *Evaluator) socialCost(p Profile, band int) Cost {
+	if w := ev.inst.streamWidth(band); w > 1 {
+		return NewPool(ev.inst, w).socialCost(p, band)
+	}
 	total := Cost{}
 	ev.settleRows(p, -1, Strategy{}, ev.inst.peers, band, func(src int32, d []float64) bool {
 		c := ev.peerEvalFrom(d, int(src), p.OutDegree(int(src))).Cost

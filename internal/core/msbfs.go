@@ -7,12 +7,18 @@ import (
 )
 
 // This file holds the streamed path of the row loop (settleRows in
-// evaluate.go) and the multi-source bitset BFS kernel behind it. A
-// materialized all-pairs matrix is the O(n²) wall at internet scale —
-// n=65536 is a 34 GB matrix. The streamed path keeps at most 64 source
-// rows resident and hands them to the caller in list order, so social
-// cost, the sampled estimators and the streamed per-peer evaluators run
-// in O(n) memory at any n.
+// evaluate.go, and its fan-out twin in parallel.go) and the
+// multi-source bitset BFS kernel behind it. A materialized all-pairs
+// matrix is the O(n²) wall at internet scale — n=65536 is a 34 GB
+// matrix. The streamed path keeps at most min(band, 64) source rows
+// resident per worker, so social cost, the sampled estimators and the
+// streamed per-peer evaluators run in O(n) memory per worker at any n.
+// The social cost fold fans out across min(GOMAXPROCS, claims) workers,
+// a claim being a chunk of min(band, 64) sources on uniform metrics and
+// one source otherwise, and fewer when their rows together would pass
+// streamRowBudget (512 MiB); at width 1 the caller's evaluator runs the
+// loop itself. A fan-out's pool and rows live only for the call, and
+// its per-source results are folded in list order.
 //
 // On uniform metrics (kernelBFS) the rows are fed by msbfsChunk, a
 // word-parallel BFS over *sources*: where bfsUnitSSSP packs 64
@@ -25,8 +31,10 @@ import (
 // is bit-identical to bfsUnitSSSP — and hence to heap Dijkstra.
 //
 // Determinism conventions (shared with the rest of the core):
-//   - rows are handed over in list order, so the folds over 0..n-1 run
-//     the same left-fold as the slab path, at every band width;
+//   - rows are handed over in list order, or (on the fan-out) land in
+//     per-source slots folded in list order, so the folds over 0..n-1
+//     run the same left-fold as the slab path, at every band width and
+//     every worker count;
 //   - per-row values replay hopDist[h] (kernelBFS) or the kernel's own
 //     fixpoint (other kernels), never a re-derived expression;
 //   - therefore SocialCostBanded == SocialCost bit for bit, for any
@@ -157,9 +165,17 @@ func msbfsChunk(rows [][]float64, srcs []int32, hopDist []float64, fwd, rev *csr
 // rows carry the same kernel-computed values and the fold runs in the
 // same source order, so the float64 left-fold is the same sequence of
 // additions. This is the social-cost entry point past the O(n²) wall.
-// At most min(band, 64) rows are resident, because the multi-source
-// BFS fills 64 rows per sweep and a wider band would only cost memory:
-// at n = 65536 the fold touches ~34 MB where the slab needs 34 GB.
+// The fold runs on min(GOMAXPROCS, claims) workers, where a claim is a
+// chunk of min(band, 64) sources on uniform metrics and one source
+// otherwise, and on fewer when their rows together would pass
+// streamRowBudget (512 MiB: 16 workers at n = 65536); each worker's
+// per-peer costs land in slots that are summed in peer order, so the
+// bits do not depend on the width. Each worker holds at most
+// min(band, 64) rows, because the multi-source BFS fills 64 rows per
+// sweep and a wider band would only cost memory: at n = 65536 a worker
+// touches ~34 MB where the slab needs 34 GB. At width 2 or more the
+// workers' rows live only for the call; at width 1 the evaluator keeps
+// its own rows for the next call.
 func (ev *Evaluator) SocialCostBanded(p Profile, band int) (Cost, error) {
 	if band < 1 {
 		return Cost{}, fmt.Errorf("core: band width %d, want ≥ 1", band)

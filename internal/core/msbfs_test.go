@@ -27,7 +27,8 @@ func bandWidths(n int) []int {
 // TestSocialCostBandedMatchesSlabBitForBit folds the banded social cost
 // at every band width against the slab-path SocialCost, across every
 // diff regime (all three kernels, directed/undirected, γ > 0,
-// disconnection). Exact struct equality: same Link, same Term bits.
+// disconnection), at every fan-out width. Exact struct equality: same
+// Link, same Term bits.
 func TestSocialCostBandedMatchesSlabBitForBit(t *testing.T) {
 	r := rng.New(53)
 	for _, c := range diffCases() {
@@ -36,14 +37,18 @@ func TestSocialCostBandedMatchesSlabBitForBit(t *testing.T) {
 			ev := NewEvaluator(inst)
 			p := randomDiffProfile(r, c.n, c.linkProb)
 			want := ev.SocialCost(p)
-			for _, band := range bandWidths(c.n) {
-				got, err := ev.SocialCostBanded(p, band)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got != want {
-					t.Fatalf("band %d: %+v, slab %+v", band, got, want)
-				}
+			for _, w := range fanOutWidths {
+				atWidth(w, func() {
+					for _, band := range bandWidths(c.n) {
+						got, err := ev.SocialCostBanded(p, band)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if got != want {
+							t.Fatalf("width %d band %d: %+v, slab %+v", w, band, got, want)
+						}
+					}
+				})
 			}
 		})
 	}
@@ -227,6 +232,9 @@ func TestImplicitUniformMatchesDenseBitForBit(t *testing.T) {
 
 // TestZeroAllocBandedHotPath pins the arena contract for the banded
 // fold: once warmed, SocialCostBanded allocates nothing.
+// testing.AllocsPerRun pins GOMAXPROCS to 1, so this sees only the
+// sequential path, where the caller's evaluator keeps its rows; the
+// fan-out at width ≥ 2 builds its pool and rows for each call.
 func TestZeroAllocBandedHotPath(t *testing.T) {
 	r := rng.New(73)
 	inst := buildDiffInstance(t, r, diffCase{n: 70, linkProb: 0.1, space: "unit"})

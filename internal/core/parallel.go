@@ -13,6 +13,13 @@ import (
 // land in slices indexed by source and are reduced in index order, so
 // every result is bit-identical to the sequential Evaluator methods.
 //
+// The same claim loop carries the streamed path: SocialCostBanded
+// builds a pool for each call of streamWidth workers — min(GOMAXPROCS,
+// claims), capped by streamRowBudget — whose workers claim chunks of
+// min(band, 64) sources on uniform metrics (one source otherwise), so
+// each holds at most min(band, 64) rows, and the rows live only for the
+// call.
+//
 // A Pool is safe for use from one goroutine at a time (like an
 // Evaluator); the concurrency is internal. The profile must not be
 // mutated while a Pool method runs.
@@ -43,34 +50,51 @@ func (pl *Pool) Workers() int { return len(pl.evs) }
 func (pl *Pool) Instance() *Instance { return pl.evs[0].inst }
 
 // settleRows is the pool's one claim-counter loop, the fan-out twin of
-// Evaluator.settleRows on the slab path. Each worker prepares its own
-// adjacency for p (peer override playing alt) on its first claim, then
-// claims sources of srcs from a shared counter and hands visit its
-// evaluator and the source's row, which visit must not retain. Workers
-// run visit concurrently, so it may write only per-source slots; once
-// it returns false, no worker claims another source. With one worker
-// or at most one source the loop runs on the caller's goroutine.
-func (pl *Pool) settleRows(p Profile, override int, alt Strategy, srcs []int32, visit func(ev *Evaluator, src int32, d []float64) bool) {
+// Evaluator.settleRows: band picks the path exactly as there. Each
+// worker prepares its own adjacency for p (peer override playing alt)
+// on its first claim, then claims work from a shared counter and hands
+// visit its evaluator, the list index i of source srcs[i] and that
+// source's row, which visit must not retain.
+//   - On the slab path (band 0), and on heap and Dial instances at any
+//     band, a claim is one source, settled by ssspFrom.
+//   - On the streamed path of a kernelBFS instance (band ≥ 1), the
+//     worker prepares the CSR only and a claim is a chunk of
+//     min(band, 64) sources, filled by settleChunk on the worker's own
+//     scratch, so each worker holds at most min(band, 64) rows.
+//
+// Workers run visit concurrently, so it may write only per-source
+// slots; once it returns false, no worker claims again. With one worker
+// or at most one claim the loop runs on the caller's goroutine.
+func (pl *Pool) settleRows(p Profile, override int, alt Strategy, srcs []int32, band int, visit func(ev *Evaluator, i int, d []float64) bool) {
+	streamed := pl.Instance().msbfsBand(band)
+	chunk := pl.Instance().claimSize(band)
 	var next atomic.Int64
 	var stop atomic.Bool
 	claim := func(ev *Evaluator) {
 		prepared := false
 		for !stop.Load() {
-			idx := int(next.Add(1)) - 1
-			if idx >= len(srcs) {
+			lo := int(next.Add(int64(chunk))) - chunk
+			if lo >= len(srcs) {
 				return
 			}
 			if !prepared {
-				ev.prepare(p, override, alt)
+				ev.prepareWith(p, override, alt, band == 0)
 				prepared = true
 			}
-			src := srcs[idx]
-			if !visit(ev, src, ev.ssspFrom(int(src))) {
+			var ok bool
+			if streamed {
+				ok = ev.settleChunk(srcs[lo:min(lo+chunk, len(srcs))], func(k int, d []float64) bool {
+					return visit(ev, lo+k, d)
+				})
+			} else {
+				ok = visit(ev, lo, ev.ssspFrom(int(srcs[lo])))
+			}
+			if !ok {
 				stop.Store(true)
 			}
 		}
 	}
-	if len(pl.evs) == 1 || len(srcs) <= 1 {
+	if len(pl.evs) == 1 || len(srcs) <= chunk {
 		claim(pl.evs[0])
 		return
 	}
@@ -85,11 +109,40 @@ func (pl *Pool) settleRows(p Profile, override int, alt Strategy, srcs []int32, 
 	wg.Wait()
 }
 
+// claimSize is the number of sources Pool.settleRows hands a worker
+// per claim at band: a chunk of min(band, 64) on the multi-source BFS
+// path, one source otherwise.
+func (in *Instance) claimSize(band int) int {
+	if in.msbfsBand(band) {
+		return min(band, 64)
+	}
+	return 1
+}
+
+// streamRowBudget bounds the bytes of rows that the workers of one
+// streamed fold hold together: each holds claimSize(band)·n float64s,
+// so a wide machine at large n folds on fewer workers than it has cores
+// (16 at n = 65536 and band 64), and never on fewer than one.
+const streamRowBudget = 512 << 20
+
+// streamWidth returns the width of the streamed social-cost fold at
+// band ≥ 1: min(GOMAXPROCS, claims), where claims counts the claims of
+// claimSize(band) sources that cover the peers, capped so the workers'
+// rows fit streamRowBudget. The slab path (band 0) is not fanned out
+// here, so its width is 1.
+func (in *Instance) streamWidth(band int) int {
+	if band < 1 {
+		return 1
+	}
+	c, n := in.claimSize(band), in.N()
+	return max(1, min(runtime.GOMAXPROCS(0), (n+c-1)/c, streamRowBudget/(8*c*n)))
+}
+
 // PeerEvals returns every peer's enriched cost under p, in peer order.
 func (pl *Pool) PeerEvals(p Profile) []Eval {
 	out := make([]Eval, pl.Instance().N())
-	pl.settleRows(p, -1, Strategy{}, pl.Instance().peers, func(ev *Evaluator, src int32, d []float64) bool {
-		out[src] = ev.peerEvalFrom(d, int(src), p.OutDegree(int(src)))
+	pl.settleRows(p, -1, Strategy{}, pl.Instance().peers, 0, func(ev *Evaluator, i int, d []float64) bool {
+		out[i] = ev.peerEvalFrom(d, i, p.OutDegree(i))
 		return true
 	})
 	return out
@@ -98,11 +151,22 @@ func (pl *Pool) PeerEvals(p Profile) []Eval {
 // SocialCost returns the decomposed social cost C(G) = α|E| + Σ terms,
 // bit-identical to Evaluator.SocialCost (per-source costs are summed in
 // source order).
-func (pl *Pool) SocialCost(p Profile) Cost {
+func (pl *Pool) SocialCost(p Profile) Cost { return pl.socialCost(p, 0) }
+
+// socialCost folds every peer's cost at band, as Evaluator.socialCost:
+// the workers write one Cost slot per peer and the slots are summed in
+// peer order, so the fold is the same sequence of additions at every
+// band and every width.
+func (pl *Pool) socialCost(p Profile, band int) Cost {
+	costs := make([]Cost, pl.Instance().N())
+	pl.settleRows(p, -1, Strategy{}, pl.Instance().peers, band, func(ev *Evaluator, i int, d []float64) bool {
+		costs[i] = ev.peerEvalFrom(d, i, p.OutDegree(i)).Cost
+		return true
+	})
 	total := Cost{}
-	for _, e := range pl.PeerEvals(p) {
-		total.Link += e.Cost.Link
-		total.Term += e.Cost.Term
+	for _, c := range costs {
+		total.Link += c.Link
+		total.Term += c.Term
 	}
 	return total
 }
@@ -110,8 +174,8 @@ func (pl *Pool) SocialCost(p Profile) Cost {
 // MaxTerm returns the largest pairwise term, as Evaluator.MaxTerm.
 func (pl *Pool) MaxTerm(p Profile) float64 {
 	perSource := make([]float64, pl.Instance().N())
-	pl.settleRows(p, -1, Strategy{}, pl.Instance().peers, func(ev *Evaluator, src int32, d []float64) bool {
-		perSource[src] = ev.inst.rowMaxTerm(d, int(src))
+	pl.settleRows(p, -1, Strategy{}, pl.Instance().peers, 0, func(ev *Evaluator, i int, d []float64) bool {
+		perSource[i] = ev.inst.rowMaxTerm(d, i)
 		return true
 	})
 	maxT := 0.0
@@ -127,8 +191,8 @@ func (pl *Pool) MaxTerm(p Profile) float64 {
 // directed overlay, as Evaluator.Connected.
 func (pl *Pool) Connected(p Profile) bool {
 	var disconnected atomic.Bool
-	pl.settleRows(p, -1, Strategy{}, pl.Instance().peers, func(_ *Evaluator, src int32, d []float64) bool {
-		if !reachesAll(d, int(src)) {
+	pl.settleRows(p, -1, Strategy{}, pl.Instance().peers, 0, func(_ *Evaluator, i int, d []float64) bool {
+		if !reachesAll(d, i) {
 			disconnected.Store(true)
 			return false
 		}
@@ -140,8 +204,8 @@ func (pl *Pool) Connected(p Profile) bool {
 // TermMatrix returns the per-pair cost terms, as Evaluator.TermMatrix.
 func (pl *Pool) TermMatrix(p Profile) [][]float64 {
 	out := make([][]float64, pl.Instance().N())
-	pl.settleRows(p, -1, Strategy{}, pl.Instance().peers, func(ev *Evaluator, src int32, d []float64) bool {
-		out[src] = ev.inst.termRow(d, int(src))
+	pl.settleRows(p, -1, Strategy{}, pl.Instance().peers, 0, func(ev *Evaluator, i int, d []float64) bool {
+		out[i] = ev.inst.termRow(d, i)
 		return true
 	})
 	return out

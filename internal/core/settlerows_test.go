@@ -1,13 +1,14 @@
 package core
 
 // Contract tests for the row loop (Evaluator.settleRows), its pool
-// twin behind the rest-row fill, and the banded fold's resident-memory
-// bound. The row loop takes an explicit source list on every path, so a
-// "nil or empty means every peer" slip must fail here, not only in a
-// benchmark.
+// twin (Pool.settleRows, on both paths and at widths 1–3, and behind
+// the rest-row fill), and the banded fold's resident-memory bound. The
+// row loop takes an explicit source list on every path, so a "nil or
+// empty means every peer" slip must fail here, not only in a benchmark.
 
 import (
 	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"selfishnet/internal/metric"
@@ -46,7 +47,9 @@ func scrambledSources(r *rng.RNG, n int) []int32 {
 // TestSettleRowsContract pins the row loop on every path: an empty list
 // visits nothing, a scrambled list is visited in list order, every row
 // equals the single-source slab reference with the override applied,
-// and a false from visit stops the loop at once.
+// and a false from visit stops the loop at once. The pool twin is held
+// to the same contract at every band on pools of 1–3 workers, where
+// list order gives way to one visit per listed source.
 func TestSettleRowsContract(t *testing.T) {
 	r := rng.New(79)
 	for _, c := range rowCases() {
@@ -103,9 +106,54 @@ func TestSettleRowsContract(t *testing.T) {
 							t.Fatalf("override %d band %d: stop after %d visits ran %d", ov.override, band, k, visits)
 						}
 					}
+					for workers := 1; workers <= 3; workers++ {
+						checkPoolRows(t, NewPool(inst, workers), p, ov.override, ov.alt, srcs, band, want)
+					}
 				}
 			}
 		})
+	}
+}
+
+// checkPoolRows pins Pool.settleRows at one band: an empty list visits
+// nothing, every listed source is visited exactly once with its
+// reference row, and a false from visit stops the claims. Every visit
+// after the k-th returns false too and stops its own worker, so a stop
+// requested at visit k ends within k + workers − 1 visits.
+func checkPoolRows(t *testing.T, pl *Pool, p Profile, override int, alt Strategy, srcs []int32, band int, want map[int32][]float64) {
+	t.Helper()
+	w := pl.Workers()
+	for _, empty := range [][]int32{nil, {}} {
+		var visits atomic.Int32
+		pl.settleRows(p, override, alt, empty, band, func(*Evaluator, int, []float64) bool {
+			visits.Add(1)
+			return true
+		})
+		if v := visits.Load(); v != 0 {
+			t.Fatalf("pool width %d band %d: empty list made %d visits", w, band, v)
+		}
+	}
+	counts := make([]atomic.Int32, len(srcs))
+	same := make([]bool, len(srcs))
+	pl.settleRows(p, override, alt, srcs, band, func(_ *Evaluator, i int, d []float64) bool {
+		counts[i].Add(1)
+		_, same[i] = distsIdentical(d, want[srcs[i]])
+		return true
+	})
+	for i, src := range srcs {
+		if c := counts[i].Load(); c != 1 || !same[i] {
+			t.Fatalf("override %d pool width %d band %d: source %d visited %d times, reference row %v",
+				override, w, band, src, c, same[i])
+		}
+	}
+	for _, k := range []int32{1, 40, 65} {
+		var visits atomic.Int32
+		pl.settleRows(p, override, alt, srcs, band, func(*Evaluator, int, []float64) bool {
+			return visits.Add(1) < k
+		})
+		if v := visits.Load(); v < k || v > k+int32(w)-1 {
+			t.Fatalf("override %d pool width %d band %d: stop after %d visits ran %d", override, w, band, k, v)
+		}
 	}
 }
 
@@ -173,10 +221,14 @@ func TestFillRestRowsWritesOnlyListedSlots(t *testing.T) {
 }
 
 // TestSocialCostBandedWideBandMemory: the multi-source BFS fills at
-// most 64 rows per sweep, so a wider band keeps only 64 resident. The
-// first fold on a fresh evaluator for the n = 4096 star at band n
-// allocates a few MiB, not band·n floats (128 MiB), and still
-// reproduces the closed form.
+// most 64 rows per sweep, so a wider band keeps only 64 resident per
+// worker. The first fold on a fresh evaluator for the n = 4096 star at
+// band n allocates a few MiB, not band·n floats (128 MiB), and still
+// reproduces the closed form. The fold fans out across min(GOMAXPROCS,
+// claims) workers with about 2.3 MiB each, so the 8 MiB bound is
+// checked at GOMAXPROCS 1 and 2, set here; at the machine's own width
+// the band-n fold must allocate no more than the band-64 fold, up to
+// 64 KiB, which holds at any core count.
 func TestSocialCostBandedWideBandMemory(t *testing.T) {
 	const n = 4096
 	space, err := metric.UniformImplicit(n)
@@ -191,18 +243,33 @@ func TestSocialCostBandedWideBandMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev := NewEvaluator(inst)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	got, err := ev.SocialCostBanded(p, n)
-	runtime.ReadMemStats(&after)
-	if err != nil {
-		t.Fatal(err)
+	// firstFold returns the bytes the first fold at band allocates on a
+	// fresh evaluator.
+	firstFold := func(band int) uint64 {
+		ev := NewEvaluator(inst)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got, err := ev.SocialCostBanded(p, band)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := StarSocialCost(n, 2); got != want {
+			t.Errorf("SocialCostBanded(p, %d) = %+v, closed form %+v", band, got, want)
+		}
+		return after.TotalAlloc - before.TotalAlloc
 	}
-	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 8<<20 {
-		t.Errorf("SocialCostBanded(p, %d) allocated %.2f MiB, want < 8 MiB", n, float64(alloc)/(1<<20))
+	for _, w := range []int{1, 2} {
+		atWidth(w, func() {
+			alloc := firstFold(n)
+			t.Logf("GOMAXPROCS %d: first band-%d fold allocated %.2f MiB", w, n, float64(alloc)/(1<<20))
+			if alloc >= 8<<20 {
+				t.Errorf("GOMAXPROCS %d: SocialCostBanded(p, %d) allocated %.2f MiB, want < 8 MiB", w, n, float64(alloc)/(1<<20))
+			}
+		})
 	}
-	if want := StarSocialCost(n, 2); got != want {
-		t.Errorf("SocialCostBanded(p, %d) = %+v, closed form %+v", n, got, want)
+	if wide, narrow := firstFold(n), firstFold(64); wide > narrow+64<<10 {
+		t.Errorf("GOMAXPROCS %d: band %d allocated %d B, band 64 %d B; want at most 64 KiB more",
+			runtime.GOMAXPROCS(0), n, wide, narrow)
 	}
 }
