@@ -92,65 +92,27 @@ func BenchmarkSocialCost64(b *testing.B) {
 // instance, the metric class the word-parallel BFS kernel serves. The
 // space is the implicit O(1) UnitSpace — no dense matrix — so these
 // benchmarks scale past the n² memory wall; evaluations are
-// bit-identical to the dense metric.Uniform path. Extra options (e.g.
-// core.WithKernel("heap")) pin ablation variants.
-func uniformSetup(b *testing.B, n int, alpha float64, opts ...core.Option) (*core.Evaluator, core.Profile) {
+// bit-identical to the dense metric.Uniform path.
+func uniformSetup(b *testing.B, n int, alpha float64) (*core.Evaluator, core.Profile) {
 	b.Helper()
 	space, err := metric.UniformImplicit(n)
 	if err != nil {
 		b.Fatal(err)
 	}
-	inst, err := core.NewInstance(space, alpha, opts...)
+	inst, err := core.NewInstance(space, alpha)
 	if err != nil {
 		b.Fatal(err)
 	}
 	return core.NewEvaluator(inst), dynamics.RandomProfile(rng.New(42), n, 0.2)
 }
 
-// smallIntSetup builds a random integer metric with distances in
-// [lo, 2·lo] (the triangle inequality holds for free), the class the
-// Dial bucket-queue kernel serves.
-func smallIntSetup(b *testing.B, n, lo int, alpha float64, opts ...core.Option) (*core.Evaluator, core.Profile) {
-	b.Helper()
-	r := rng.New(42)
-	d := make([][]float64, n)
-	for i := range d {
-		d[i] = make([]float64, n)
-	}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			w := float64(lo + r.Intn(lo+1))
-			d[i][j], d[j][i] = w, w
-		}
-	}
-	space, err := metric.NewMatrixUnchecked(d)
-	if err != nil {
-		b.Fatal(err)
-	}
-	inst, err := core.NewInstance(space, alpha, opts...)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return core.NewEvaluator(inst), dynamics.RandomProfile(r, n, 0.2)
-}
-
 // BenchmarkSocialCost64Uniform is the PR-4 acceptance benchmark: the
 // same all-pairs social-cost workload as BenchmarkSocialCost64, on the
 // uniform metric the bitset BFS kernel dispatches on. Compare against
-// the heap ablation below and the PR-3 BenchmarkSocialCost64 snapshot
-// in BENCH_baseline.json.
+// its heap ablation, BenchmarkSocialCost64UniformHeap in internal/core,
+// and the BenchmarkSocialCost64 snapshots in BENCH_baseline.json.
 func BenchmarkSocialCost64Uniform(b *testing.B) {
 	ev, p := uniformSetup(b, 64, 4)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = ev.SocialCost(p)
-	}
-}
-
-func BenchmarkSocialCost64UniformHeap(b *testing.B) {
-	// Ablation: identical workload with the general heap kernel pinned.
-	ev, p := uniformSetup(b, 64, 4, core.WithKernel("heap"))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -168,27 +130,6 @@ func BenchmarkSocialCost1024(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = ev.SocialCost(p)
 	}
-}
-
-func BenchmarkSocialCostDial256(b *testing.B) {
-	// The Dial bucket-queue kernel on a random small-integer metric
-	// (distances in [8,16]), with the heap ablation as sub-benchmark.
-	b.Run("dial", func(b *testing.B) {
-		ev, p := smallIntSetup(b, 256, 8, 4)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			_ = ev.SocialCost(p)
-		}
-	})
-	b.Run("heap", func(b *testing.B) {
-		ev, p := smallIntSetup(b, 256, 8, 4, core.WithKernel("heap"))
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			_ = ev.SocialCost(p)
-		}
-	})
 }
 
 // --- internet-scale benchmarks: banded store, certification, estimators ---

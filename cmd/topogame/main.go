@@ -12,7 +12,7 @@
 //	topogame spec -emit e4-poa    # print a catalog entry as Spec JSON
 //	topogame spec workload.json   # run a declarative Spec (or "-": stdin)
 //	topogame sweep grid.json      # run a Sweep grid (α × n × seed × γ ×
-//	                              # churn-rate × repair)
+//	                              # churn-rate × repair × samples)
 //	topogame churn -rate 0.1      # churn survival: equilibrium under
 //	                              # join/leave churn, selfish repairs
 //	topogame certify -n 65536     # closed-form Nash certification of the
@@ -342,6 +342,11 @@ func runChurn(args []string) error {
 	})
 }
 
+// certifyBand is the band certify folds the social cost at: chunks of
+// 64 sources, as many rows as the multi-source BFS fills per sweep. The
+// table's band column reports it.
+const certifyBand = 64
+
 // runCertify decides Nash stability of a canonical topology (the
 // paper's center-sponsored star or the chain) at internet scale: the
 // verdict comes from the O(n) closed-form certification
@@ -350,12 +355,12 @@ func runChurn(args []string) error {
 // the banded multi-source kernel for the social cost, the streamed
 // single-source evaluator for per-peer costs and the witness deviation
 // — and compared with == (no tolerances). No dense distance matrix or
-// n² slab is ever materialized. The banded fold runs on min(GOMAXPROCS,
-// claims) workers, each holding at most min(band, 64) rows that live
-// only for the call, and on fewer when their rows together would pass
-// 512 MiB. At n = 65536 a worker holds about 41 MiB (32 MiB of rows
-// plus its adjacency and scratch), so at most 16 workers fold and the
-// run fits in well under 2 GiB on any core count. The sampled
+// n² slab is ever materialized. The banded fold runs at certifyBand on
+// min(GOMAXPROCS, claims) workers, each holding 64 rows that live only
+// for the call, and on fewer when their rows together would pass 512
+// MiB. At n = 65536 a worker holds about 41 MiB (32 MiB of rows plus
+// its adjacency and scratch), so at most 16 workers fold and the run
+// fits in well under 2 GiB on any core count. The sampled
 // estimator runs on the caller's goroutine. The output bytes do not
 // depend on the width, so GOMAXPROCS=1 is the single-core run.
 func runCertify(args []string) error {
@@ -365,7 +370,6 @@ func runCertify(args []string) error {
 	topology := fs.String("topology", "star", "topology to certify: star or chain")
 	n := fs.Int("n", 65536, "peer count")
 	alpha := fs.Float64("alpha", 2, "link price α")
-	band := fs.Int("band", 64, "band width of the banded social-cost check; the fold runs on up to GOMAXPROCS workers whose rows stay within 512 MiB, each holding at most min(band, 64) rows for the call only, so wider bands fold identically")
 	samples := fs.Int("samples", 0, "cross-check with the sampled estimator over this many sources; -seed seeds it (0 = skip)")
 	if err := out.parse(fs, args); err != nil {
 		return err
@@ -408,8 +412,8 @@ func runCertify(args []string) error {
 
 		// The banded social cost must reproduce the closed form exactly —
 		// this walks every one of the n² pairs through the multi-source
-		// kernel with at most min(band, 64) rows resident.
-		banded, err := ev.SocialCostBanded(p, *band)
+		// kernel with 64 rows resident per worker.
+		banded, err := ev.SocialCostBanded(p, certifyBand)
 		if err != nil {
 			return err
 		}
@@ -452,7 +456,7 @@ func runCertify(args []string) error {
 			deviator = export.Int(cert.Deviator)
 		}
 		tb.Rows = append(tb.Rows, []string{
-			*topology, export.Int(*n), export.Num(*alpha), export.Int(*band),
+			*topology, export.Int(*n), export.Num(*alpha), export.Int(certifyBand),
 			fmt.Sprintf("%v", cert.Stable), export.Num(cert.Social.Total()),
 			export.Num(cert.BestGain), deviator, estV, estCI,
 		})
@@ -534,19 +538,18 @@ commands:
   spec [flags] <file|->    run a declarative Spec JSON (see -emit)
   spec -emit <id>          print a catalog entry as Spec JSON
   sweep [flags] <file|->   run a Sweep JSON grid (α × n × seed × γ ×
-                           churn-rate × repair); -keep-going renders
-                           failed points as placeholder rows instead
-                           of aborting
+                           churn-rate × repair × samples); -keep-going
+                           renders failed points as placeholder rows
+                           instead of aborting
   churn [flags]            run a churn survival experiment (equilibrium
                            under join/leave churn; -n -alpha -rate
                            -duration -repair -metric)
   certify [flags]          certify star/chain Nash stability from the
                            paper's closed forms and verify them ==
                            through the banded kernels, no dense matrix
-                           (-topology -n -alpha -band -samples); the
-                           fold runs on every core within 512 MiB of
-                           rows, each worker holding at most 64 rows of
-                           any -band for the call
+                           (-topology -n -alpha -samples); the fold
+                           runs on every core within 512 MiB of rows,
+                           each worker holding 64 rows for the call
   help                     show this help
 
 flags (run/spec/sweep/churn; certify takes all but -quick and -par):

@@ -51,7 +51,8 @@ func TestTopogameRejectsNegativePar(t *testing.T) {
 
 // TestTopogameRejectsIgnoredInput: input a command would ignore is a
 // usage error. certify reads neither -quick nor -par, so any value of
-// either is rejected, and list takes no arguments.
+// either is rejected; it folds at a fixed band, so -band is an unknown
+// flag; and list takes no arguments.
 func TestTopogameRejectsIgnoredInput(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -61,6 +62,7 @@ func TestTopogameRejectsIgnoredInput(t *testing.T) {
 		{[]string{"certify", "-n", "64", "-par", "7"}, "-par"},
 		{[]string{"certify", "-n", "64", "-quick"}, "-quick"},
 		{[]string{"certify", "-quick", "-par", "7", "-n", "64"}, "-quick"},
+		{[]string{"certify", "-n", "64", "-band", "64"}, "-band"},
 		{[]string{"list", "foo", "bar"}, `"foo"`},
 	} {
 		err := run(tc.args)

@@ -126,15 +126,7 @@ func (o *Exact) BestResponse(ev *core.Evaluator, p core.Profile, i int) (Result,
 // candidate evaluation. This function supplies the model lower-bound
 // sum and maps budget/count semantics onto the Oracle contract.
 func (o *Exact) bestResponseStack(ev *core.Evaluator, b *core.DeviationBatch, p core.Profile, i int) (Result, error) {
-	inst := ev.Instance()
-	n := inst.N()
-	sumLB := 0.0
-	for j := 0; j < n; j++ {
-		if j != i {
-			sumLB += inst.Model().LowerBound(inst.Distance(i, j))
-		}
-	}
-	out := b.ExactSearch(p.Strategy(i), sumLB, Tolerance, o.MaxEvaluations)
+	out := b.ExactSearch(p.Strategy(i), TermLowerBound(ev.Instance(), i, nil), Tolerance, o.MaxEvaluations)
 	o.lastEvals = out.Resolved
 	if out.OverBudget {
 		return Result{}, ErrBudgetExceeded
@@ -148,12 +140,7 @@ func (o *Exact) bestResponseStack(ev *core.Evaluator, b *core.DeviationBatch, p 
 func (o *Exact) bestResponseScan(ev *core.Evaluator, p core.Profile, i int) (Result, error) {
 	inst := ev.Instance()
 	n := inst.N()
-	sumLB := 0.0
-	for j := 0; j < n; j++ {
-		if j != i {
-			sumLB += inst.Model().LowerBound(inst.Distance(i, j))
-		}
-	}
+	sumLB := TermLowerBound(inst, i, nil)
 
 	o.lastEvals = 0
 	budget := o.MaxEvaluations
@@ -247,32 +234,39 @@ func (o *LocalSearch) Clone() Oracle { return &LocalSearch{MaxIterations: o.MaxI
 
 // BestResponse implements Oracle via hill climbing.
 func (o *LocalSearch) BestResponse(ev *core.Evaluator, p core.Profile, i int) (Result, error) {
-	inst := ev.Instance()
-	n := inst.N()
+	n := ev.Instance().N()
 	if i < 0 || i >= n {
 		return Result{}, fmt.Errorf("bestresponse: peer %d out of range [0,%d)", i, n)
 	}
-	scorer := deviationScorer(ev, p, i)
-	cur := p.Strategy(i).Clone()
-	curEval := scorer(cur)
+	return HillClimb(n, i, p.Strategy(i), deviationScorer(ev, p, i), nil, o.MaxIterations), nil
+}
 
-	maxIter := o.MaxIterations
+// HillClimb is LocalSearch's add/drop/swap loop for peer i among n:
+// from start it moves to the best single add, drop or swap that score
+// rates Better (ties to the first found), and stops when none does or
+// after maxIter rounds (≤ 0 means n²+n+1). A non-nil active mask
+// limits every move to peers j with active[j], so a start that links
+// active peers only ends linking active peers only; nil means every
+// peer is active. start is cloned, not modified.
+func HillClimb(n, i int, start core.Strategy, score func(core.Strategy) core.Eval, active []bool, maxIter int) Result {
 	if maxIter <= 0 {
 		maxIter = n*n + n + 1
 	}
+	cur := start.Clone()
+	curEval := score(cur)
 	for iter := 0; iter < maxIter; iter++ {
 		bestMove := cur
 		bestEval := curEval
 		improved := false
 		try := func(s core.Strategy) {
-			c := scorer(s)
+			c := score(s)
 			if c.Better(bestEval, Tolerance) {
 				bestMove, bestEval = s.Clone(), c
 				improved = true
 			}
 		}
 		for j := 0; j < n; j++ {
-			if j == i {
+			if j == i || (active != nil && !active[j]) {
 				continue
 			}
 			if cur.Contains(j) {
@@ -281,7 +275,7 @@ func (o *LocalSearch) BestResponse(ev *core.Evaluator, p core.Profile, i int) (R
 				try(cur)
 				// Swap j for each absent k.
 				for k := 0; k < n; k++ {
-					if k != i && k != j && !cur.Contains(k) {
+					if k != i && k != j && (active == nil || active[k]) && !cur.Contains(k) {
 						cur.Add(k)
 						try(cur)
 						cur.Remove(k)
@@ -300,7 +294,21 @@ func (o *LocalSearch) BestResponse(ev *core.Evaluator, p core.Profile, i int) (R
 		}
 		cur, curEval = bestMove, bestEval
 	}
-	return Result{Strategy: cur, Eval: curEval}, nil
+	return Result{Strategy: cur, Eval: curEval}
+}
+
+// TermLowerBound sums the cost model's per-pair lower bounds over peer
+// i's partners j ≠ i with active[j] (nil: every peer) — the bound on
+// i's cost term that the exact searches prune with (α·k + the sum
+// bounds every strategy of cardinality k).
+func TermLowerBound(inst *core.Instance, i int, active []bool) float64 {
+	sum := 0.0
+	for j := 0; j < inst.N(); j++ {
+		if j != i && (active == nil || active[j]) {
+			sum += inst.Model().LowerBound(inst.Distance(i, j))
+		}
+	}
+	return sum
 }
 
 // Greedy builds a response from scratch: starting from the empty

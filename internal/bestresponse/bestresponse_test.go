@@ -305,3 +305,77 @@ func TestEvalGainSigns(t *testing.T) {
 		t.Errorf("gain to disconnected = %f, want -Inf", g)
 	}
 }
+
+// TestHillClimbMask pins HillClimb's active mask, which churn's
+// fallback repair uses: an all-true mask climbs exactly as nil does
+// (same strategy, Eval ==, and the same TermLowerBound), and a random
+// mask never links an inactive peer — on directed, undirected and
+// congested (γ > 0) instances.
+func TestHillClimbMask(t *testing.T) {
+	r := rng.New(53)
+	for _, tc := range []struct {
+		name string
+		opts []core.Option
+	}{
+		{"directed", nil},
+		{"undirected", []core.Option{core.WithUndirected()}},
+		{"congested", []core.Option{core.WithCongestion(0.5)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for trial := 0; trial < 4; trial++ {
+				n := 6 + r.Intn(4)
+				space, err := metric.UniformPoints(r, n, 2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				inst, err := core.NewInstance(space, r.Range(0.5, 4), tc.opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ev := core.NewEvaluator(inst)
+				all := make([]bool, n)
+				active := make([]bool, n)
+				for j := range all {
+					all[j] = true
+					active[j] = r.Bool(0.6)
+				}
+				p := core.NewProfile(n)
+				for i := 0; i < n; i++ {
+					for j := 0; j < n; j++ {
+						if i != j && r.Bool(0.3) {
+							_ = p.AddLink(i, j)
+						}
+					}
+				}
+				for i := 0; i < n; i++ {
+					score := deviationScorer(ev, p, i)
+					want := HillClimb(n, i, p.Strategy(i), score, nil, 0)
+					got := HillClimb(n, i, p.Strategy(i), score, all, 0)
+					if !got.Strategy.Equal(want.Strategy) || got.Eval != want.Eval {
+						t.Fatalf("trial %d peer %d: all-true mask %v %+v, nil mask %v %+v",
+							trial, i, got.Strategy, got.Eval, want.Strategy, want.Eval)
+					}
+					if a, b := TermLowerBound(inst, i, all), TermLowerBound(inst, i, nil); a != b {
+						t.Fatalf("trial %d peer %d: TermLowerBound all-true %v, nil %v", trial, i, a, b)
+					}
+					// The unmasked score rewards links to inactive peers
+					// (they still relay and count as targets), so only the
+					// mask keeps the climb off them.
+					start := p.Strategy(i).Clone()
+					for j := 0; j < n; j++ {
+						if !active[j] {
+							start.Remove(j)
+						}
+					}
+					res := HillClimb(n, i, start, score, active, 0)
+					res.Strategy.ForEach(func(j int) bool {
+						if !active[j] {
+							t.Fatalf("trial %d peer %d: masked climb linked inactive peer %d (%v)", trial, i, j, res.Strategy)
+						}
+						return true
+					})
+				}
+			}
+		})
+	}
+}

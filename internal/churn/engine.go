@@ -261,18 +261,6 @@ func (e *Engine) Join(v int) ([]int, error) {
 	return affected, nil
 }
 
-// maskedSumLB sums the model's per-pair lower bounds over v's online
-// partners — the sumLB contract of ExactSearchActive.
-func (e *Engine) maskedSumLB(v int) float64 {
-	sum := 0.0
-	for j := 0; j < e.N(); j++ {
-		if j != v && e.online[j] {
-			sum += e.inst.Model().LowerBound(e.inst.Distance(v, j))
-		}
-	}
-	return sum
-}
-
 // BestResponseActive computes peer v's best response in the subgame
 // induced on the online peers: the exact fused search in the batched
 // regime (directed, congestion-free), a masked add/drop/swap hill
@@ -283,69 +271,20 @@ func (e *Engine) BestResponseActive(v int) (core.Strategy, core.Eval, error) {
 		return core.Strategy{}, core.Eval{}, fmt.Errorf("churn: peer %d is offline", v)
 	}
 	live := e.dy.Profile()
+	score := func(s core.Strategy) core.Eval { return e.ev.DeviationEvalActive(live, v, s, e.online) }
 	if b := e.ev.NewDeviationBatch(live, v); b != nil {
-		out := b.ExactSearchActive(live.Strategy(v), e.online, e.maskedSumLB(v), bestresponse.Tolerance, e.SearchBudget)
+		out := b.ExactSearchActive(live.Strategy(v), e.online, bestresponse.TermLowerBound(e.inst, v, e.online), bestresponse.Tolerance, e.SearchBudget)
 		if !out.OverBudget {
 			return out.Strategy, out.Eval, nil
 		}
 		// Over budget: hill-climb on the batch's O(|s|·n) scorer instead.
-		return e.maskedLocalSearch(v, func(s core.Strategy) core.Eval {
-			return b.EvalActive(s, e.online)
-		})
+		score = func(s core.Strategy) core.Eval { return b.EvalActive(s, e.online) }
 	}
-	return e.maskedLocalSearch(v, func(s core.Strategy) core.Eval {
-		return e.ev.DeviationEvalActive(live, v, s, e.online)
-	})
-}
-
-// maskedLocalSearch is the fallback best response — for regimes
-// without a deviation batch and for over-budget exact searches:
-// bestresponse.LocalSearch's add/drop/swap hill climb, with candidates
-// restricted to online peers and every score masked to the online
-// subgame.
-func (e *Engine) maskedLocalSearch(v int, score func(core.Strategy) core.Eval) (core.Strategy, core.Eval, error) {
-	n := e.N()
-	live := e.dy.Profile()
-	cur := live.Strategy(v).Clone()
-	curEval := score(cur)
-	for iter := 0; iter < n*n+n+1; iter++ {
-		bestMove := cur
-		bestEval := curEval
-		improved := false
-		try := func(s core.Strategy) {
-			c := score(s)
-			if c.Better(bestEval, bestresponse.Tolerance) {
-				bestMove, bestEval = s.Clone(), c
-				improved = true
-			}
-		}
-		for j := 0; j < n; j++ {
-			if j == v || !e.online[j] {
-				continue
-			}
-			if cur.Contains(j) {
-				cur.Remove(j)
-				try(cur)
-				for k := 0; k < n; k++ {
-					if k != v && k != j && e.online[k] && !cur.Contains(k) {
-						cur.Add(k)
-						try(cur)
-						cur.Remove(k)
-					}
-				}
-				cur.Add(j)
-			} else {
-				cur.Add(j)
-				try(cur)
-				cur.Remove(j)
-			}
-		}
-		if !improved {
-			break
-		}
-		cur, curEval = bestMove, bestEval
-	}
-	return cur, curEval, nil
+	// The fallback is bestresponse.LocalSearch's add/drop/swap climb,
+	// with candidates restricted to online peers and every score masked
+	// to the online subgame.
+	res := bestresponse.HillClimb(e.N(), v, live.Strategy(v), score, e.online, 0)
+	return res.Strategy, res.Eval, nil
 }
 
 // adopt installs strategy s as peer v's new play: stored memory is

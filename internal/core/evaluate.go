@@ -37,9 +37,8 @@ type Instance struct {
 	unitRow    []float64
 	directUnit float64
 	// Kernel dispatch (see kernels.go): chosen once at construction from
-	// the metric class and γ, optionally pinned by WithKernel.
-	kernel    kernelKind
-	kernelPin string
+	// the metric class and γ.
+	kernel kernelKind
 	// unit is the common direct distance (kernelBFS); hopDist[h] is the
 	// IEEE left-fold of h unit addends, the exact value heap Dijkstra
 	// assigns a vertex settled at hop h. Immutable after construction,
@@ -68,17 +67,6 @@ func WithModel(m CostModel) Option {
 // the default is directed.
 func WithUndirected() Option {
 	return func(in *Instance) { in.undirected = true }
-}
-
-// WithKernel pins the SSSP kernel: "auto" (default) dispatches on the
-// metric class, "heap" forces the general binary-heap Dijkstra, "bfs"
-// forces the word-parallel unit-weight BFS (valid only for uniform
-// metrics with γ = 0) and "dial" forces the bucket-queue Dijkstra
-// (valid only for integer-valued metrics with γ = 0). All kernels are
-// exact and bit-identical, so pinning only affects wall-clock; the
-// non-auto values exist for ablation benchmarks and differential tests.
-func WithKernel(name string) Option {
-	return func(in *Instance) { in.kernelPin = name }
 }
 
 // NewInstance creates a game over the given space with parameter α ≥ 0.
@@ -132,9 +120,7 @@ func NewInstance(space metric.Space, alpha float64, opts ...Option) (*Instance, 
 			for j := range in.unitRow {
 				in.unitRow[j] = u
 			}
-			if err := in.classifyKernel(info); err != nil {
-				return nil, err
-			}
+			in.classifyKernel(info)
 			return in, nil
 		}
 	}
@@ -151,47 +137,25 @@ func NewInstance(space metric.Space, alpha float64, opts ...Option) (*Instance, 
 			in.dist[i*n+j] = d
 		}
 	}
-	info := metric.ClassifyFunc(n, func(i, j int) float64 { return in.dist[i*n+j] })
-	if err := in.classifyKernel(info); err != nil {
-		return nil, err
-	}
+	in.classifyKernel(metric.ClassifyFunc(n, func(i, j int) float64 { return in.dist[i*n+j] }))
 	return in, nil
 }
 
 // classifyKernel selects the SSSP kernel from the metric class and the
 // congestion setting (γ > 0 re-weights arcs by in-degree, destroying
 // both the uniform and the integer structure, so it always falls back
-// to the heap), honoring a WithKernel pin.
-func (in *Instance) classifyKernel(info metric.ClassInfo) error {
+// to the heap). Every kernel is bit-identical to the heap, so this is
+// the one place the choice is made and nothing overrides it.
+func (in *Instance) classifyKernel(info metric.ClassInfo) {
 	n := in.n
-	auto := kernelHeap
+	in.kernel = kernelHeap
 	if in.congestionGamma == 0 {
 		switch info.Kind {
 		case metric.ClassUniform:
-			auto = kernelBFS
+			in.kernel = kernelBFS
 		case metric.ClassSmallInt:
-			auto = kernelDial
+			in.kernel = kernelDial
 		}
-	}
-	switch in.kernelPin {
-	case "", "auto":
-		in.kernel = auto
-	case "heap":
-		in.kernel = kernelHeap
-	case "bfs":
-		if in.congestionGamma != 0 || info.Kind != metric.ClassUniform {
-			return fmt.Errorf("core: kernel %q needs a uniform metric with γ = 0 (metric class %s, γ = %v)",
-				in.kernelPin, info.Kind, in.congestionGamma)
-		}
-		in.kernel = kernelBFS
-	case "dial":
-		if in.congestionGamma != 0 || !info.IntegerValued {
-			return fmt.Errorf("core: kernel %q needs an integer-valued metric (≤ %d) with γ = 0 (metric class %s, γ = %v)",
-				in.kernelPin, metric.MaxSmallIntWeight, info.Kind, in.congestionGamma)
-		}
-		in.kernel = kernelDial
-	default:
-		return fmt.Errorf("core: unknown kernel %q (want auto, heap, bfs or dial)", in.kernelPin)
 	}
 	switch in.kernel {
 	case kernelBFS:
@@ -206,7 +170,6 @@ func (in *Instance) classifyKernel(info metric.ClassInfo) error {
 	case kernelDial:
 		in.span = info.MaxWeight
 	}
-	return nil
 }
 
 // Kernel reports the SSSP kernel the instance dispatches to: "bfs"

@@ -7,8 +7,8 @@ package core
 // same +Inf pattern — in every regime (directed, undirected, overrides,
 // disconnection), because golden experiment tables and dynamics
 // trajectories are pinned byte-identically across kernel switches.
-// These tests compare auto-dispatched instances against WithKernel
-// ("heap") twins on the same space, exactly, with no tolerance.
+// These tests compare auto-dispatched instances against heap twins
+// (pinHeap) on the same space, exactly, with no tolerance.
 
 import (
 	"math"
@@ -49,6 +49,15 @@ func kernelCases() []struct {
 	return out
 }
 
+// pinHeap turns a freshly built instance into its heap twin: the
+// general Dijkstra, whatever the metric class. It must run before any
+// evaluator exists; the heap reads none of the specialized kernels'
+// tables (hopDist, span), so leaving them set is harmless.
+func pinHeap(in *Instance) *Instance {
+	in.kernel = kernelHeap
+	return in
+}
+
 // twinInstances builds the auto-dispatched instance and its heap-pinned
 // twin over the same space (the RNG is cloned so both see identical
 // random metrics).
@@ -56,7 +65,7 @@ func twinInstances(t *testing.T, r *rng.RNG, c diffCase) (auto, heap *Instance) 
 	t.Helper()
 	seed := r.Uint64()
 	auto = buildDiffInstance(t, rng.New(seed), c)
-	heap = buildDiffInstance(t, rng.New(seed), c, WithKernel("heap"))
+	heap = pinHeap(buildDiffInstance(t, rng.New(seed), c))
 	return auto, heap
 }
 
@@ -87,32 +96,7 @@ func TestKernelSelection(t *testing.T) {
 	check("points", buildDiffInstance(t, r, diffCase{n: 12}), "heap")
 	check("unit-congested", buildDiffInstance(t, r, diffCase{n: 12, space: "unit", gamma: 0.5}), "heap")
 	check("int-congested", buildDiffInstance(t, r, diffCase{n: 12, space: "int", gamma: 0.5}), "heap")
-	check("heap-pinned-unit", buildDiffInstance(t, r, diffCase{n: 12, space: "unit"}, WithKernel("heap")), "heap")
-	// A uniform integer metric admits both specialized kernels: auto
-	// prefers BFS, but Dial may be pinned.
-	check("dial-pinned-unit", buildDiffInstance(t, r, diffCase{n: 20, space: "unit"}, WithKernel("dial")), "dial")
-
-	// Invalid pins fail at construction.
-	space, err := metric.UniformPoints(rng.New(1), 8, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewInstance(space, 1, WithKernel("bfs")); err == nil {
-		t.Error("WithKernel(bfs) on a non-uniform metric must fail")
-	}
-	if _, err := NewInstance(space, 1, WithKernel("dial")); err == nil {
-		t.Error("WithKernel(dial) on a non-integer metric must fail")
-	}
-	if _, err := NewInstance(space, 1, WithKernel("bogus")); err == nil {
-		t.Error("WithKernel(bogus) must fail")
-	}
-	unit, err := metric.Uniform(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewInstance(unit, 1, WithCongestion(0.5), WithKernel("bfs")); err == nil {
-		t.Error("WithKernel(bfs) under congestion must fail")
-	}
+	check("heap-pinned-unit", pinHeap(buildDiffInstance(t, r, diffCase{n: 12, space: "unit"})), "heap")
 }
 
 // boundaryIntSpace builds a deterministic symmetric integer metric
@@ -158,7 +142,7 @@ func TestKernelDispatchBoundaries(t *testing.T) {
 		t.Errorf("weights at MaxSmallIntWeight: kernel %q, want dial", got)
 	}
 
-	// One past the boundary: general class, Dial pin must fail.
+	// One past the boundary: general class.
 	pastBoundary := boundaryIntSpace(t, 14, (maxW+1)/2+1, maxW+1)
 	inst, err = NewInstance(pastBoundary, 2.5)
 	if err != nil {
@@ -167,12 +151,9 @@ func TestKernelDispatchBoundaries(t *testing.T) {
 	if got := inst.Kernel(); got != "heap" {
 		t.Errorf("weights past MaxSmallIntWeight: kernel %q, want heap", got)
 	}
-	if _, err := NewInstance(pastBoundary, 2.5, WithKernel("dial")); err == nil {
-		t.Error("WithKernel(dial) past MaxSmallIntWeight must fail")
-	}
 
-	// A uniform metric AT the boundary weight: uniform wins over
-	// small-int, but Dial may still be pinned; one past, only BFS.
+	// A uniform metric at and past the boundary weight: uniform wins
+	// over small-int, so both dispatch to BFS.
 	uniAt, err := metric.UniformUnit(14, float64(maxW))
 	if err != nil {
 		t.Fatal(err)
@@ -184,9 +165,6 @@ func TestKernelDispatchBoundaries(t *testing.T) {
 	if got := inst.Kernel(); got != "bfs" {
 		t.Errorf("uniform at MaxSmallIntWeight: kernel %q, want bfs", got)
 	}
-	if _, err := NewInstance(uniAt, 2.5, WithKernel("dial")); err != nil {
-		t.Errorf("WithKernel(dial) on uniform integer metric at the boundary: %v", err)
-	}
 	uniPast, err := metric.UniformUnit(14, float64(maxW+1))
 	if err != nil {
 		t.Fatal(err)
@@ -197,9 +175,6 @@ func TestKernelDispatchBoundaries(t *testing.T) {
 	}
 	if got := inst.Kernel(); got != "bfs" {
 		t.Errorf("uniform past MaxSmallIntWeight: kernel %q, want bfs", got)
-	}
-	if _, err := NewInstance(uniPast, 2.5, WithKernel("dial")); err == nil {
-		t.Error("WithKernel(dial) on a non-integer-class uniform metric must fail")
 	}
 
 	// Sub-minimal instances are rejected at construction.
@@ -227,11 +202,11 @@ func TestKernelDispatchBoundaries(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			heap, err := NewInstance(tc.space, 2.5, WithKernel("heap"))
+			heap, err := NewInstance(tc.space, 2.5)
 			if err != nil {
 				t.Fatal(err)
 			}
-			evA, evH := NewEvaluator(auto), NewEvaluator(heap)
+			evA, evH := NewEvaluator(auto), NewEvaluator(pinHeap(heap))
 			p := randomDiffProfile(r, 14, 0.2)
 			if a, h := evA.SocialCost(p), evH.SocialCost(p); a != h {
 				t.Fatalf("SocialCost: %+v vs heap %+v", a, h)

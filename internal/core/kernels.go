@@ -51,21 +51,7 @@ const (
 	kernelDial
 )
 
-// ValidKernelName reports whether name is a value WithKernel accepts.
-// The empty string and "auto" both mean metric-class dispatch. This is
-// the single source of truth for kernel names; layers that validate
-// before construction (e.g. scenario specs) consult it instead of
-// hardcoding the list.
-func ValidKernelName(name string) bool {
-	switch name {
-	case "", "auto", "heap", "bfs", "dial":
-		return true
-	}
-	return false
-}
-
-// String names the kernel as reported by Instance.Kernel and accepted
-// by WithKernel.
+// String names the kernel as reported by Instance.Kernel.
 func (k kernelKind) String() string {
 	switch k {
 	case kernelBFS:

@@ -116,7 +116,7 @@ func randomIntSpace(t *testing.T, r *rng.RNG, n, lo int) metric.Space {
 	return space
 }
 
-func buildDiffInstance(t *testing.T, r *rng.RNG, c diffCase, extra ...Option) *Instance {
+func buildDiffInstance(t *testing.T, r *rng.RNG, c diffCase) *Instance {
 	t.Helper()
 	space := diffSpace(t, r, c)
 	opts := []Option{}
@@ -126,7 +126,6 @@ func buildDiffInstance(t *testing.T, r *rng.RNG, c diffCase, extra ...Option) *I
 	if c.gamma > 0 {
 		opts = append(opts, WithCongestion(c.gamma))
 	}
-	opts = append(opts, extra...)
 	inst, err := NewInstance(space, 2.5, opts...)
 	if err != nil {
 		t.Fatal(err)

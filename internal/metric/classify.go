@@ -44,17 +44,13 @@ const MaxSmallIntWeight = 1 << 10
 // ClassInfo describes a classified distance set.
 type ClassInfo struct {
 	// Kind is the selected class (uniform beats small-int when both
-	// apply; IntegerValued still records the overlap).
+	// apply).
 	Kind Class
 	// Unit is the common distance when Kind == ClassUniform.
 	Unit float64
-	// MaxWeight is the largest distance as an integer, set when
-	// IntegerValued.
+	// MaxWeight is the largest distance as an integer when Kind ==
+	// ClassSmallInt.
 	MaxWeight int
-	// IntegerValued reports that every off-diagonal distance is a
-	// positive integer ≤ MaxSmallIntWeight (true for ClassSmallInt, and
-	// for ClassUniform metrics with an integer unit).
-	IntegerValued bool
 }
 
 // SelfClassified is a Space that knows its own class without a scan.
@@ -115,17 +111,11 @@ func ClassifyFunc(n int, dist func(i, j int) float64) ClassInfo {
 			}
 		}
 	}
-	info := ClassInfo{Kind: ClassGeneral}
-	if integer {
-		info.IntegerValued = true
-		info.MaxWeight = int(maxW)
-	}
 	switch {
 	case uniform:
-		info.Kind = ClassUniform
-		info.Unit = unit
+		return ClassInfo{Kind: ClassUniform, Unit: unit}
 	case integer:
-		info.Kind = ClassSmallInt
+		return ClassInfo{Kind: ClassSmallInt, MaxWeight: int(maxW)}
 	}
-	return info
+	return ClassInfo{Kind: ClassGeneral}
 }

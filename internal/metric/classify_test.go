@@ -15,9 +15,6 @@ func TestClassifyUniform(t *testing.T) {
 	if info.Kind != ClassUniform || info.Unit != 1 {
 		t.Fatalf("uniform metric: %+v", info)
 	}
-	if !info.IntegerValued || info.MaxWeight != 1 {
-		t.Fatalf("unit 1 must also be integer-valued: %+v", info)
-	}
 
 	scaled, err := Scale(s, 0.37)
 	if err != nil {
@@ -26,9 +23,6 @@ func TestClassifyUniform(t *testing.T) {
 	info = Classify(scaled)
 	if info.Kind != ClassUniform || info.Unit != 0.37 {
 		t.Fatalf("scaled uniform metric: %+v", info)
-	}
-	if info.IntegerValued {
-		t.Fatalf("unit 0.37 is not integer-valued: %+v", info)
 	}
 }
 
@@ -44,7 +38,7 @@ func TestClassifySmallInt(t *testing.T) {
 		t.Fatal(err)
 	}
 	info := Classify(s)
-	if info.Kind != ClassSmallInt || !info.IntegerValued || info.MaxWeight != 6 {
+	if info.Kind != ClassSmallInt || info.MaxWeight != 6 {
 		t.Fatalf("integer metric: %+v", info)
 	}
 }
@@ -54,7 +48,7 @@ func TestClassifyGeneral(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info := Classify(s); info.Kind != ClassGeneral || info.IntegerValued {
+	if info := Classify(s); info.Kind != ClassGeneral {
 		t.Fatalf("random points: %+v", info)
 	}
 

@@ -303,14 +303,8 @@ func (s *UnitSpace) Distance(i, j int) float64 {
 func (s *UnitSpace) Unit() float64 { return s.unit }
 
 // DistanceClass declares the space's class without a scan: uniform at
-// the common unit, integer-valued when the unit is a positive integer
-// no larger than MaxSmallIntWeight — exactly what ClassifyFunc would
-// compute from the distances (pinned by the FuzzClassify target).
+// the common unit — exactly what ClassifyFunc would compute from the
+// distances (pinned by the FuzzClassify target).
 func (s *UnitSpace) DistanceClass() ClassInfo {
-	info := ClassInfo{Kind: ClassUniform, Unit: s.unit}
-	if s.unit == math.Trunc(s.unit) && s.unit <= MaxSmallIntWeight {
-		info.IntegerValued = true
-		info.MaxWeight = int(s.unit)
-	}
-	return info
+	return ClassInfo{Kind: ClassUniform, Unit: s.unit}
 }

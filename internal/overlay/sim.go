@@ -1,6 +1,7 @@
 package overlay
 
 import (
+	"container/heap"
 	"errors"
 	"fmt"
 	"math"
@@ -163,7 +164,7 @@ func (s *Sim) Run() (Metrics, error) {
 		if e.at > s.cfg.Duration {
 			break
 		}
-		s.popEvent()
+		heap.Pop(&s.queue)
 		s.now = e.at
 		switch e.kind {
 		case evLookup:
@@ -185,37 +186,6 @@ func (s *Sim) Run() (Metrics, error) {
 	}
 	s.metrics.FinalAlive = s.eng.NumOnline()
 	return s.metrics, nil
-}
-
-func (s *Sim) popEvent() {
-	// heap.Pop via the package-level helper on the embedded queue.
-	q := &s.queue
-	last := q.Len() - 1
-	(*q)[0], (*q)[last] = (*q)[last], (*q)[0]
-	*q = (*q)[:last]
-	if q.Len() > 0 {
-		siftDown(*q, 0)
-	}
-}
-
-// siftDown restores the heap property from index i.
-func siftDown(q eventQueue, i int) {
-	n := q.Len()
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && q.Less(l, smallest) {
-			smallest = l
-		}
-		if r < n && q.Less(r, smallest) {
-			smallest = r
-		}
-		if smallest == i {
-			return
-		}
-		q.Swap(i, smallest)
-		i = smallest
-	}
 }
 
 // handleLookup routes one lookup from the peer to a Zipf-chosen target,

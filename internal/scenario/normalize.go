@@ -34,9 +34,9 @@ import (
 //   - Quick trims are folded in (runs ≤ 2, max_steps ≤ 1500, churn
 //     duration ≤ 1), so a quick spec hashes equal to the spec it
 //     actually executes as.
-//   - The auto-dispatch spellings "auto" for game.kernel and
-//     dynamics.engine collapse to "" (the documented automatic
-//     default), so pinning "auto" explicitly hashes like not pinning.
+//   - The auto-dispatch spelling "auto" for dynamics.engine collapses
+//     to "" (the documented automatic default), so pinning "auto"
+//     explicitly hashes like not pinning.
 //
 // Fields a family or kind ignores (e.g. start.q under kind "star") are
 // left as written: normalization fills defaults, it does not prove
@@ -75,13 +75,9 @@ func (s Spec) Normalize() Spec {
 		}
 	}
 
-	// Game: explicit cost model; "auto" kernel collapses to the
-	// automatic default spelling "".
+	// Game: explicit cost model.
 	if out.Game.Model == "" {
 		out.Game.Model = "stretch"
-	}
-	if out.Game.Kernel == "auto" {
-		out.Game.Kernel = ""
 	}
 
 	// Dynamics: the runDeclarative defaults, with quick trims folded in.

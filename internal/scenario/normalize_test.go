@@ -14,7 +14,7 @@ import (
 func TestNormalizeFillsDefaults(t *testing.T) {
 	spec := Spec{
 		Metric:   MetricSpec{Family: "uniform", N: 8},
-		Game:     GameSpec{Alpha: 2, Kernel: "auto"},
+		Game:     GameSpec{Alpha: 2},
 		Dynamics: DynamicsSpec{Engine: "auto"},
 	}
 	n := spec.Normalize()
@@ -27,9 +27,8 @@ func TestNormalizeFillsDefaults(t *testing.T) {
 	if n.Game.Model != "stretch" {
 		t.Errorf("Model = %q, want stretch", n.Game.Model)
 	}
-	if n.Game.Kernel != "" || n.Dynamics.Engine != "" {
-		t.Errorf("auto spellings should collapse to \"\": kernel %q engine %q",
-			n.Game.Kernel, n.Dynamics.Engine)
+	if n.Dynamics.Engine != "" {
+		t.Errorf("auto spelling should collapse to \"\": engine %q", n.Dynamics.Engine)
 	}
 	if n.Start.Kind != "empty" {
 		t.Errorf("Start.Kind = %q, want empty", n.Start.Kind)
@@ -129,7 +128,7 @@ func TestSpecHashStability(t *testing.T) {
 	b := Spec{
 		Seed:   DefaultSeed,
 		Metric: MetricSpec{Family: "uniform", N: 8, Dim: 2},
-		Game:   GameSpec{Alpha: 2, Model: "stretch", Kernel: "auto"},
+		Game:   GameSpec{Alpha: 2, Model: "stretch"},
 		Start:  StartSpec{Kind: "empty"},
 		Dynamics: DynamicsSpec{Policy: "round-robin", Oracle: "exact", MaxSteps: 5000,
 			Runs: 1, Tol: bestresponse.Tolerance, Engine: "auto"},

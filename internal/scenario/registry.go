@@ -15,9 +15,8 @@ import (
 type Native func(Params) (*export.Table, error)
 
 type catalogEntry struct {
-	spec   Spec
 	desc   string
-	native Native // non-nil for native runners
+	native Native
 }
 
 var (
@@ -37,31 +36,7 @@ func RegisterNative(id, desc string, fn Native) {
 	if _, dup := registry[id]; dup {
 		panic(fmt.Sprintf("scenario: duplicate experiment id %q", id))
 	}
-	registry[id] = catalogEntry{
-		spec:   Spec{Name: id, Experiment: id},
-		desc:   desc,
-		native: fn,
-	}
-}
-
-// RegisterSpec adds a declarative spec to the catalog under spec.Name.
-func RegisterSpec(spec Spec, desc string) error {
-	if spec.Name == "" {
-		return fmt.Errorf("scenario: RegisterSpec needs spec.Name")
-	}
-	if spec.Experiment != "" {
-		return fmt.Errorf("scenario: RegisterSpec takes declarative specs; %q routes to %q", spec.Name, spec.Experiment)
-	}
-	if err := spec.Validate(); err != nil {
-		return err
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := registry[spec.Name]; dup {
-		return fmt.Errorf("scenario: duplicate experiment id %q", spec.Name)
-	}
-	registry[spec.Name] = catalogEntry{spec: spec, desc: desc}
-	return nil
+	registry[id] = catalogEntry{desc: desc, native: fn}
 }
 
 // IDs returns the catalog identifiers in sorted order.
@@ -82,16 +57,15 @@ func Describe(id string) (string, error) {
 	return e.desc, nil
 }
 
-// CatalogSpec returns the registered spec for id — the JSON-emittable
-// form of a catalog entry (`topogame spec -emit`).
+// CatalogSpec returns the routing spec {"experiment": id} of a catalog
+// entry — its JSON-emittable form (`topogame spec -emit`).
 func CatalogSpec(id string) (Spec, error) {
 	regMu.RLock()
 	defer regMu.RUnlock()
-	e, ok := registry[id]
-	if !ok {
+	if _, ok := registry[id]; !ok {
 		return Spec{}, fmt.Errorf("scenario: unknown experiment %q (have %v)", id, idsLocked())
 	}
-	return e.spec, nil
+	return Spec{Name: id, Experiment: id}, nil
 }
 
 // idsLocked is IDs without locking, for error messages under regMu.
@@ -111,9 +85,6 @@ func nativeRunner(id string) (Native, error) {
 	e, ok := registry[id]
 	if !ok {
 		return nil, fmt.Errorf("scenario: unknown experiment %q (have %v)", id, idsLocked())
-	}
-	if e.native == nil {
-		return nil, fmt.Errorf("scenario: %q is a declarative catalog entry, not a native runner", id)
 	}
 	return e.native, nil
 }

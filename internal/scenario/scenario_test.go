@@ -47,6 +47,20 @@ func TestSpecJSONRejectsUnknownFields(t *testing.T) {
 	}
 }
 
+// TestReadSpecRejectsKernelPin pins the legacy-spec decision: the
+// instance alone picks the SSSP kernel, so a spec that still carries
+// game.kernel fails decoding, while the same spec without the field is
+// accepted (a pinned kernel never changed a table byte).
+func TestReadSpecRejectsKernelPin(t *testing.T) {
+	_, err := ReadSpec(strings.NewReader(`{"metric": {"family": "uniform", "n": 4}, "game": {"alpha": 2, "kernel": "heap"}}`))
+	if err == nil || !strings.Contains(err.Error(), `unknown field "kernel"`) {
+		t.Fatalf("spec with game.kernel: err = %v, want the decoder's unknown-field error", err)
+	}
+	if _, err := ReadSpec(strings.NewReader(`{"metric": {"family": "uniform", "n": 4}, "game": {"alpha": 2}}`)); err != nil {
+		t.Fatalf("the same spec without game.kernel: %v", err)
+	}
+}
+
 func TestSpecValidate(t *testing.T) {
 	cases := []struct {
 		name string
@@ -253,42 +267,6 @@ func TestSeedDefaultConsolidated(t *testing.T) {
 	spec.Seed = DefaultSeed
 	if def := renderSpec(t, spec, Params{}); !bytes.Equal(zero, def) {
 		t.Fatal("seed 0 and DefaultSeed produced different tables")
-	}
-}
-
-func TestRegisterSpecCatalog(t *testing.T) {
-	spec := declSpec()
-	spec.Name = "catalog-decl-test"
-	if err := RegisterSpec(spec, "unit catalog entry"); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		regMu.Lock()
-		delete(registry, spec.Name)
-		regMu.Unlock()
-	}()
-	if err := RegisterSpec(spec, "dup"); err == nil {
-		t.Fatal("duplicate RegisterSpec should error")
-	}
-	desc, err := Describe(spec.Name)
-	if err != nil || desc != "unit catalog entry" {
-		t.Fatalf("Describe = %q, %v", desc, err)
-	}
-	tb, err := Run(spec.Name, Params{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tb.Rows) != 1 {
-		t.Fatalf("catalog run rows = %d", len(tb.Rows))
-	}
-	got, err := CatalogSpec(spec.Name)
-	if err != nil || !reflect.DeepEqual(got, spec) {
-		t.Fatalf("CatalogSpec = %+v, %v", got, err)
-	}
-	bad := spec
-	bad.Name = ""
-	if err := RegisterSpec(bad, "x"); err == nil {
-		t.Fatal("RegisterSpec without a name should error")
 	}
 }
 

@@ -180,11 +180,6 @@ type GameSpec struct {
 	// Gamma enables congestion-aware link costs (γ > 0); 0 is the
 	// paper's model.
 	Gamma float64 `json:"gamma,omitempty"`
-	// Kernel pins the SSSP kernel: "" or "auto" (dispatch on the metric
-	// class), "heap", "bfs", "dial". All kernels are exact, so this is
-	// an ablation/diagnostic knob; pinning a specialized kernel on an
-	// instance that does not admit it fails at build time.
-	Kernel string `json:"kernel,omitempty"`
 }
 
 // Options translates the spec into core instance options.
@@ -202,9 +197,6 @@ func (g GameSpec) Options() ([]core.Option, error) {
 	}
 	if g.Gamma != 0 {
 		opts = append(opts, core.WithCongestion(g.Gamma))
-	}
-	if g.Kernel != "" {
-		opts = append(opts, core.WithKernel(g.Kernel))
 	}
 	return opts, nil
 }
@@ -437,9 +429,6 @@ func (s Spec) Validate() error {
 	}
 	if _, err := s.Game.Options(); err != nil {
 		return err
-	}
-	if !core.ValidKernelName(s.Game.Kernel) {
-		return fmt.Errorf("scenario: unknown kernel %q (want auto, heap, bfs or dial)", s.Game.Kernel)
 	}
 	if s.Dynamics.BatchWorkers < 0 {
 		return fmt.Errorf("scenario: spec %q has negative dynamics.batch_workers %d", s.Name, s.Dynamics.BatchWorkers)

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -255,6 +256,67 @@ func TestRunDeadline(t *testing.T) {
 	}
 	if m["run_errors"] != 0 {
 		t.Errorf("run_errors = %d, want 0 (deadlines are not run errors)", m["run_errors"])
+	}
+}
+
+// TestRunAllAdmission pins /v1/runall to the same overload ladder as
+// /v1/run: with the slot and the queue held, an uncached runall answers
+// 429 + Retry-After (counted as shed_saturated) while a fully cached
+// one still streams, and a first miss that outlives -run-timeout
+// answers 504 (counted as deadline_exceeded).
+func TestRunAllAdmission(t *testing.T) {
+	s, ts := newTestServer(t, Config{RunConcurrency: 1, RunQueueDepth: 1})
+	runner, orig := installRunner(s)
+
+	cachedReq := `{"ids": ["e2-fig1"], "quick": true}`
+	respW, want := post(t, ts.URL+"/v1/runall", cachedReq)
+	if respW.StatusCode != http.StatusOK {
+		t.Fatalf("prewarm runall: %d %s", respW.StatusCode, want)
+	}
+
+	started := make(chan struct{}, 4)
+	gate := make(chan struct{})
+	gated := gateRunner(orig, started, gate)
+	runner.Store(&gated)
+	respA := asyncPost(ts.URL+"/v1/run", seededSpec(601))
+	<-started // A holds the only slot
+	respB := asyncPost(ts.URL+"/v1/run", seededSpec(602))
+	waitHealth(t, ts.URL, levelShedding) // B fills the queue
+
+	respC, bodyC := post(t, ts.URL+"/v1/runall", `{"ids": ["e4-poa"], "quick": true}`)
+	if respC.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("saturated runall miss: %d %s, want 429", respC.StatusCode, bodyC)
+	}
+	if respC.Header.Get("Retry-After") == "" {
+		t.Error("runall 429 without Retry-After")
+	}
+	respD, bodyD := post(t, ts.URL+"/v1/runall", cachedReq)
+	if respD.StatusCode != http.StatusOK || !bytes.Equal(bodyD, want) {
+		t.Fatalf("cached runall under saturation: %d, want 200 with the prewarmed bytes\n%s", respD.StatusCode, bodyD)
+	}
+
+	close(gate)
+	for _, ch := range []<-chan *http.Response{respA, respB} {
+		if resp := <-ch; resp == nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("gated run finished %+v, want 200", resp)
+		}
+	}
+	if m := s.Metrics(); m["shed_saturated"] != 1 || m["run_errors"] != 0 {
+		t.Errorf("shed_saturated = %d, run_errors = %d, want 1 and 0", m["shed_saturated"], m["run_errors"])
+	}
+
+	s2, ts2 := newTestServer(t, Config{RunTimeout: 30 * time.Millisecond})
+	runner2, _ := installRunner(s2)
+	hang := specRunner(func(ctx context.Context, spec scenario.Spec) (*export.Table, error) {
+		<-ctx.Done()
+		return nil, ctx.Err()
+	})
+	runner2.Store(&hang)
+	if resp, body := post(t, ts2.URL+"/v1/runall", `{"ids": ["e4-poa"], "quick": true}`); resp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("overlong runall miss: %d %s, want 504", resp.StatusCode, body)
+	}
+	if m := s2.Metrics(); m["deadline_exceeded"] != 1 || m["run_errors"] != 0 {
+		t.Errorf("deadline_exceeded = %d, run_errors = %d, want 1 and 0", m["deadline_exceeded"], m["run_errors"])
 	}
 }
 

@@ -296,21 +296,6 @@ func requestOverrides(r *http.Request, spec *scenario.Spec) error {
 	return nil
 }
 
-// runCached executes a spec through the content-addressed cache and
-// returns (body, hash, hit). The body is the rendered table JSON; on a
-// hit it is the exact bytes of the first response.
-func (s *Server) runCached(ctx context.Context, spec scenario.Spec) ([]byte, string, bool, error) {
-	hash, err := spec.Hash()
-	if err != nil {
-		return nil, "", false, err
-	}
-	if body, ok := s.cache.get(hash); ok {
-		return body, hash, true, nil
-	}
-	body, err := s.runMiss(ctx, spec, hash)
-	return body, hash, false, err
-}
-
 // runMiss executes a cache-missing spec and installs the rendered body
 // (the caller has already probed the cache for hash). A run cut short
 // by ctx (deadline or disconnect) returns the ctx error verbatim, is
@@ -411,47 +396,78 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		s.serveRunBody(w, hash, true, body)
 		return
 	}
+	body, refused := s.runAdmitted(r, spec, hash)
+	if refused != nil {
+		refused.write(w)
+		return
+	}
+	s.serveRunBody(w, hash, false, body)
+}
+
+// runRefusal is the answer to a cache miss that produced no body: the
+// status, with Retry-After when set, or status 0 when the client is
+// gone and nobody is listening.
+type runRefusal struct {
+	status     int
+	retryAfter string
+	err        error
+}
+
+func (rf *runRefusal) write(w http.ResponseWriter) {
+	if rf.status == 0 {
+		return
+	}
+	if rf.retryAfter != "" {
+		w.Header().Set("Retry-After", rf.retryAfter)
+	}
+	writeError(w, rf.status, rf.err)
+}
+
+// runAdmitted runs one cache miss of a synchronous request (/v1/run,
+// and each miss of /v1/runall) through the overload ladder: brownout
+// sheds an expensive spec while the server is degraded (429), the
+// admission gate bounds concurrent and queued runs (429 when
+// saturated), and the run is bounded by the request deadline (504).
+// It counts each outcome and returns either the rendered body or the
+// refusal to answer with.
+func (s *Server) runAdmitted(r *http.Request, spec scenario.Spec, hash string) ([]byte, *runRefusal) {
 	// Brownout: under load, reject expensive work before it queues.
 	if s.loadLevel() != levelOK && spec.CostEstimate() > s.cfg.ShedCost {
 		s.shedExpensive.Add(1)
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests,
-			errors.New("serve: shedding expensive runs under load; retry later"))
-		return
+		return nil, &runRefusal{http.StatusTooManyRequests, "1",
+			errors.New("serve: shedding expensive runs under load; retry later")}
 	}
 	release, err := s.admit.acquire(r.Context())
 	if err != nil {
 		if errors.Is(err, errSaturated) {
 			s.shedSaturated.Add(1)
-			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusTooManyRequests, err)
-			return
+			return nil, &runRefusal{http.StatusTooManyRequests, "1", err}
 		}
 		// The client went away while queued; nobody is listening.
 		s.disconnectAborts.Add(1)
-		return
+		return nil, &runRefusal{}
 	}
 	defer release()
 	ctx, cancel, err := s.runRequestContext(r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
+		return nil, &runRefusal{status: http.StatusBadRequest, err: err}
 	}
 	defer cancel()
 	body, err := s.runMiss(ctx, spec, hash)
 	switch {
 	case err == nil:
-		s.serveRunBody(w, hash, false, body)
+		return body, nil
 	case errors.Is(err, context.DeadlineExceeded):
 		s.deadlineExceeded.Add(1)
-		writeError(w, http.StatusGatewayTimeout,
-			fmt.Errorf("serve: run exceeded its deadline: %w", err))
+		return nil, &runRefusal{status: http.StatusGatewayTimeout,
+			err: fmt.Errorf("serve: run exceeded its deadline: %w", err)}
 	case errors.Is(err, context.Canceled):
 		// Client disconnect mid-run: the evaluation aborted at its next
 		// dynamics step and nothing was cached.
 		s.disconnectAborts.Add(1)
+		return nil, &runRefusal{}
 	default:
-		writeError(w, http.StatusUnprocessableEntity, err)
+		return nil, &runRefusal{status: http.StatusUnprocessableEntity, err: err}
 	}
 }
 
@@ -479,7 +495,9 @@ type runAllRequest struct {
 // array of their tables (export.JSONStream — byte-identical to
 // `topogame run -json`), flushing after each table so clients see
 // results as they complete. Every id goes through the same
-// content-addressed cache as /v1/run.
+// content-addressed cache as /v1/run, and every miss through the same
+// overload ladder (runAdmitted): before the first table streams a
+// refusal answers as /v1/run would, after it the connection aborts.
 func (s *Server) handleRunAll(w http.ResponseWriter, r *http.Request) {
 	if s.rejectDraining(w) {
 		return
@@ -514,13 +532,21 @@ func (s *Server) handleRunAll(w http.ResponseWriter, r *http.Request) {
 	flusher, _ := w.(http.Flusher)
 	stream := export.NewJSONStream(w)
 	for i, spec := range specs {
-		body, _, _, err := s.runCached(r.Context(), spec)
-		if err != nil {
+		var body []byte
+		var refused *runRefusal
+		if hash, err := spec.Hash(); err != nil {
+			refused = &runRefusal{status: http.StatusUnprocessableEntity, err: err}
+		} else if cached, ok := s.cache.get(hash); ok {
+			body = cached
+		} else {
+			body, refused = s.runAdmitted(r, spec, hash)
+		}
+		if refused != nil {
 			// Headers are sent once the first table streams; all we can
 			// do mid-stream is abort the connection so the client sees a
 			// truncated (invalid) document rather than a silent success.
-			if stream.Err() == nil && i == 0 {
-				writeError(w, http.StatusUnprocessableEntity, err)
+			if i == 0 {
+				refused.write(w)
 				return
 			}
 			panic(http.ErrAbortHandler)

@@ -35,7 +35,8 @@
 //   - the experiment harness regenerating every theorem/figure table
 //     (see cmd/topogame and EXPERIMENTS.md), built on a declarative
 //     scenario engine: JSON experiment specs and parameter sweeps over
-//     α, n, seed and γ (topogame spec/sweep).
+//     α, n, seed, γ, churn rate, repair and sample count (topogame
+//     spec/sweep).
 //
 // # Quick start
 //
