@@ -1,9 +1,9 @@
 // Package cas is the disk-backed content-addressed store under the
 // sweep fabric and the serve layer's result cache: immutable
 // write-once blobs keyed by canonical content hashes
-// (scenario.Spec.Hash / Sweep.Hash), written atomically (tmp + fsync +
-// rename) with an fsync'd index recording each blob's size and
-// checksum.
+// (scenario.Spec.Hash / Sweep.Hash), each written atomically (tmp +
+// fsync + rename) to blobs/<ns>/<hex[:2]>/<hex>.<sum>, a name that
+// carries the checksum of the blob's own bytes.
 //
 // Keys are (namespace, hash) pairs: the hash is the scenario layer's
 // "sha256:<hex>" content address, the namespace separates value
@@ -14,21 +14,27 @@
 // bytes everywhere in this codebase (the engine is deterministic and
 // every hash is computed over the canonical normalized form).
 //
-// Crash consistency: the blob file is the source of truth. Put fsyncs
-// the blob before renaming it into place and rewrites the index
-// afterwards; Open adopts any blob present on disk but missing from
-// the index (a crash between the two writes), and drops index entries
-// whose blob has vanished. A store directory can therefore be copied,
-// restarted into, or rebuilt from blobs alone.
+// Crash consistency: a Put writes its blob file and nothing else, so
+// its cost does not grow with the store; the rename is the whole
+// commit. No file is ever modified in place, so a hard-linked copy of
+// a store stays a copy. Open rebuilds the entries from a walk of the
+// tree that reads no blob.
 //
-// Corruption is detected, not trusted: the index records a checksum of
-// the blob bytes at write time (keys themselves address the *spec* that
-// produced a blob, not the blob's own content, so the key can't verify
-// it), and Get re-hashes every blob it reads against that record. A
-// mismatch — a torn write that survived the rename, bit rot,
-// tampering — quarantines the blob under corrupt/ and reports a miss,
-// so callers regenerate the content instead of propagating garbage.
-// The cas_quarantined counter tracks these events.
+// Corruption is detected, not trusted: the sum in a blob's name is
+// recorded at write time (keys address the *spec* that produced a
+// blob, not the blob's own content, so the key can't verify it), and
+// Get re-hashes every blob it reads against it. A mismatch — a torn
+// write that survived the rename, bit rot, tampering, a damaged name —
+// quarantines the blob under corrupt/ (counted by cas_quarantined) and
+// reports a miss, so callers regenerate the content instead of
+// propagating garbage. A blob removed behind the store's back is a
+// miss too.
+//
+// Open migrates a store of the earlier format (plain <hex> blobs, sums
+// in an index.json): each blob is renamed once to its checksum name,
+// with the sum from the index or, for a blob the index does not list,
+// from its bytes as found. The index goes once the last rename is
+// durable, so a crash mid-migration finishes on the next Open.
 package cas
 
 import (
@@ -46,31 +52,22 @@ import (
 	"sync"
 )
 
-// hashPattern is the canonical content-address form produced by
-// scenario.Spec.Hash and Sweep.Hash.
-var hashPattern = regexp.MustCompile(`^sha256:[0-9a-f]{64}$`)
-
 // nsPattern keeps namespaces path-safe.
 var nsPattern = regexp.MustCompile(`^[a-z][a-z0-9-]{0,31}$`)
 
-// indexFile is the store's fsync'd metadata file, relative to root.
-const indexFile = "index.json"
+// legacyIndex is the earlier format's index, relative to root; Open
+// reads it only to migrate.
+const legacyIndex = "index.json"
 
-// Entry is one indexed blob: its key, size and checksum.
+// Entry is one stored blob: its key, size and checksum.
 type Entry struct {
 	Namespace string `json:"namespace"`
 	Hash      string `json:"hash"`
 	Size      int64  `json:"size"`
-	// Sum is the content address of the blob bytes themselves, recorded
-	// when the blob was written (the key's hash addresses the spec that
-	// produced the blob, so it cannot verify the blob). Get re-hashes
-	// reads against it.
+	// Sum is the content address of the blob bytes, recorded at write
+	// time and carried in the file name; Get verifies reads against it
+	// (the key addresses the spec that produced the blob, not the blob).
 	Sum string `json:"sum,omitempty"`
-}
-
-// indexDoc is the on-disk index form.
-type indexDoc struct {
-	Entries []Entry `json:"entries"`
 }
 
 // Stats is the counter snapshot surfaced through /metrics.
@@ -105,22 +102,30 @@ func validate(ns, hash string) error {
 	if !nsPattern.MatchString(ns) {
 		return fmt.Errorf("cas: bad namespace %q", ns)
 	}
-	if !hashPattern.MatchString(hash) {
+	if !isSum(hash) {
 		return fmt.Errorf("cas: bad content hash %q (want sha256:<64 hex>)", hash)
 	}
 	return nil
 }
 
-// blobPath is root/blobs/<ns>/<hex[:2]>/<hex> — the two-character fan
-// keeps directories small at fleet scale.
-func (s *Store) blobPath(ns, hash string) string {
-	hex := strings.TrimPrefix(hash, "sha256:")
-	return filepath.Join(s.root, "blobs", ns, hex[:2], hex)
+// isSum reports whether s has the canonical content-address form,
+// "sha256:<64 lowercase hex>", of scenario.Spec.Hash, Sweep.Hash and
+// HashOf.
+func isSum(s string) bool {
+	hex, ok := strings.CutPrefix(s, "sha256:")
+	return ok && len(hex) == 64 && strings.Trim(hex, "0123456789abcdef") == ""
 }
 
-// Open creates (or reopens) a store rooted at dir. The index is
-// reconciled against the blobs actually on disk: unindexed blobs are
-// adopted, dangling index entries dropped.
+// blobPath is root/blobs/<ns>/<hex[:2]>/<hex>.<sum hex> — the
+// two-character fan keeps directories small at fleet scale.
+func (s *Store) blobPath(ns, hash, sum string) string {
+	hex := strings.TrimPrefix(hash, "sha256:")
+	return filepath.Join(s.root, "blobs", ns, hex[:2], hex+"."+strings.TrimPrefix(sum, "sha256:"))
+}
+
+// Open creates (or reopens) a store rooted at dir, rebuilding the
+// entries from the blob tree and migrating a store of the earlier
+// format.
 func Open(dir string) (*Store, error) {
 	s := &Store{root: dir, entries: make(map[string]Entry)}
 	for _, sub := range []string{"blobs", "tmp"} {
@@ -128,110 +133,133 @@ func Open(dir string) (*Store, error) {
 			return nil, fmt.Errorf("cas: creating %s: %w", sub, err)
 		}
 	}
-	// Stale temp files are crash debris — a tmp blob or index that died
-	// before its rename. They are invisible to the store (never adopted
-	// as blobs) but would accumulate forever; clear them on open.
+	// Stale temp files are crash debris — blobs that died before their
+	// rename. Never adopted, they would accumulate forever; clear them.
 	if ents, err := os.ReadDir(filepath.Join(dir, "tmp")); err == nil {
 		for _, de := range ents {
 			_ = os.Remove(filepath.Join(dir, "tmp", de.Name()))
 		}
 	}
-	if b, err := os.ReadFile(filepath.Join(dir, indexFile)); err == nil {
-		var doc indexDoc
-		if err := json.Unmarshal(b, &doc); err == nil {
-			for _, e := range doc.Entries {
-				if validate(e.Namespace, e.Hash) != nil {
-					continue
-				}
-				s.entries[key(e.Namespace, e.Hash)] = e
-			}
-		}
-		// A corrupt index is not an error: the scan below rebuilds it
-		// from the blobs, which are the source of truth.
-	} else if !errors.Is(err, os.ErrNotExist) {
-		return nil, fmt.Errorf("cas: reading index: %w", err)
-	}
-	if err := s.reconcile(); err != nil {
-		return nil, err
-	}
-	if err := s.writeIndexLocked(); err != nil {
-		return nil, err
+	if err := s.scan(); err != nil {
+		return nil, fmt.Errorf("cas: opening %s: %w", dir, err)
 	}
 	return s, nil
 }
 
-// reconcile walks the blob tree adopting unindexed blobs and drops
-// index entries whose blob file is gone. Called from Open only.
-func (s *Store) reconcile() error {
-	onDisk := make(map[string]int64)
+// scan walks the blob tree into the entry map, reading no blob. A file
+// is a blob only at blobs/<ns>/<hex[:2]>/<hex>.<sum> under a valid key;
+// anything else is a stray and is ignored, except a plain <hex> blob of
+// the earlier format, which is migrated. Two checksum names for one key
+// can only come from damage: the first in name order is kept, the rest
+// go under corrupt/.
+func (s *Store) scan() error {
+	var plain []Entry
 	blobRoot := filepath.Join(s.root, "blobs")
 	err := filepath.WalkDir(blobRoot, func(path string, d fs.DirEntry, err error) error {
 		if err != nil || d.IsDir() {
 			return err
 		}
-		rel, err := filepath.Rel(blobRoot, path)
-		if err != nil {
-			return err
-		}
-		parts := strings.Split(filepath.ToSlash(rel), "/")
+		parts := strings.Split(filepath.ToSlash(path[len(blobRoot)+1:]), "/")
 		if len(parts) != 3 {
-			return nil // stray file, ignore
+			return nil
 		}
-		ns, hash := parts[0], "sha256:"+parts[2]
-		if validate(ns, hash) != nil {
+		ns, fan := parts[0], parts[1]
+		name, sum, named := strings.Cut(parts[2], ".")
+		// A substring of path would keep the whole path alive per entry.
+		e := Entry{Namespace: strings.Clone(ns), Hash: "sha256:" + name, Sum: "sha256:" + sum}
+		if validate(ns, e.Hash) != nil || name[:2] != fan || named && !isSum(e.Sum) {
 			return nil
 		}
 		info, err := d.Info()
-		if err != nil {
+		if errors.Is(err, fs.ErrNotExist) {
+			return nil // quarantined by another process's Get
+		} else if err != nil {
 			return err
 		}
-		onDisk[key(ns, hash)] = info.Size()
-		if _, ok := s.entries[key(ns, hash)]; !ok {
-			// An adopted blob has no write-time checksum record; hash
-			// what's on disk so later corruption is still caught (the
-			// bytes as found are the best available statement of
-			// intent).
-			s.entries[key(ns, hash)] = Entry{Namespace: ns, Hash: hash, Size: info.Size(), Sum: sumOfFile(path)}
+		e.Size = info.Size()
+		switch _, dup := s.entries[key(ns, e.Hash)]; {
+		case !named:
+			plain = append(plain, e)
+		case dup:
+			s.evict(path, ns+"-"+parts[2])
+		default:
+			s.add(e)
 		}
 		return nil
 	})
 	if err != nil {
-		return fmt.Errorf("cas: scanning blobs: %w", err)
+		return err
 	}
-	s.bytes = 0
-	for k, e := range s.entries {
-		size, ok := onDisk[k]
-		if !ok {
-			delete(s.entries, k)
+	return s.migrate(plain)
+}
+
+// migrate renames each plain blob once to its checksum name, with the
+// sum from the earlier format's index (an index that is not JSON lists
+// nothing) or else from the bytes as found, the best available
+// statement of intent. A plain blob whose key already has a
+// checksum-named file is a duplicate and is removed. The index goes
+// once every rename is durable.
+func (s *Store) migrate(plain []Entry) error {
+	index := filepath.Join(s.root, legacyIndex)
+	var doc struct{ Entries []Entry }
+	if len(plain) > 0 {
+		b, err := os.ReadFile(index)
+		if err != nil && !errors.Is(err, fs.ErrNotExist) {
+			return err
+		}
+		_ = json.Unmarshal(b, &doc)
+	}
+	sums := make(map[string]string, len(doc.Entries))
+	for _, e := range doc.Entries {
+		if isSum(e.Sum) {
+			sums[key(e.Namespace, e.Hash)] = e.Sum
+		}
+	}
+	synced := map[string]bool{}
+	for _, e := range plain {
+		hex := strings.TrimPrefix(e.Hash, "sha256:")
+		path := filepath.Join(s.root, "blobs", e.Namespace, hex[:2], hex)
+		if _, dup := s.entries[key(e.Namespace, e.Hash)]; dup {
+			if err := os.Remove(path); err != nil && !errors.Is(err, fs.ErrNotExist) {
+				return err
+			}
 			continue
 		}
-		e.Size = size
-		if e.Sum == "" {
-			// Index written before checksums existed: backfill from
-			// the blob so verification covers it from here on.
-			e.Sum = sumOfFile(s.blobPath(e.Namespace, e.Hash))
+		if e.Sum = sums[key(e.Namespace, e.Hash)]; e.Sum == "" {
+			b, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			e.Sum = HashOf(b)
 		}
-		s.entries[k] = e
-		s.bytes += size
+		if err := os.Rename(path, s.blobPath(e.Namespace, e.Hash, e.Sum)); err != nil {
+			return err
+		}
+		synced[filepath.Dir(path)] = true
+		s.add(e)
+	}
+	for dir := range synced {
+		syncDir(dir)
+	}
+	switch err := os.Remove(index); {
+	case err == nil:
+		syncDir(s.root)
+	case !errors.Is(err, fs.ErrNotExist):
+		return err
 	}
 	return nil
 }
 
-// sumOfFile hashes the blob bytes on disk; "" on a read error, which
-// leaves the entry unverified rather than failing Open.
-func sumOfFile(path string) string {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return ""
-	}
-	return HashOf(b)
+func (s *Store) add(e Entry) {
+	s.entries[key(e.Namespace, e.Hash)] = e
+	s.bytes += e.Size
 }
 
 // Put stores blob under (ns, hash), write-once: an existing key is a
 // counted no-op — content addressing makes the duplicate bytes
 // identical by construction, which is what makes fabric shard
 // completion idempotent. The blob is fsync'd before the atomic rename
-// and the index is rewritten (and fsync'd) afterwards.
+// to its checksum name, and the rename is fsync'd after.
 func (s *Store) Put(ns, hash string, blob []byte) error {
 	if err := validate(ns, hash); err != nil {
 		return err
@@ -244,14 +272,14 @@ func (s *Store) Put(ns, hash string, blob []byte) error {
 	}
 	// The checksum records the caller's intent: it is computed before
 	// the fault hook rewrites the bytes, so an injected torn write or
-	// bit flip lands on disk with a mismatched record — exactly the
+	// bit flip lands on disk under a mismatched name — exactly the
 	// state a real torn write leaves — and Get's verification catches
 	// it.
 	sum := HashOf(blob)
 	if s.putFault != nil {
 		blob = s.putFault(ns, hash, blob)
 	}
-	path := s.blobPath(ns, hash)
+	path := s.blobPath(ns, hash, sum)
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return fmt.Errorf("cas: blob dir: %w", err)
 	}
@@ -274,15 +302,13 @@ func (s *Store) Put(ns, hash string, blob []byte) error {
 		return fmt.Errorf("cas: writing blob %s: %w", key(ns, hash), err)
 	}
 	syncDir(filepath.Dir(path))
-	e := Entry{Namespace: ns, Hash: hash, Size: int64(len(blob)), Sum: sum}
-	s.entries[key(ns, hash)] = e
-	s.bytes += e.Size
+	s.add(Entry{Namespace: ns, Hash: hash, Size: int64(len(blob)), Sum: sum})
 	s.puts++
-	return s.writeIndexLocked()
+	return nil
 }
 
 // HashOf returns the canonical content address of blob — the checksum
-// Put records in the index and Get verifies reads against.
+// Put names a blob file with and Get verifies reads against.
 func HashOf(blob []byte) string {
 	sum := sha256.Sum256(blob)
 	return "sha256:" + hex.EncodeToString(sum[:])
@@ -301,9 +327,9 @@ func (s *Store) SetPutFault(f func(ns, hash string, blob []byte) []byte) {
 }
 
 // Get returns the blob stored under (ns, hash). The bool reports
-// presence; disk errors on an indexed blob surface as errors. Blob
-// bytes are re-hashed against the checksum recorded at write time on
-// every read: a mismatch — torn write, bit rot, external tampering —
+// presence; disk errors other than a missing file surface as errors.
+// Blob bytes are re-hashed against the checksum recorded at write time
+// on every read: a mismatch — torn write, bit rot, external tampering —
 // quarantines the blob under corrupt/ and reports a miss, so the
 // caller re-executes the work instead of trusting corrupted state.
 func (s *Store) Get(ns, hash string) ([]byte, bool, error) {
@@ -317,14 +343,19 @@ func (s *Store) Get(ns, hash string) ([]byte, bool, error) {
 		s.mu.Unlock()
 		return nil, false, nil
 	}
-	path := s.blobPath(ns, hash)
 	s.mu.Unlock()
+	path := s.blobPath(ns, hash, e.Sum)
 	b, err := os.ReadFile(path)
-	if err != nil {
+	switch {
+	case errors.Is(err, fs.ErrNotExist):
+		// Removed behind the store's back (by an operator, or another
+		// process's quarantine): a miss, and the next Put stores it again.
+		s.drop(ns, hash, "")
+		return nil, false, nil
+	case err != nil:
 		return nil, false, fmt.Errorf("cas: reading blob %s: %w", key(ns, hash), err)
-	}
-	if e.Sum != "" && HashOf(b) != e.Sum {
-		s.quarantine(ns, hash, path)
+	case HashOf(b) != e.Sum:
+		s.drop(ns, hash, path)
 		return nil, false, nil
 	}
 	s.mu.Lock()
@@ -333,29 +364,33 @@ func (s *Store) Get(ns, hash string) ([]byte, bool, error) {
 	return b, true, nil
 }
 
-// quarantine moves a corrupt blob out of the tree (root/corrupt/, kept
-// for post-mortems), drops its index entry, and counts the event. The
-// key becomes a miss, so content under it can be regenerated and
-// stored again.
-func (s *Store) quarantine(ns, hash, path string) {
+// drop forgets a key Get could not serve, so its content can be
+// regenerated and stored again, and counts the miss. A corrupt blob, at
+// a non-empty path, is quarantined: evicted and counted.
+func (s *Store) drop(ns, hash, corrupt string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.misses++
 	e, ok := s.entries[key(ns, hash)]
-	if !ok {
-		// A concurrent Get already quarantined it.
+	if !ok { // a concurrent Get already dropped it
 		return
 	}
-	dst := filepath.Join(s.root, "corrupt", ns+"-"+strings.TrimPrefix(hash, "sha256:"))
-	if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil || os.Rename(path, dst) != nil {
-		// Rename failed (crossed filesystems, permissions): removal
-		// still restores the miss invariant, just without the corpse.
-		_ = os.Remove(path)
+	if corrupt != "" {
+		s.evict(corrupt, ns+"-"+strings.TrimPrefix(hash, "sha256:"))
+		s.quarantined++
 	}
 	delete(s.entries, key(ns, hash))
 	s.bytes -= e.Size
-	s.quarantined++
-	s.misses++
-	_ = s.writeIndexLocked()
+}
+
+// evict moves a blob file to root/corrupt/<name>, kept for
+// post-mortems. Where the move fails (crossed filesystems,
+// permissions), removal still takes the file out of service.
+func (s *Store) evict(path, name string) {
+	dst := filepath.Join(s.root, "corrupt", name)
+	if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil || os.Rename(path, dst) != nil {
+		_ = os.Remove(path)
+	}
 }
 
 // Len returns the number of stored blobs.
@@ -365,7 +400,8 @@ func (s *Store) Len() int {
 	return len(s.entries)
 }
 
-// Entries returns the index snapshot, sorted by key for determinism.
+// Entries returns a snapshot of the stored blobs, sorted by key for
+// determinism.
 func (s *Store) Entries() []Entry {
 	s.mu.Lock()
 	out := make([]Entry, 0, len(s.entries))
@@ -392,42 +428,6 @@ func (s *Store) Stats() Stats {
 		Misses:      s.misses,
 		Quarantined: s.quarantined,
 	}
-}
-
-// writeIndexLocked persists the index atomically (tmp + fsync +
-// rename). Callers hold s.mu.
-func (s *Store) writeIndexLocked() error {
-	doc := indexDoc{Entries: make([]Entry, 0, len(s.entries))}
-	for _, e := range s.entries {
-		doc.Entries = append(doc.Entries, e)
-	}
-	sort.Slice(doc.Entries, func(i, j int) bool {
-		return key(doc.Entries[i].Namespace, doc.Entries[i].Hash) < key(doc.Entries[j].Namespace, doc.Entries[j].Hash)
-	})
-	b, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return fmt.Errorf("cas: encoding index: %w", err)
-	}
-	tmp, err := os.CreateTemp(filepath.Join(s.root, "tmp"), "index-*")
-	if err != nil {
-		return fmt.Errorf("cas: temp index: %w", err)
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(b); err == nil {
-		err = tmp.Sync()
-	}
-	if cerr := tmp.Close(); cerr != nil && err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmpName, filepath.Join(s.root, indexFile))
-	}
-	if err != nil {
-		_ = os.Remove(tmpName)
-		return fmt.Errorf("cas: writing index: %w", err)
-	}
-	syncDir(s.root)
-	return nil
 }
 
 // syncDir fsyncs a directory so renames into it are durable;
