@@ -321,6 +321,29 @@ func BenchmarkLocalSearchBestResponse32(b *testing.B) {
 	}
 }
 
+func BenchmarkGreedyBestResponse96(b *testing.B) {
+	// The greedy oracle on the 96-peer unit metric, the shape of
+	// sweep-dyn's greedy-unit grid: a tie-heavy bfs-kernel instance
+	// where every add and drop is scored on the deviation batch.
+	space, err := metric.UniformImplicit(96)
+	if err != nil {
+		b.Fatal(err)
+	}
+	inst, err := core.NewInstance(space, 1.5)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ev, p := core.NewEvaluator(inst), dynamics.RandomProfile(rng.New(42), 96, 0.2)
+	oracle := &bestresponse.Greedy{}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := oracle.BestResponse(ev, p, i%96); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkNashCheckFigure1(b *testing.B) {
 	f, err := construct.NewFigure1(11, 4)
 	if err != nil {
@@ -392,6 +415,32 @@ func BenchmarkDynamicsLarge(b *testing.B) {
 		if res.Steps != 12 {
 			b.Fatalf("applied %d steps, want 12", res.Steps)
 		}
+	}
+}
+
+func BenchmarkDynamicsScaling(b *testing.B) {
+	// BenchmarkDynamicsLarge's 12 local-search moves from the empty
+	// profile at growing n: the steps/s-vs-n curve of best-response
+	// dynamics (12 steps per op).
+	for _, n := range []int{64, 128, 256} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			ev, _ := randomSetup(b, n, 2)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := dynamics.Run(ev, core.NewProfile(n), dynamics.Config{
+					Policy:   &dynamics.RoundRobin{},
+					Oracle:   &bestresponse.LocalSearch{},
+					MaxSteps: 12,
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if res.Steps != 12 {
+					b.Fatalf("applied %d steps, want 12", res.Steps)
+				}
+			}
+		})
 	}
 }
 

@@ -38,19 +38,6 @@ type Result struct {
 	Eval     core.Eval
 }
 
-// deviationScorer returns the fastest available evaluator of candidate
-// strategies for peer i under p: the batched deviation evaluator when
-// the instance admits it (directed, congestion-free, within the memory
-// cap), per-candidate SSSP otherwise. Oracles score every candidate —
-// including the incumbent — through one scorer, so all comparisons
-// within a search share identical floating-point arithmetic.
-func deviationScorer(ev *core.Evaluator, p core.Profile, i int) func(core.Strategy) core.Eval {
-	if b := ev.NewDeviationBatch(p, i); b != nil {
-		return b.Eval
-	}
-	return func(s core.Strategy) core.Eval { return ev.DeviationEval(p, i, s) }
-}
-
 // Oracle computes a best (or good) response for one peer.
 type Oracle interface {
 	// BestResponse returns the best strategy for peer i found by this
@@ -238,63 +225,53 @@ func (o *LocalSearch) BestResponse(ev *core.Evaluator, p core.Profile, i int) (R
 	if i < 0 || i >= n {
 		return Result{}, fmt.Errorf("bestresponse: peer %d out of range [0,%d)", i, n)
 	}
-	return HillClimb(n, i, p.Strategy(i), deviationScorer(ev, p, i), nil, o.MaxIterations), nil
+	return HillClimb(n, i, p.Strategy(i), movesFor(ev, p, i), nil, o.MaxIterations), nil
 }
 
 // HillClimb is LocalSearch's add/drop/swap loop for peer i among n:
-// from start it moves to the best single add, drop or swap that score
+// from start it moves to the best single add, drop or swap that m
 // rates Better (ties to the first found), and stops when none does or
 // after maxIter rounds (≤ 0 means n²+n+1). A non-nil active mask
 // limits every move to peers j with active[j], so a start that links
 // active peers only ends linking active peers only; nil means every
-// peer is active. start is cloned, not modified.
-func HillClimb(n, i int, start core.Strategy, score func(core.Strategy) core.Eval, active []bool, maxIter int) Result {
+// peer is active. The mask picks candidates only: which partners an
+// Eval sums over is m's business. start is copied, not modified.
+func HillClimb(n, i int, start core.Strategy, m *MoveScorer, active []bool, maxIter int) Result {
 	if maxIter <= 0 {
 		maxIter = n*n + n + 1
 	}
-	cur := start.Clone()
-	curEval := score(cur)
+	curEval := m.reset(n, start)
 	for iter := 0; iter < maxIter; iter++ {
-		bestMove := cur
+		drop, add := -1, -1
 		bestEval := curEval
-		improved := false
-		try := func(s core.Strategy) {
-			c := score(s)
-			if c.Better(bestEval, Tolerance) {
-				bestMove, bestEval = s.Clone(), c
-				improved = true
+		try := func(j, k int) {
+			if c := m.move(j, k); c.Better(bestEval, Tolerance) {
+				drop, add, bestEval = j, k, c
 			}
 		}
 		for j := 0; j < n; j++ {
 			if j == i || (active != nil && !active[j]) {
 				continue
 			}
-			if cur.Contains(j) {
-				// Drop j.
-				cur.Remove(j)
-				try(cur)
-				// Swap j for each absent k.
-				for k := 0; k < n; k++ {
-					if k != i && k != j && (active == nil || active[k]) && !cur.Contains(k) {
-						cur.Add(k)
-						try(cur)
-						cur.Remove(k)
-					}
+			if !m.cur.Contains(j) {
+				try(-1, j)
+				continue
+			}
+			try(j, -1)
+			// Swap j for each absent k.
+			for k := 0; k < n; k++ {
+				if k != i && (active == nil || active[k]) && !m.cur.Contains(k) {
+					try(j, k)
 				}
-				cur.Add(j)
-			} else {
-				// Add j.
-				cur.Add(j)
-				try(cur)
-				cur.Remove(j)
 			}
 		}
-		if !improved {
+		if drop < 0 && add < 0 {
 			break
 		}
-		cur, curEval = bestMove, bestEval
+		m.accept(drop, add)
+		curEval = bestEval
 	}
-	return Result{Strategy: cur, Eval: curEval}
+	return Result{Strategy: m.cur, Eval: curEval}
 }
 
 // TermLowerBound sums the cost model's per-pair lower bounds over peer
@@ -327,58 +304,56 @@ func (*Greedy) Clone() Oracle { return &Greedy{} }
 
 // BestResponse implements Oracle greedily.
 func (*Greedy) BestResponse(ev *core.Evaluator, p core.Profile, i int) (Result, error) {
-	inst := ev.Instance()
-	n := inst.N()
+	n := ev.Instance().N()
 	if i < 0 || i >= n {
 		return Result{}, fmt.Errorf("bestresponse: peer %d out of range [0,%d)", i, n)
 	}
-	scorer := deviationScorer(ev, p, i)
-	cur := bitset.New(n)
-	curEval := scorer(cur)
+	return greedy(n, i, p.Strategy(i), movesFor(ev, p, i)), nil
+}
 
+// greedy is Greedy's add-then-prune build for peer i among n over the
+// move scorer m, falling back to incumbent when that scores Better.
+func greedy(n, i int, incumbent core.Strategy, m *MoveScorer) Result {
+	curEval := m.reset(n, core.Strategy{})
 	// Additive phase.
 	for {
 		bestJ := -1
 		bestEval := curEval
 		for j := 0; j < n; j++ {
-			if j == i || cur.Contains(j) {
+			if j == i || m.cur.Contains(j) {
 				continue
 			}
-			cur.Add(j)
-			if c := scorer(cur); c.Better(bestEval, Tolerance) {
+			if c := m.move(-1, j); c.Better(bestEval, Tolerance) {
 				bestJ, bestEval = j, c
 			}
-			cur.Remove(j)
 		}
 		if bestJ < 0 {
 			break
 		}
-		cur.Add(bestJ)
+		m.accept(-1, bestJ)
 		curEval = bestEval
 	}
 	// Pruning phase.
 	for {
 		bestJ := -1
 		bestEval := curEval
-		cur.ForEach(func(j int) bool {
-			cur.Remove(j)
-			if c := scorer(cur); c.Better(bestEval, Tolerance) {
+		m.cur.ForEach(func(j int) bool {
+			if c := m.move(j, -1); c.Better(bestEval, Tolerance) {
 				bestJ, bestEval = j, c
 			}
-			cur.Add(j)
 			return true
 		})
 		if bestJ < 0 {
 			break
 		}
-		cur.Remove(bestJ)
+		m.accept(bestJ, -1)
 		curEval = bestEval
 	}
 	// Never return something worse than the current strategy.
-	if incumbent := scorer(p.Strategy(i)); incumbent.Better(curEval, Tolerance) {
-		return Result{Strategy: p.Strategy(i).Clone(), Eval: incumbent}, nil
+	if e := m.eval(incumbent); e.Better(curEval, Tolerance) {
+		return Result{Strategy: incumbent.Clone(), Eval: e}
 	}
-	return Result{Strategy: cur, Eval: curEval}, nil
+	return Result{Strategy: m.cur, Eval: curEval}
 }
 
 // Improvement returns how much peer i can gain (cost decrease) by

@@ -2,6 +2,7 @@ package bestresponse
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -348,9 +349,9 @@ func TestHillClimbMask(t *testing.T) {
 					}
 				}
 				for i := 0; i < n; i++ {
-					score := deviationScorer(ev, p, i)
-					want := HillClimb(n, i, p.Strategy(i), score, nil, 0)
-					got := HillClimb(n, i, p.Strategy(i), score, all, 0)
+					moves := movesFor(ev, p, i)
+					want := HillClimb(n, i, p.Strategy(i), moves, nil, 0)
+					got := HillClimb(n, i, p.Strategy(i), moves, all, 0)
 					if !got.Strategy.Equal(want.Strategy) || got.Eval != want.Eval {
 						t.Fatalf("trial %d peer %d: all-true mask %v %+v, nil mask %v %+v",
 							trial, i, got.Strategy, got.Eval, want.Strategy, want.Eval)
@@ -367,13 +368,98 @@ func TestHillClimbMask(t *testing.T) {
 							start.Remove(j)
 						}
 					}
-					res := HillClimb(n, i, start, score, active, 0)
+					res := HillClimb(n, i, start, moves, active, 0)
 					res.Strategy.ForEach(func(j int) bool {
 						if !active[j] {
 							t.Fatalf("trial %d peer %d: masked climb linked inactive peer %d (%v)", trial, i, j, res.Strategy)
 						}
 						return true
 					})
+				}
+			}
+		})
+	}
+}
+
+// TestMoveScorerSourcesAgree is the differential behind the move base:
+// HillClimb and greedy over the batch's move base (BatchMoves) must
+// return the same Result — Strategy Equal, Eval == — as over the
+// adapter that scores each explicit strategy with b.Eval (b.EvalActive
+// under a mask), unmasked and masked, on tie-free random points and on
+// the tie-heavy unit metric and integer line.
+func TestMoveScorerSourcesAgree(t *testing.T) {
+	r := rng.New(67)
+	spaces := map[string]func(n int) (metric.Space, error){
+		"points": func(n int) (metric.Space, error) { return metric.UniformPoints(r, n, 2) },
+		"unit":   func(n int) (metric.Space, error) { return metric.UniformImplicit(n) },
+		"int-line": func(n int) (metric.Space, error) {
+			pos := make([]float64, n)
+			x := 0.0
+			for j := range pos {
+				x += float64(1 + r.Intn(2))
+				pos[j] = x
+			}
+			return metric.Line(pos)
+		},
+	}
+	for _, name := range []string{"points", "unit", "int-line"} {
+		t.Run(name, func(t *testing.T) {
+			for trial := 0; trial < 4; trial++ {
+				n := 6 + r.Intn(12)
+				space, err := spaces[name](n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				inst, err := core.NewInstance(space, r.Range(0.5, 4))
+				if err != nil {
+					t.Fatal(err)
+				}
+				ev := core.NewEvaluator(inst)
+				p := core.NewProfile(n)
+				for i := 0; i < n; i++ {
+					for j := 0; j < n; j++ {
+						if i != j && r.Bool(0.25) {
+							_ = p.AddLink(i, j)
+						}
+					}
+				}
+				for i := 0; i < n; i++ {
+					b := ev.NewDeviationBatch(p, i)
+					if b == nil {
+						t.Fatal("batch unsupported")
+					}
+					mask := make([]bool, n)
+					for j := range mask {
+						mask[j] = j == i || r.Bool(0.7)
+					}
+					for _, active := range [][]bool{nil, mask} {
+						start := p.Strategy(i).Clone()
+						for j := 0; j < n; j++ {
+							if active != nil && !active[j] {
+								start.Remove(j)
+							}
+						}
+						explicit := ScoredMoves(func(s core.Strategy) core.Eval {
+							if active == nil {
+								return b.Eval(s)
+							}
+							return b.EvalActive(s, active)
+						})
+						base := BatchMoves(b, active)
+						same := func(what string, got, want Result) {
+							t.Helper()
+							if !got.Strategy.Equal(want.Strategy) || got.Eval != want.Eval {
+								t.Fatalf("trial %d peer %d masked=%t %s: move base %v %+v, explicit %v %+v",
+									trial, i, active != nil, what, got.Strategy, got.Eval, want.Strategy, want.Eval)
+							}
+						}
+						for _, maxIter := range []int{0, 1, 2} {
+							same(fmt.Sprintf("HillClimb maxIter=%d", maxIter),
+								HillClimb(n, i, start, base, active, maxIter),
+								HillClimb(n, i, start, explicit, active, maxIter))
+						}
+						same("greedy", greedy(n, i, start, base), greedy(n, i, start, explicit))
+					}
 				}
 			}
 		})

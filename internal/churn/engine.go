@@ -271,19 +271,22 @@ func (e *Engine) BestResponseActive(v int) (core.Strategy, core.Eval, error) {
 		return core.Strategy{}, core.Eval{}, fmt.Errorf("churn: peer %d is offline", v)
 	}
 	live := e.dy.Profile()
-	score := func(s core.Strategy) core.Eval { return e.ev.DeviationEvalActive(live, v, s, e.online) }
+	var moves *bestresponse.MoveScorer
 	if b := e.ev.NewDeviationBatch(live, v); b != nil {
 		out := b.ExactSearchActive(live.Strategy(v), e.online, bestresponse.TermLowerBound(e.inst, v, e.online), bestresponse.Tolerance, e.SearchBudget)
 		if !out.OverBudget {
 			return out.Strategy, out.Eval, nil
 		}
-		// Over budget: hill-climb on the batch's O(|s|·n) scorer instead.
-		score = func(s core.Strategy) core.Eval { return b.EvalActive(s, e.online) }
+		// Over budget: hill-climb on the batch's move base instead,
+		// which scores each add, drop or swap in O(n).
+		moves = bestresponse.BatchMoves(b, e.online)
+	} else {
+		moves = bestresponse.ScoredMoves(func(s core.Strategy) core.Eval { return e.ev.DeviationEvalActive(live, v, s, e.online) })
 	}
 	// The fallback is bestresponse.LocalSearch's add/drop/swap climb,
 	// with candidates restricted to online peers and every score masked
 	// to the online subgame.
-	res := bestresponse.HillClimb(e.N(), v, live.Strategy(v), score, e.online, 0)
+	res := bestresponse.HillClimb(e.N(), v, live.Strategy(v), moves, e.online, 0)
 	return res.Strategy, res.Eval, nil
 }
 

@@ -28,7 +28,9 @@ func (in *Instance) SupportsBatchEval() bool {
 // the deviation distances are d[j] = min_{k∈s} (d(i,k) + rest[k][j]),
 // an O(|s|·n) fold per candidate instead of a full Dijkstra. The exact
 // best-response oracle scores hundreds of candidates per call, so the
-// n−1 upfront SSSPs amortize immediately.
+// n−1 upfront SSSPs amortize immediately. A candidate one add, drop or
+// swap away from a base strategy costs O(n) on the move base
+// (moves.go), which local search and greedy score with.
 //
 // The batch reuses evaluator-owned scratch: it stays valid until the
 // next NewDeviationBatch call on the same evaluator, and is bound to the
@@ -39,6 +41,13 @@ type DeviationBatch struct {
 	i    int
 	rest [][]float64
 	d    []float64
+	// The move base (moves.go): per-column best and second-best fold
+	// values of the base strategy, the peer giving the best, the base's
+	// degree and the mask its scores sum over.
+	best, second []float64
+	arg          []int32
+	degree       int
+	active       []bool
 }
 
 // NewDeviationBatch prepares batched deviation evaluation for peer i

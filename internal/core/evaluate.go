@@ -253,6 +253,9 @@ type Evaluator struct {
 	// Scratch for batched deviation evaluation (see deviation.go).
 	batchFlat []float64
 	batchD    []float64
+	// The DeviationBatch move base's columns (see moves.go).
+	baseBest, baseSecond []float64
+	baseArg              []int32
 	// batchCache, when attached by a DynEval, persists deviation-batch
 	// rest rows across oracle calls (see batchcache.go). Nil by default.
 	batchCache *BatchCache

@@ -505,8 +505,8 @@ func TestParallelRestRowsByteIdentical(t *testing.T) {
 }
 
 // TestZeroAllocKernelHotPaths pins the arena contract: once warmed up,
-// the social-cost sweep and the deviation-batch build allocate nothing,
-// on every kernel.
+// the social-cost sweep, the deviation-batch build and its move base
+// allocate nothing, on every kernel.
 func TestZeroAllocKernelHotPaths(t *testing.T) {
 	r := rng.New(47)
 	for _, c := range []diffCase{
@@ -531,6 +531,19 @@ func TestZeroAllocKernelHotPaths(t *testing.T) {
 				}
 			}); avg != 0 {
 				t.Errorf("NewDeviationBatch allocates %v per run, want 0", avg)
+			}
+			// The move base's columns live on the evaluator too.
+			b := ev.NewDeviationBatch(p, 2)
+			s := randomStrategy(r, c.n, 2, 0.2)
+			s.Add(0)
+			s.Remove(3)
+			_ = b.SetBase(s, nil)
+			if avg := testing.AllocsPerRun(10, func() {
+				_ = b.SetBase(s, nil)
+				_, _, _ = b.MoveEval(-1, 3), b.MoveEval(0, -1), b.MoveEval(0, 3)
+				b.AddToBase(3)
+			}); avg != 0 {
+				t.Errorf("the move base allocates %v per run, want 0", avg)
 			}
 		})
 	}
