@@ -134,8 +134,8 @@ func NewEngine(ev *core.Evaluator, stored core.Profile) (*Engine, error) {
 	return e, nil
 }
 
-// Close releases the engine's incremental state (detaches the batch
-// cache from the evaluator).
+// Close releases the engine's incremental state (detaches the DynEval
+// from the evaluator).
 func (e *Engine) Close() { e.dy.Close() }
 
 // N returns the size of the peer universe.
@@ -211,13 +211,13 @@ func (e *Engine) Leave(v int) ([]int, error) {
 	}
 	e.online[v] = false
 	e.count--
-	if _, err := e.dy.Apply(v, core.Strategy{}); err != nil {
+	if err := e.dy.Apply(v, core.Strategy{}); err != nil {
 		return nil, err
 	}
 	for _, u := range affected {
 		s := e.dy.Profile().Strategy(u).Clone()
 		s.Remove(v)
-		if _, err := e.dy.Apply(u, s); err != nil {
+		if err := e.dy.Apply(u, s); err != nil {
 			return nil, err
 		}
 	}
@@ -244,7 +244,7 @@ func (e *Engine) Join(v int) ([]int, error) {
 			s.Remove(j)
 		}
 	}
-	if _, err := e.dy.Apply(v, s); err != nil {
+	if err := e.dy.Apply(v, s); err != nil {
 		return nil, err
 	}
 	var affected []int
@@ -252,7 +252,7 @@ func (e *Engine) Join(v int) ([]int, error) {
 		if u != v && e.online[u] && e.stored.Strategy(u).Contains(v) {
 			su := e.dy.Profile().Strategy(u).Clone()
 			su.Add(v)
-			if _, err := e.dy.Apply(u, su); err != nil {
+			if err := e.dy.Apply(u, su); err != nil {
 				return nil, err
 			}
 			affected = append(affected, u)
@@ -297,10 +297,7 @@ func (e *Engine) adopt(v int, s core.Strategy) error {
 	if err := e.stored.SetStrategy(v, s); err != nil {
 		return err
 	}
-	if _, err := e.dy.Apply(v, s); err != nil {
-		return err
-	}
-	return nil
+	return e.dy.Apply(v, s)
 }
 
 // Repair rebuilds peer v's neighbor set per the given kind, rewriting

@@ -34,8 +34,9 @@ func (in *Instance) SupportsBatchEval() bool {
 //
 // The batch reuses evaluator-owned scratch: it stays valid until the
 // next NewDeviationBatch call on the same evaluator, and is bound to the
-// profile and peer it was created for. Like the evaluator itself it is
-// not safe for concurrent use.
+// profile and peer it was created for. A batch that reads an attached
+// DynEval's rows is valid only until that engine's next Apply. Like the
+// evaluator itself it is not safe for concurrent use.
 type DeviationBatch struct {
 	ev   *Evaluator
 	i    int
@@ -56,6 +57,14 @@ type DeviationBatch struct {
 // too) or congestion (candidate links shift in-degrees, re-weighting the
 // whole graph) — or when n exceeds the memory cap; callers must then
 // fall back to DeviationEval.
+//
+// While a DynEval is attached (NewDynEval attaches itself) and its
+// profile equals p, rest row k is the engine's own row k, read in place,
+// unless a link of i is tight on it (DynEval.tightLink): a row on which
+// no shortest path leaves i over one of its links is already
+// d_{G−i}(k, ·), since removing arcs no shortest path uses changes no
+// distance. Those rows, and every row when no engine is attached or its
+// profile differs, settle through fillRestRows.
 func (ev *Evaluator) NewDeviationBatch(p Profile, i int) *DeviationBatch {
 	n := ev.inst.N()
 	if !ev.inst.SupportsBatchEval() {
@@ -64,14 +73,6 @@ func (ev *Evaluator) NewDeviationBatch(p Profile, i int) *DeviationBatch {
 	if i < 0 || i >= n {
 		return nil
 	}
-	// With an attached BatchCache (incremental dynamics), serve the
-	// batch from the persisted rest rows, re-settling only the rows the
-	// moves since the last call for i could have touched.
-	if c := ev.batchCache; c != nil {
-		if b := c.batchFor(ev, p, i); b != nil {
-			return b
-		}
-	}
 	if cap(ev.batchFlat) < n*n {
 		ev.batchFlat = make([]float64, n*n)
 		ev.batchD = make([]float64, n)
@@ -79,28 +80,39 @@ func (ev *Evaluator) NewDeviationBatch(p Profile, i int) *DeviationBatch {
 	if cap(ev.batchRows) < n {
 		ev.batchRows = make([][]float64, n)
 	}
+	dy := ev.dyn
+	if dy != nil && !dy.p.Equal(p) {
+		dy = nil
+	}
 	flat := ev.batchFlat[:n*n]
 	rest := ev.batchRows[:n]
 	srcs := ev.srcScratch[:0]
 	for k := 0; k < n; k++ {
-		if k == i {
+		switch {
+		case k == i:
 			rest[k] = nil // a self-link never shortens a path
-			continue
+		case dy != nil && !dy.tightLink(k, i):
+			rest[k] = dy.Row(k)
+		default:
+			rest[k] = flat[k*n : (k+1)*n]
+			srcs = append(srcs, int32(k))
 		}
-		rest[k] = flat[k*n : (k+1)*n]
-		srcs = append(srcs, int32(k))
 	}
 	ev.srcScratch = srcs
 	ev.fillRestRows(p, i, srcs, rest)
+	if dy != nil {
+		dy.stats.RowsReused += n - 1 - len(srcs)
+		dy.stats.RowsSettled += len(srcs)
+	}
 	ev.batch = DeviationBatch{ev: ev, i: i, rest: rest, d: ev.batchD[:n]}
 	return &ev.batch
 }
 
 // fillRestRows writes into dst[k], for every source k in srcs, the
 // distances d_{G−skip}(k, ·): SSSP from k over p with peer skip's
-// out-arcs removed. It is the one row fill behind both batch paths (the
-// fresh build and the BatchCache dirty-row re-settle), so their fan-out
-// convention cannot drift: the rows fan across the attached pool when
+// out-arcs removed. It is the one row fill of NewDeviationBatch, for
+// every row with no attached engine and for the rows an engine's own
+// row cannot stand in for. The rows fan across the attached pool when
 // fanPool says so and settle on ev otherwise, and each lands in the
 // slot indexed by its source, so dst is byte-identical at any width.
 func (ev *Evaluator) fillRestRows(p Profile, skip int, srcs []int32, dst [][]float64) {

@@ -58,7 +58,9 @@ type DynEval struct {
 	indeg []int     // strategy in-degrees (congestion bookkeeping)
 	scale []float64 // 1 + γ·indeg, nil when γ = 0
 
-	cache *BatchCache
+	// stats counts the rest rows of the deviation batches built on this
+	// engine's profile (see Evaluator.NewDeviationBatch).
+	stats BatchStats
 
 	// Per-move scratch (see Apply).
 	deltas    []arcDelta // weight-changed or removed arcs (finite old weight)
@@ -80,8 +82,6 @@ type DynEval struct {
 	recomp   []int32
 	inR      []bool
 	heap     vertexHeap
-
-	changedSources []int
 }
 
 // arcDelta is one arc of a move's change set: the traversal arc u→v had
@@ -91,26 +91,25 @@ type arcDelta struct {
 	oldW, newW float64
 }
 
-// MoveDelta reports what one applied move changed, for callers that
-// invalidate downstream caches: over-reporting is safe, under-reporting
-// never happens. The slices are views into engine-owned scratch, valid
-// until the next Apply call.
-type MoveDelta struct {
-	// Mover is the peer whose strategy changed.
-	Mover int
-	// Added and Removed are the toggled link targets.
-	Added, Removed []int
-	// ChangedSources lists every source s whose distance row changed, in
-	// ascending order.
-	ChangedSources []int
+// BatchStats counts where the rest rows of the deviation batches built
+// on an engine's profile came from: RowsReused rows were the engine's
+// own rows, read in place, and RowsSettled rows were settled afresh
+// because the deviating peer had a tight link on them. RowsRelaxed is
+// always 0; the field stays because perfbench reads it.
+type BatchStats struct {
+	RowsReused  int
+	RowsSettled int
+	RowsRelaxed int
 }
 
 // NewDynEval builds the incremental engine for the evaluator's instance
 // at the given starting profile (cloned, not retained). When the
 // instance admits batched deviation evaluation (directed, congestion
-// free, within the memory cap) a BatchCache is created and attached to
-// the evaluator, so best-response oracles transparently reuse surviving
-// rest-SSSP rows across calls; Close detaches it.
+// free, within the memory cap) the engine attaches itself to the
+// evaluator, so the evaluator's deviation batches on the engine's
+// profile read their rest rows off the engine's matrix wherever the
+// deviating peer has no tight link (see NewDeviationBatch); Close
+// detaches it.
 func NewDynEval(ev *Evaluator, p Profile) (*DynEval, error) {
 	n := ev.inst.N()
 	if p.N() != n {
@@ -142,24 +141,23 @@ func NewDynEval(ev *Evaluator, p Profile) (*DynEval, error) {
 		dy.rebuildRowCounts(s)
 	}
 	if ev.inst.SupportsBatchEval() {
-		dy.cache = newBatchCache(dy.p, n)
-		ev.batchCache = dy.cache
+		ev.dyn = dy
 	}
 	return dy, nil
 }
 
-// Close detaches the engine's BatchCache from the evaluator. The engine
-// itself holds no other shared state.
+// Close detaches the engine from the evaluator, whose deviation batches
+// then settle every rest row. The engine itself holds no other shared
+// state.
 func (dy *DynEval) Close() {
-	if dy.cache != nil && dy.ev.batchCache == dy.cache {
-		dy.ev.batchCache = nil
+	if dy.ev.dyn == dy {
+		dy.ev.dyn = nil
 	}
-	dy.cache = nil
 }
 
-// Cache returns the attached BatchCache, or nil when the regime does
-// not admit one.
-func (dy *DynEval) Cache() *BatchCache { return dy.cache }
+// Stats returns the rest-row counters of the deviation batches built on
+// the engine's profile while it was attached.
+func (dy *DynEval) Stats() BatchStats { return dy.stats }
 
 // Profile returns the engine's current profile. The returned value
 // shares storage; callers must not mutate it.
@@ -169,6 +167,24 @@ func (dy *DynEval) Profile() Profile { return dy.p }
 // view into the engine's matrix; it stays live (and mutates) across
 // Apply calls.
 func (dy *DynEval) Row(s int) []float64 { return dy.dist[s*dy.n : (s+1)*dy.n] }
+
+// tightLink reports whether a link of peer i is tight in row k: i is
+// reachable from k and d(k,i) + w(i,t) == d(k,t) for some link i→t. A
+// row with no tight link of i is already i's rest row (see
+// Evaluator.NewDeviationBatch).
+func (dy *DynEval) tightLink(k, i int) bool {
+	d := dy.Row(k)
+	di := d[i]
+	if math.IsInf(di, 1) {
+		return false
+	}
+	for a := dy.out.head[i]; a < dy.out.head[i+1]; a++ {
+		if di+dy.out.w[a] == d[dy.out.to[a]] {
+			return true
+		}
+	}
+	return false
+}
 
 // PeerEval returns peer i's enriched cost under the current profile,
 // bit-identical to Evaluator.PeerEval on the same profile — but O(n)
@@ -351,10 +367,10 @@ func (dy *DynEval) findUnmarkedArc(u, v int) int32 {
 	return -1
 }
 
-// buildMoveDeltas translates the strategy toggle into the per-arc change
+// buildArcDeltas translates the strategy toggle into the per-arc change
 // set: dy.deltas (finite old weight: removals and γ re-weightings, with
 // out-positions marked) and dy.added (insertions).
-func (dy *DynEval) buildMoveDeltas(mover int) {
+func (dy *DynEval) buildArcDeltas(mover int) {
 	inst := dy.ev.inst
 	dy.deltas = dy.deltas[:0]
 	dy.added = dy.added[:0]
@@ -472,8 +488,8 @@ func (dy *DynEval) forEachNewOutArc(u int32, fn func(x int32, w float64)) {
 }
 
 // updateRow applies the pending move's arc deltas to source s's
-// distances and counts. Returns whether any distance changed.
-func (dy *DynEval) updateRow(s int) bool {
+// distances and counts.
+func (dy *DynEval) updateRow(s int) {
 	n := dy.n
 	d := dy.Row(s)
 	cnt := dy.cnt[s*n : (s+1)*n]
@@ -547,7 +563,7 @@ func (dy *DynEval) updateRow(s int) bool {
 					cnt[dl.v]++
 				}
 			}
-			return false
+			return
 		}
 	}
 
@@ -645,11 +661,7 @@ func (dy *DynEval) updateRow(s int) bool {
 	for _, dl := range dy.added {
 		addR(dl.v)
 	}
-	changed := len(dy.improved) > 0
-	for idx, v := range dy.affected {
-		if d[v] != dy.oldAD[idx] {
-			changed = true
-		}
+	for _, v := range dy.affected {
 		addR(v)
 	}
 	for _, v := range dy.improved {
@@ -682,16 +694,16 @@ func (dy *DynEval) updateRow(s int) bool {
 	for _, v := range dy.recomp {
 		dy.inR[v] = false
 	}
-	return changed
 }
 
 // Apply switches the mover to strategy alt and incrementally updates
-// every distance row, the tight-parent counts, the adjacency and the
-// attached BatchCache. The caller's alt is cloned, not retained.
-func (dy *DynEval) Apply(mover int, alt Strategy) (MoveDelta, error) {
+// every distance row, the tight-parent counts and the adjacency. The
+// caller's alt is cloned, not retained. Deviation batches that read
+// the engine's rows are valid only until the next Apply.
+func (dy *DynEval) Apply(mover int, alt Strategy) error {
 	n := dy.n
 	if mover < 0 || mover >= n {
-		return MoveDelta{}, fmt.Errorf("core: mover %d out of range [0,%d)", mover, n)
+		return fmt.Errorf("core: mover %d out of range [0,%d)", mover, n)
 	}
 	old := dy.p.Strategy(mover)
 	dy.addT = dy.addT[:0]
@@ -708,33 +720,22 @@ func (dy *DynEval) Apply(mover int, alt Strategy) (MoveDelta, error) {
 		}
 		return true
 	})
-	delta := MoveDelta{Mover: mover, Added: dy.addT, Removed: dy.remT}
 	if len(dy.addT) == 0 && len(dy.remT) == 0 {
-		return delta, nil
+		return nil
 	}
 	// Validate (and clone) the new strategy before mutating any state.
 	if err := dy.p.SetStrategy(mover, alt); err != nil {
-		return MoveDelta{}, err
+		return err
 	}
 
 	dy.markedPos = dy.markedPos[:0]
-	dy.buildMoveDeltas(mover)
-
-	dy.changedSources = dy.changedSources[:0]
+	dy.buildArcDeltas(mover)
 	for s := 0; s < n; s++ {
-		if dy.updateRow(s) {
-			dy.changedSources = append(dy.changedSources, s)
-		}
+		dy.updateRow(s)
 	}
-	delta.ChangedSources = dy.changedSources
-
 	for _, pos := range dy.markedPos {
 		dy.isDelta[pos] = false
 	}
 	dy.rebuildAdjacency()
-
-	if dy.cache != nil {
-		dy.cache.noteMove(mover, dy.p.Strategy(mover), delta.Removed, delta.Added, dy.ev.inst)
-	}
-	return delta, nil
+	return nil
 }

@@ -1,18 +1,21 @@
 package core
 
 // Differential tests for the incremental dynamics engine: DynEval's
-// maintained distance rows, tight-parent counts and change reports, and
-// the BatchCache's row-level reuse, are all checked bit-for-bit against
-// from-scratch computation over randomized move sequences in every
-// regime (directed/undirected, congestion γ > 0). Exact equality — not
-// tolerance — is the contract: the incremental engine must compute the
-// same floating-point fixpoint as a fresh Dijkstra, which is what lets
-// the dynamics layer keep trajectories byte-identical.
+// maintained distance rows and tight-parent counts are checked
+// bit-for-bit against from-scratch computation over randomized move
+// sequences in every regime (directed/undirected, congestion γ > 0),
+// and FuzzDynEval does the same over fuzzed regimes and move scripts,
+// with the deviation batches that read the engine's rows. Exact
+// equality — not tolerance — is the contract: the incremental engine
+// must compute the same floating-point fixpoint as a fresh Dijkstra,
+// which is what lets the dynamics layer keep trajectories
+// byte-identical.
 
 import (
 	"math"
 	"testing"
 
+	"selfishnet/internal/metric"
 	"selfishnet/internal/rng"
 )
 
@@ -64,7 +67,7 @@ func TestDynEvalMatchesFreshSSSPUnderMoveSequences(t *testing.T) {
 				if err := p.SetStrategy(mover, alt); err != nil {
 					t.Fatal(err)
 				}
-				if _, err := dy.Apply(mover, alt); err != nil {
+				if err := dy.Apply(mover, alt); err != nil {
 					t.Fatal(err)
 				}
 				for src := 0; src < c.n; src++ {
@@ -101,7 +104,7 @@ func TestDynEvalTightParentCountsStayExact(t *testing.T) {
 				if err := p.SetStrategy(mover, alt); err != nil {
 					t.Fatal(err)
 				}
-				if _, err := dy.Apply(mover, alt); err != nil {
+				if err := dy.Apply(mover, alt); err != nil {
 					t.Fatal(err)
 				}
 				// A from-scratch engine over the same profile recomputes
@@ -122,157 +125,126 @@ func TestDynEvalTightParentCountsStayExact(t *testing.T) {
 	}
 }
 
-func TestDynEvalChangedSourcesNeverUnderReport(t *testing.T) {
-	r := rng.New(37)
-	for _, c := range diffCases() {
-		t.Run(c.name, func(t *testing.T) {
-			inst := buildDiffInstance(t, r, c)
-			ev := NewEvaluator(inst)
-			p := randomDiffProfile(r, c.n, c.linkProb)
-			dy, err := NewDynEval(ev, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer dy.Close()
-			before := make([]float64, c.n*c.n)
-			for move := 0; move < 15; move++ {
-				copy(before, dy.dist)
-				mover := r.Intn(c.n)
-				alt := mutateStrategy(r, p.Strategy(mover), c.n, mover)
-				if err := p.SetStrategy(mover, alt); err != nil {
-					t.Fatal(err)
-				}
-				delta, err := dy.Apply(mover, alt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				reported := make(map[int]bool, len(delta.ChangedSources))
-				for _, s := range delta.ChangedSources {
-					reported[s] = true
-				}
-				for s := 0; s < c.n; s++ {
-					if reported[s] {
-						continue
-					}
-					if j, ok := exactRowsEqual(dy.dist[s*c.n:(s+1)*c.n], before[s*c.n:(s+1)*c.n]); !ok {
-						t.Fatalf("move %d: source %d changed at %d but was not reported", move, s, j)
-					}
-				}
-			}
-		})
+// dynFuzzSpaces are FuzzDynEval's metric families: random points (a
+// general metric, heap kernel), the unit metric (bitset BFS) and an
+// integer line (Dial).
+var dynFuzzSpaces = []string{"points", "unit", "int-line"}
+
+// dynFuzzInstance builds an n-peer instance on the named space in one
+// of three regimes: directed, undirected, or congested (γ > 0).
+func dynFuzzInstance(t *testing.T, r *rng.RNG, space string, n int, regime uint8) *Instance {
+	t.Helper()
+	var s metric.Space
+	var err error
+	switch space {
+	case "points":
+		s, err = metric.UniformPoints(r, n, 2)
+	case "unit":
+		s, err = metric.Uniform(n)
+	case "int-line":
+		pos := make([]float64, n)
+		x := 0.0
+		for j := range pos {
+			x += float64(1 + r.Intn(3))
+			pos[j] = x
+		}
+		s, err = metric.Line(pos)
 	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	var opts []Option
+	switch regime % 3 {
+	case 1:
+		opts = append(opts, WithUndirected())
+	case 2:
+		opts = append(opts, WithCongestion(0.25+r.Float64()))
+	}
+	inst, err := NewInstance(s, 0.5+3*r.Float64(), opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return inst
 }
 
-// TestBatchCacheMatchesFreshBatch drives a move sequence through a
-// DynEval (which attaches a BatchCache to its evaluator) and checks
-// every cached deviation batch — including partially re-settled ones —
-// bit-for-bit against a cache-free evaluator's batch.
-func TestBatchCacheMatchesFreshBatch(t *testing.T) {
-	r := rng.New(41)
-	for trial := 0; trial < 4; trial++ {
-		c := diffCase{n: 8 + r.Intn(12), linkProb: 0.1 + 0.3*r.Float64()}
-		inst := buildDiffInstance(t, r, c)
-		ev := NewEvaluator(inst)
-		fresh := NewEvaluator(inst)
-		p := randomDiffProfile(r, c.n, c.linkProb)
+// FuzzDynEval decodes the fuzz input into a regime (directed, undirected
+// or γ > 0 on a general, unit or integer-line metric, n ≤ 24) and a move
+// script, and drives the script through a DynEval. The script's moves
+// toggle a link, redraw a strategy, or play a leave (the peer drops its
+// links, then every owner of a link to it drops that link) or a join
+// that reuses the index with new links and two incumbents linking back.
+// After every Apply each row must == Evaluator.Distances on the same
+// profile and, in the batch regime, every peer's engine-backed batch
+// must have rest rows == an engine-free evaluator's. The seed corpus
+// under testdata/fuzz/FuzzDynEval covers the nine regime × metric pairs.
+func FuzzDynEval(f *testing.F) {
+	f.Fuzz(func(t *testing.T, size, regime uint8, seed uint64, script []byte) {
+		n := 2 + int(size)%23
+		if len(script) > 64 {
+			script = script[:64]
+		}
+		r := rng.New(seed)
+		inst := dynFuzzInstance(t, r, dynFuzzSpaces[int(regime/3)%len(dynFuzzSpaces)], n, regime)
+		ev, fresh := NewEvaluator(inst), NewEvaluator(inst)
+		p := randomDiffProfile(r, n, 0.4*r.Float64())
 		dy, err := NewDynEval(ev, p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if dy.Cache() == nil {
-			t.Fatal("directed congestion-free instance must attach a BatchCache")
-		}
-		for move := 0; move < 20; move++ {
-			for probe := 0; probe < 3; probe++ {
-				i := r.Intn(c.n)
-				got := ev.NewDeviationBatch(p, i)
-				want := fresh.NewDeviationBatch(p, i)
-				if got == nil || want == nil {
-					t.Fatal("batch unexpectedly unsupported")
-				}
-				for cand := 0; cand < 6; cand++ {
-					alt := randomStrategy(r, c.n, i, r.Float64())
-					ge, we := got.Eval(alt), want.Eval(alt)
-					if ge != we {
-						t.Fatalf("trial %d move %d: cached batch eval %+v, fresh %+v", trial, move, ge, we)
-					}
-				}
-			}
-			mover := r.Intn(c.n)
-			alt := mutateStrategy(r, p.Strategy(mover), c.n, mover)
+		defer dy.Close()
+		apply := func(mover int, alt Strategy) {
+			t.Helper()
 			if err := p.SetStrategy(mover, alt); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := dy.Apply(mover, alt); err != nil {
+			if err := dy.Apply(mover, alt); err != nil {
 				t.Fatal(err)
 			}
-		}
-		dy.Close()
-		if ev.batchCache != nil {
-			t.Fatal("Close must detach the cache")
-		}
-	}
-}
-
-// TestBatchCachePeerVersionSemantics pins the invalidation contract the
-// dynamics layer builds on: a stable PeerVersion across moves implies
-// the peer's deviation environment is unchanged (its batch yields
-// identical evals), and a move by the peer itself never bumps its own
-// version.
-func TestBatchCachePeerVersionSemantics(t *testing.T) {
-	r := rng.New(43)
-	c := diffCase{n: 12, linkProb: 0.25}
-	inst := buildDiffInstance(t, r, c)
-	ev := NewEvaluator(inst)
-	p := randomDiffProfile(r, c.n, c.linkProb)
-	dy, err := NewDynEval(ev, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dy.Close()
-	cache := dy.Cache()
-
-	type snapshot struct {
-		version uint64
-		evals   []Eval
-		cands   []Strategy
-	}
-	snaps := make(map[int]snapshot)
-	for i := 0; i < c.n; i++ {
-		b := ev.NewDeviationBatch(p, i)
-		cands := make([]Strategy, 5)
-		evals := make([]Eval, 5)
-		for k := range cands {
-			cands[k] = randomStrategy(r, c.n, i, 0.4)
-			evals[k] = b.Eval(cands[k])
-		}
-		snaps[i] = snapshot{version: cache.PeerVersion(i), evals: evals, cands: cands}
-	}
-	for move := 0; move < 15; move++ {
-		mover := r.Intn(c.n)
-		alt := mutateStrategy(r, p.Strategy(mover), c.n, mover)
-		if err := p.SetStrategy(mover, alt); err != nil {
-			t.Fatal(err)
-		}
-		vBefore := cache.PeerVersion(mover)
-		if _, err := dy.Apply(mover, alt); err != nil {
-			t.Fatal(err)
-		}
-		if v := cache.PeerVersion(mover); v != vBefore {
-			t.Fatalf("move %d: mover's own version bumped %d → %d", move, vBefore, v)
-		}
-		for i := 0; i < c.n; i++ {
-			snap := snaps[i]
-			if cache.PeerVersion(i) != snap.version {
-				continue // invalidated: no claim
+			for s := 0; s < n; s++ {
+				want, err := fresh.Distances(p, s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if j, ok := distsIdentical(dy.Row(s), want); !ok {
+					t.Fatalf("after a move by %d: row %d d[%d]=%v, fresh %v", mover, s, j, dy.Row(s)[j], want[j])
+				}
 			}
-			b := ev.NewDeviationBatch(p, i)
-			for k, cand := range snap.cands {
-				if got := b.Eval(cand); got != snap.evals[k] {
-					t.Fatalf("move %d: peer %d version stable at %d but eval changed: %+v vs %+v",
-						move, i, snap.version, got, snap.evals[k])
+			if inst.SupportsBatchEval() {
+				for i := 0; i < n; i++ {
+					checkEngineBatch(t, ev, fresh, dy, p, i, true)
 				}
 			}
 		}
-	}
+		for ; len(script) >= 2; script = script[2:] {
+			v := int(script[1]) % n
+			switch script[0] % 4 {
+			case 0: // toggle one link
+				s := p.Strategy(v).Clone()
+				if u := (v + 1 + int(script[1])/n) % n; u != v {
+					s.Flip(u)
+				}
+				apply(v, s)
+			case 1: // redraw
+				apply(v, randomStrategy(r, n, v, r.Float64()))
+			case 2: // leave
+				apply(v, Strategy{})
+				for u := 0; u < n; u++ {
+					if u != v && p.Strategy(u).Contains(v) {
+						s := p.Strategy(u).Clone()
+						s.Remove(v)
+						apply(u, s)
+					}
+				}
+			case 3: // join, reusing index v
+				apply(v, randomStrategy(r, n, v, 0.4))
+				for picks := 0; picks < 2; picks++ {
+					if u := r.Intn(n); u != v {
+						s := p.Strategy(u).Clone()
+						s.Add(v)
+						apply(u, s)
+					}
+				}
+			}
+		}
+	})
 }

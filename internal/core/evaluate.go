@@ -256,9 +256,10 @@ type Evaluator struct {
 	// The DeviationBatch move base's columns (see moves.go).
 	baseBest, baseSecond []float64
 	baseArg              []int32
-	// batchCache, when attached by a DynEval, persists deviation-batch
-	// rest rows across oracle calls (see batchcache.go). Nil by default.
-	batchCache *BatchCache
+	// dyn, when attached by NewDynEval, lends its distance rows to the
+	// deviation batches built on its profile (see NewDeviationBatch).
+	// Nil by default.
+	dyn *DynEval
 	// Scratch for the exact oracle's stack search (one live
 	// DeviationStack / suffix-min table per evaluator at a time).
 	stackLevels  []float64
@@ -282,8 +283,7 @@ type Evaluator struct {
 	// source masks, frontier lists and band row storage.
 	ms msScratch
 	// pool, when attached, fans the rest-row SSSPs of NewDeviationBatch
-	// (and BatchCache dirty-row settles) across evaluator clones. See
-	// AttachPool.
+	// across evaluator clones. See AttachPool.
 	pool *Pool
 	// srcScratch collects source lists for settleRows.
 	srcScratch []int32
@@ -323,21 +323,22 @@ func NewEvaluator(inst *Instance) *Evaluator {
 func (ev *Evaluator) Clone() *Evaluator { return NewEvaluator(ev.inst) }
 
 // AttachPool hands the evaluator a worker pool for intra-call
-// parallelism: while attached, NewDeviationBatch fans its n−1 rest-row
-// SSSPs (and the BatchCache its dirty-row re-settles) across the pool's
-// evaluator clones. Per-source rows are written to disjoint slots
-// indexed by source, so results are byte-identical at any width — the
-// same ordered-reduce convention as Pool's all-pairs methods. Pass nil
-// to detach. The pool must be bound to the same instance. An attached
-// pool is always consulted; callers that attach one for a sequence of
-// operations (e.g. a replica loop) own its lifetime, and dynamics.Run
-// leaves a caller-attached pool in place instead of layering its own.
+// parallelism: while attached, NewDeviationBatch fans the rest rows it
+// settles (all n−1, or those an attached DynEval's rows cannot stand
+// in for) across the pool's evaluator clones. Per-source rows are
+// written to disjoint slots indexed by source, so results are
+// byte-identical at any width — the same ordered-reduce convention as
+// Pool's all-pairs methods. Pass nil to detach. The pool must be bound
+// to the same instance. An attached pool is always consulted; callers
+// that attach one for a sequence of operations (e.g. a replica loop)
+// own its lifetime, and dynamics.Run leaves a caller-attached pool in
+// place instead of layering its own.
 //
-// Those two are its whole scope. The streamed fold (SocialCostBanded)
-// never uses an attached pool: it fans out across min(GOMAXPROCS,
-// claims) workers, capped by streamRowBudget, of a pool built for the
-// call, each holding at most min(band, 64) rows that live only for the
-// call.
+// That row fill is its whole scope. The streamed fold
+// (SocialCostBanded) never uses an attached pool: it fans out across
+// min(GOMAXPROCS, claims) workers, capped by streamRowBudget, of a pool
+// built for the call, each holding at most min(band, 64) rows that live
+// only for the call.
 func (ev *Evaluator) AttachPool(pl *Pool) { ev.pool = pl }
 
 // Pool returns the attached worker pool, or nil.

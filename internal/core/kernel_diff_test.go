@@ -410,10 +410,10 @@ func TestKernelDynEvalMatchesHeapBitForBit(t *testing.T) {
 			for move := 0; move < 6; move++ {
 				mover := r.Intn(kc.n)
 				alt := randomStrategy(r, kc.n, mover, kc.linkProb+0.1)
-				if _, err := dyA.Apply(mover, alt); err != nil {
+				if err := dyA.Apply(mover, alt); err != nil {
 					t.Fatal(err)
 				}
-				if _, err := dyH.Apply(mover, alt); err != nil {
+				if err := dyH.Apply(mover, alt); err != nil {
 					t.Fatal(err)
 				}
 				compareRows("after move")
@@ -424,8 +424,9 @@ func TestKernelDynEvalMatchesHeapBitForBit(t *testing.T) {
 
 // TestParallelRestRowsByteIdentical checks the intra-step parallel
 // deviation-batch path: rest rows filled through an attached pool must
-// be byte-identical to the sequential fill, on both the scratch-batch
-// and the BatchCache (dirty-row settle) paths.
+// be byte-identical to the sequential fill, with no engine attached
+// (every row settles) and with one (only the rows the engine cannot
+// lend settle).
 func TestParallelRestRowsByteIdentical(t *testing.T) {
 	r := rng.New(43)
 	for _, c := range []diffCase{
@@ -461,9 +462,10 @@ func TestParallelRestRowsByteIdentical(t *testing.T) {
 				}
 			}
 
-			// BatchCache path: identical move sequences on both engines;
-			// every batch request after a move re-settles dirty rows —
-			// sequentially on one evaluator, through the pool on the other.
+			// Engine-backed path: identical move sequences on both
+			// engines; every batch request after a move settles the rows
+			// with a tight link of the deviating peer — sequentially on
+			// one evaluator, through the pool on the other.
 			dyS, err := NewDynEval(evSeq, p)
 			if err != nil {
 				t.Fatal(err)
@@ -478,10 +480,10 @@ func TestParallelRestRowsByteIdentical(t *testing.T) {
 			for move := 0; move < 5; move++ {
 				mover := moves.Intn(c.n)
 				alt := randomStrategy(moves, c.n, mover, c.linkProb+0.1)
-				if _, err := dyS.Apply(mover, alt); err != nil {
+				if err := dyS.Apply(mover, alt); err != nil {
 					t.Fatal(err)
 				}
-				if _, err := dyP.Apply(mover, alt); err != nil {
+				if err := dyP.Apply(mover, alt); err != nil {
 					t.Fatal(err)
 				}
 				i := moves.Intn(c.n)

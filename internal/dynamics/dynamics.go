@@ -9,9 +9,10 @@
 //
 // One step loop serves two engines. The fresh engine evaluates peers
 // from scratch each step; the incremental engine reads them off a
-// core.DynEval and keeps best responses across moves. They differ only
-// in where a peer's current eval and its environment version come from
-// (see Run), so their trajectories are byte-identical.
+// core.DynEval, whose rows the oracles' deviation batches read too. In
+// both, every move expires every cached best response, and they differ
+// only in where a peer's current eval comes from (see Run), so their
+// trajectories are byte-identical.
 //
 // The replica driver ReplicasContext, and Converge on top of it, fan
 // independent runs across a worker pool of evaluator clones, governed
@@ -230,8 +231,9 @@ type Config struct {
 	// runs (Run) are unaffected.
 	Parallelism int
 	// BatchWorkers is the intra-step parallelism of deviation-batch
-	// construction: the n−1 rest-SSSP rows behind each best-response
-	// oracle call fan across a core.Pool of this many evaluator clones.
+	// construction: the rest-SSSP rows each best-response oracle call
+	// settles (n−1, or in the incremental engine those the DynEval
+	// cannot lend) fan across a core.Pool of this many evaluator clones.
 	// 0 selects runtime.GOMAXPROCS(0) when n ≥ BatchParallelMinPeers and
 	// sequential below; 1 forces sequential. Rows land in slots indexed
 	// by source, so oracle answers — and therefore trajectories — are
@@ -240,17 +242,17 @@ type Config struct {
 	// per-run sequential batches so the two levels never multiply.
 	BatchWorkers int
 	// ForceFresh selects the fresh engine: peer evals come from
-	// Evaluator.PeerEval and every cached best response expires at each
-	// move. Trajectories are byte-identical either way (the incremental
-	// engine's invalidation is conservative-sound, a mover picked from a
-	// persisted gain is re-validated with a fresh oracle call, and every
-	// Converged=true result is certified by a full fresh sweep); the
-	// switch exists as an escape hatch and for differential testing.
+	// Evaluator.PeerEval, kept until the next move, instead of a
+	// core.DynEval's maintained rows. Trajectories are byte-identical
+	// either way (both engines expire every cached best response at
+	// each move, and the rows a DynEval lends the oracles' deviation
+	// batches are bit-identical to settled ones); the switch exists as
+	// an escape hatch and for differential testing.
 	ForceFresh bool
 	// ForceIncremental selects the incremental engine regardless of
 	// size. By default the engine engages at n ≥ IncrementalMinPeers:
-	// below that the per-move bookkeeping (all-source distance deltas,
-	// rest-row invalidation) costs more than the SSSPs it saves.
+	// below that the per-move bookkeeping (all-source distance deltas)
+	// costs more than the SSSPs it saves.
 	// ForceFresh wins when both are set.
 	ForceIncremental bool
 }
@@ -273,11 +275,12 @@ type Result struct {
 	// CycleProfiles holds the distinct profiles along the detected
 	// cycle, in order (only when DetectCycles).
 	CycleProfiles []core.Profile
-	// CacheStats reports what the incremental engine's persistent batch
-	// store saved (zero value for ForceFresh runs and regimes without a
-	// store). Purely informational: it never differs across equal
-	// trajectories' observable results.
-	CacheStats core.BatchCacheStats
+	// CacheStats counts the rest rows of the oracles' deviation batches
+	// in the incremental engine: RowsReused read off the DynEval's rows,
+	// RowsSettled settled afresh, RowsRelaxed always 0 (zero value for
+	// fresh runs and regimes without batches). Purely informational: it
+	// never differs across equal trajectories' observable results.
+	CacheStats core.BatchStats
 	// FinalCost is the social cost of Final, when the engine had it for
 	// free (the incremental engine's distance rows cover the final
 	// profile). Bit-identical to Evaluator.SocialCost(Final); consumers
@@ -287,7 +290,8 @@ type Result struct {
 }
 
 // ErrNoProgress is returned if a policy returns a peer whose oracle
-// finds no improvement (a policy bug or an inconsistent tolerance).
+// finds no improvement, or whose gain it did not ask since the last
+// move (a policy bug or an inconsistent tolerance).
 var ErrNoProgress = errors.New("dynamics: selected peer has no improving deviation")
 
 // Run executes best-response dynamics from the start profile. The start
@@ -296,20 +300,18 @@ var ErrNoProgress = errors.New("dynamics: selected peer has no improving deviati
 // Both engines run one step loop. From IncrementalMinPeers peers up
 // (or under Config.ForceIncremental) it runs incremental: a
 // core.DynEval keeps every peer's shortest-path distances current
-// across moves (so current evals cost O(n) instead of an SSSP), best
-// responses persist across steps under conservative-sound invalidation
-// keyed to the move deltas, and — where the instance admits batched
-// deviation evaluation — the oracles' rest-SSSP rows persist too,
-// re-settling only rows a move could have touched. Below the threshold
-// (or under Config.ForceFresh) peer evals come from Evaluator.PeerEval
-// and every move expires every cached best response. Safety is layered:
-// invalidation only ever over-invalidates, a mover picked from a
-// persisted gain is re-validated with a fresh oracle call before its
-// move is applied, and a Converged=true result is certified by a fresh
-// sweep of every peer. Trajectories are therefore byte-identical across
-// the engines (asserted by the differential tests in
-// incremental_test.go, with the oracle work pinned by
-// enginework_test.go).
+// across moves, so current evals cost O(n) instead of an SSSP, and —
+// where the instance admits batched deviation evaluation — the
+// oracles' deviation batches read their rest rows off the engine's
+// rows, settling only the rows on which the deviating peer has a tight
+// link. Below the threshold (or under Config.ForceFresh) peer evals
+// come from Evaluator.PeerEval. In both engines every move expires
+// every cached best response, so a peer's best response is asked at
+// most once per step, and a Converged=true result is certified by a
+// sweep that asks every peer the policy did not. Trajectories are
+// therefore byte-identical across the engines (asserted by the
+// differential tests in incremental_test.go, with the oracle work
+// pinned by enginework_test.go).
 func Run(ev *core.Evaluator, start core.Profile, cfg Config) (Result, error) {
 	return RunContext(context.Background(), ev, start, cfg)
 }
@@ -428,21 +430,14 @@ func (ct *cycleTracker) observe(snap core.Profile, state uint64, step int) (int,
 }
 
 // run is the one best-response loop behind both engines (see Run). The
-// engines differ only in two sources, chosen once on entry:
+// engines differ only in where a peer's current eval comes from, chosen
+// once on entry: ev.PeerEval, kept until the next move (fresh), or the
+// maintained distance rows of a core.DynEval (incremental) — the same
+// floating-point fixpoint a fresh SSSP computes.
 //
-//   - a peer's current eval: ev.PeerEval, kept until the next move
-//     (fresh), or the maintained distance rows of a core.DynEval
-//     (incremental) — the same floating-point fixpoint a fresh SSSP
-//     computes;
-//   - a peer's environment version, which keys its cached best
-//     response: BatchCache.PeerVersion where the DynEval has a batch
-//     store, and otherwise a counter bumped on every move, which expires
-//     every cached best response at each move.
-//
-// Mover re-validation and the convergence sweep re-ask the oracle only
-// for entries not computed in the current step. Every entry a policy
-// consults is computed in the current step unless a persisted version
-// kept it alive, so in the fresh engine both cost nothing.
+// A peer's cached best response is fresh while no move has been applied
+// since it was asked; one test of that serves the policy's gains, the
+// mover check and the convergence sweep.
 func run(ctx context.Context, ev *core.Evaluator, start core.Profile, cfg Config, fresh bool) (Result, error) {
 	n := ev.Instance().N()
 	p := start.Clone()
@@ -450,7 +445,6 @@ func run(ctx context.Context, ev *core.Evaluator, start core.Profile, cfg Config
 
 	moves := uint64(0)
 	var dy *core.DynEval
-	var cache *core.BatchCache
 	var peerEval func(int) core.Eval
 	if fresh {
 		evals := make([]core.Eval, n)
@@ -467,23 +461,16 @@ func run(ctx context.Context, ev *core.Evaluator, start core.Profile, cfg Config
 			return Result{}, err
 		}
 		defer dy.Close()
-		cache = dy.Cache()
 		peerEval = dy.PeerEval
 	}
-	envOf := func(i int) uint64 {
-		if cache != nil {
-			return cache.PeerVersion(i)
-		}
-		return moves
-	}
-	// done fills what only a DynEval knows: the batch store's counters
-	// and, when withCost, the final social cost read off its rows.
+	// done fills what only a DynEval knows: the batch row counters and,
+	// when withCost, the final social cost read off its rows.
 	done := func(withCost bool) (Result, error) {
-		if dy != nil && withCost {
-			res.FinalCost, res.FinalCostOK = dy.SocialCost(), true
-		}
-		if cache != nil {
-			res.CacheStats = cache.Stats()
+		if dy != nil {
+			if withCost {
+				res.FinalCost, res.FinalCostOK = dy.SocialCost(), true
+			}
+			res.CacheStats = dy.Stats()
 		}
 		return res, nil
 	}
@@ -496,17 +483,15 @@ func run(ctx context.Context, ev *core.Evaluator, start core.Profile, cfg Config
 	var snap core.Profile // clone of p taken after the last applied move
 	haveSnap := false
 
-	// devEntry is peer i's persisted best response: res as returned by
-	// the oracle, env the environment version it was computed under, and
-	// step the step the oracle was last actually invoked on.
+	// devEntry is peer i's cached best response: res as returned by the
+	// oracle, and env the number of moves applied when it was asked.
 	type devEntry struct {
-		res  bestresponse.Result
-		ok   bool
-		env  uint64
-		step int
+		res bestresponse.Result
+		ok  bool
+		env uint64
 	}
 	dev := make([]devEntry, n)
-	curStep := 0
+	isFresh := func(e *devEntry) bool { return e.ok && e.env == moves }
 	var oracleErr error
 	refresh := func(i int) *devEntry {
 		e := &dev[i]
@@ -515,7 +500,7 @@ func run(ctx context.Context, ev *core.Evaluator, start core.Profile, cfg Config
 			oracleErr = err
 			return e
 		}
-		*e = devEntry{res: r, ok: true, env: envOf(i), step: curStep}
+		*e = devEntry{res: r, ok: true, env: moves}
 		return e
 	}
 	gainOf := func(e *devEntry, i int) float64 {
@@ -533,7 +518,7 @@ func run(ctx context.Context, ev *core.Evaluator, start core.Profile, cfg Config
 			return 0
 		}
 		e := &dev[i]
-		if !e.ok || e.env != envOf(i) {
+		if !isFresh(e) {
 			e = refresh(i)
 			if oracleErr != nil {
 				return 0
@@ -546,7 +531,6 @@ func run(ctx context.Context, ev *core.Evaluator, start core.Profile, cfg Config
 		if err := ctx.Err(); err != nil {
 			return Result{}, err
 		}
-		curStep = step
 		if cfg.DetectCycles {
 			cl := snap
 			if !haveSnap {
@@ -564,12 +548,12 @@ func run(ctx context.Context, ev *core.Evaluator, start core.Profile, cfg Config
 			return Result{}, oracleErr
 		}
 		if mover == -1 {
-			// Certify convergence with a full fresh sweep: re-ask the
-			// oracle for every peer whose gain was served from a
-			// persisted cache rather than computed this step.
+			// Certify convergence: ask every peer the policy did not.
+			// The built-in policies ask them all, so this costs them no
+			// oracle call.
 			suspect := false
 			for i := 0; i < n; i++ {
-				if e := &dev[i]; e.ok && e.step == step {
+				if isFresh(&dev[i]) {
 					continue
 				}
 				e := refresh(i)
@@ -582,10 +566,9 @@ func run(ctx context.Context, ev *core.Evaluator, start core.Profile, cfg Config
 				}
 			}
 			if suspect {
-				// A persisted gain was stale. Conservative invalidation
-				// makes this unreachable; if it ever fires, re-pick with
-				// the refreshed caches instead of reporting a false
-				// equilibrium.
+				// The policy stopped short of an improving peer; re-pick
+				// with every best response now fresh instead of
+				// reporting a false equilibrium.
 				mover = cfg.Policy.PickNext(n, gain, cfg.Tol, cfg.Rand)
 				if oracleErr != nil {
 					return Result{}, oracleErr
@@ -598,17 +581,11 @@ func run(ctx context.Context, ev *core.Evaluator, start core.Profile, cfg Config
 				return done(true)
 			}
 		}
+		// The policy must pick a peer whose gain it asked since the last
+		// move; any other pick rests on no gain.
 		e := &dev[mover]
-		if !e.ok {
+		if !isFresh(e) {
 			return Result{}, ErrNoProgress
-		}
-		if e.step != step {
-			// The pick rests on a persisted entry: re-validate with a
-			// fresh oracle call before applying the move.
-			e = refresh(mover)
-			if oracleErr != nil {
-				return Result{}, oracleErr
-			}
 		}
 		old := peerEval(mover)
 		if !e.res.Eval.Better(old, cfg.Tol) {
@@ -618,19 +595,15 @@ func run(ctx context.Context, ev *core.Evaluator, start core.Profile, cfg Config
 			return Result{}, err
 		}
 		if dy != nil {
-			if _, err := dy.Apply(mover, e.res.Strategy); err != nil {
+			if err := dy.Apply(mover, e.res.Strategy); err != nil {
 				return Result{}, err
 			}
 		}
+		// The move expires every cached best response, the mover's own
+		// included: an oracle's answer may depend on the peer's current
+		// strategy (e.g. an iteration-capped hill climb resumes from the
+		// incumbent).
 		moves++
-		// The mover's environment (the graph minus its own out-arcs) is
-		// untouched by its own move, but its cached best response is
-		// dropped anyway: an oracle's answer may depend on the peer's
-		// current strategy (e.g. an iteration-capped hill climb resumes
-		// from the incumbent), so only oracles whose answer is a fixed
-		// point of itself could soundly keep it — a property the Oracle
-		// interface does not promise.
-		dev[mover].ok = false
 		res.Steps = step + 1
 		if needSnap {
 			snap = p.Clone()

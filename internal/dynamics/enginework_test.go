@@ -69,9 +69,9 @@ func engineWork(t *testing.T) []byte {
 					evals = fmt.Sprint(oracle.evals)
 				}
 				cs := res.CacheStats
-				fmt.Fprintf(&buf, "%s seed=%d engine=%s calls=%d evals=%s steps=%d converged=%t cycle=%t final=%016x finalcost=%t cache=%d/%d/%d/%d\n",
+				fmt.Fprintf(&buf, "%s seed=%d engine=%s calls=%d evals=%s steps=%d converged=%t cycle=%t final=%016x finalcost=%t cache=%d/%d/%d\n",
 					c.name, seed, engine, oracle.calls, evals, res.Steps, res.Converged, res.CycleDetected,
-					res.Final.Hash(), res.FinalCostOK, cs.RowsReused, cs.RowsSettled, cs.RowsRelaxed, cs.EntryInvalidations)
+					res.Final.Hash(), res.FinalCostOK, cs.RowsReused, cs.RowsSettled, cs.RowsRelaxed)
 			}
 		}
 	}
@@ -83,7 +83,7 @@ func engineWork(t *testing.T) []byte {
 // step would still pass TestIncrementalTrajectoriesMatchFresh, so this
 // test fixes oracle calls, exact-oracle candidate counts, steps,
 // convergence and cycle flags, the final profile hash, whether the
-// final cost came for free, and the batch-cache counters, per run.
+// final cost came for free, and the batch row counters, per run.
 func TestEngineOracleWorkGolden(t *testing.T) {
 	want, err := os.ReadFile("testdata/engine_work.golden")
 	if err != nil {

@@ -1,13 +1,13 @@
 package dynamics
 
-// Differential tests for the incremental engine: with persistent caches
+// Differential tests for the incremental engine: on a DynEval's rows
 // (ForceIncremental) and with forced fresh recomputation (ForceFresh),
 // dynamics must produce byte-identical trajectories — the same movers
 // in the same order adopting the same strategies, the same step counts,
 // the same final profiles and convergence flags — across policies,
-// oracles and game regimes. This is the soundness gate for the cache
-// invalidation: conservative invalidation, mover re-validation and
-// convergence certification must make the engines indistinguishable.
+// oracles and game regimes. This is the soundness gate for the engine's
+// rows: exact current evals and deviation batches whose rest rows the
+// engine lends must make the engines indistinguishable.
 
 import (
 	"math"
@@ -105,8 +105,8 @@ func runTrajectory(t *testing.T, c trajCase, seed uint64, forceFresh bool) traje
 
 // TestIncrementalTrajectoriesMatchFresh is the randomized property test:
 // across policies (round-robin, first-improving, max-gain, seeded
-// random), oracles and regimes, the persistent-cache engine and the
-// fresh engine must produce identical step sequences, step counts,
+// random), oracles and regimes, the incremental engine and the fresh
+// engine must produce identical step sequences, step counts,
 // convergence flags and final profiles.
 func TestIncrementalTrajectoriesMatchFresh(t *testing.T) {
 	for _, c := range trajCases() {
