@@ -344,6 +344,36 @@ func BenchmarkGreedyBestResponse96(b *testing.B) {
 	}
 }
 
+func BenchmarkUndirectedOracles(b *testing.B) {
+	// Greedy and local search in the undirected game on uniform points
+	// (sweep-dyn's undirected grid is greedy at n=24): each best
+	// response builds a seeded deviation batch and scores every move on
+	// its move base.
+	for _, n := range []int{24, 96} {
+		for _, oracle := range []bestresponse.Oracle{&bestresponse.Greedy{}, &bestresponse.LocalSearch{}} {
+			b.Run(fmt.Sprintf("%s/n=%d", oracle.Name(), n), func(b *testing.B) {
+				r := rng.New(42)
+				space, err := metric.UniformPoints(r, n, 2)
+				if err != nil {
+					b.Fatal(err)
+				}
+				inst, err := core.NewInstance(space, 2, core.WithUndirected())
+				if err != nil {
+					b.Fatal(err)
+				}
+				ev, p := core.NewEvaluator(inst), dynamics.RandomProfile(r, n, 0.1)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := oracle.BestResponse(ev, p, i%n); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
 func BenchmarkNashCheckFigure1(b *testing.B) {
 	f, err := construct.NewFigure1(11, 4)
 	if err != nil {

@@ -86,15 +86,16 @@ func (o *Exact) Evaluations() int { return o.lastEvals }
 // BestResponse implements Oracle exactly.
 //
 // The search enumerates candidate link sets by cardinality. On
-// instances that admit the batched deviation evaluator it runs over a
-// core.DeviationStack — sharing fold prefixes along the backtracking
-// tree — and prunes with two exact devices on top of the classic
-// cardinality bound: candidates are scored through EvalBounded (early
-// abandonment against the incumbent), and whole subtrees die when the
-// suffix-min lower bound proves no completion can beat the incumbent.
-// Both devices are floating-point-exact (see core.DeviationStack), so
-// the returned Result is bit-identical to the unpruned enumeration and
-// Evaluations() counts bulk-pruned candidates as resolved.
+// instances that admit the batched deviation evaluator, directed or
+// undirected, it runs core.DeviationBatch.ExactSearch — sharing fold
+// prefixes along the backtracking tree — which prunes with two exact
+// devices on top of the classic cardinality bound: candidates are
+// scored with early abandonment against the incumbent, and whole
+// subtrees die when the suffix-min lower bound proves no completion can
+// beat the incumbent. Both devices are floating-point-exact, so the
+// returned Result is bit-identical to the unpruned enumeration and
+// Evaluations() counts bulk-pruned candidates as resolved. Where no
+// batch exists (γ>0, n>2048) it scans candidate by candidate.
 func (o *Exact) BestResponse(ev *core.Evaluator, p core.Profile, i int) (Result, error) {
 	inst := ev.Instance()
 	n := inst.N()
@@ -121,9 +122,9 @@ func (o *Exact) bestResponseStack(ev *core.Evaluator, b *core.DeviationBatch, p 
 	return Result{Strategy: out.Strategy, Eval: out.Eval}, nil
 }
 
-// bestResponseScan is the fallback search for instances without a
-// deviation batch (undirected links or congestion): the classic
-// per-candidate enumeration over the SSSP scorer.
+// bestResponseScan is the fallback search where no deviation batch
+// exists (γ>0, n>2048): the classic per-candidate enumeration over the
+// SSSP scorer.
 func (o *Exact) bestResponseScan(ev *core.Evaluator, p core.Profile, i int) (Result, error) {
 	inst := ev.Instance()
 	n := inst.N()
@@ -245,7 +246,7 @@ func HillClimb(n, i int, start core.Strategy, m *MoveScorer, active []bool, maxI
 		drop, add := -1, -1
 		bestEval := curEval
 		try := func(j, k int) {
-			if c := m.move(j, k); c.Better(bestEval, Tolerance) {
+			if c, ok := m.better(j, k, bestEval); ok {
 				drop, add, bestEval = j, k, c
 			}
 		}
@@ -323,7 +324,7 @@ func greedy(n, i int, incumbent core.Strategy, m *MoveScorer) Result {
 			if j == i || m.cur.Contains(j) {
 				continue
 			}
-			if c := m.move(-1, j); c.Better(bestEval, Tolerance) {
+			if c, ok := m.better(-1, j, bestEval); ok {
 				bestJ, bestEval = j, c
 			}
 		}
@@ -338,7 +339,7 @@ func greedy(n, i int, incumbent core.Strategy, m *MoveScorer) Result {
 		bestJ := -1
 		bestEval := curEval
 		m.cur.ForEach(func(j int) bool {
-			if c := m.move(j, -1); c.Better(bestEval, Tolerance) {
+			if c, ok := m.better(j, -1, bestEval); ok {
 				bestJ, bestEval = j, c
 			}
 			return true

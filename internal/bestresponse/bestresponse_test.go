@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"selfishnet/internal/bitset"
@@ -381,12 +382,83 @@ func TestHillClimbMask(t *testing.T) {
 	}
 }
 
+// TestUndirectedExactStackMatchesScan: in undirected games the exact
+// oracle runs its stack search on a seeded deviation batch, whose Evals
+// == DeviationEval, so it must return what the per-candidate scan does
+// — Strategy Equal, Eval == and the same Evaluations() — on every
+// kernel (random points: heap, the unit metric: bfs, an integer line:
+// dial), under stretch and distance.
+func TestUndirectedExactStackMatchesScan(t *testing.T) {
+	r := rng.New(223)
+	spaces := map[string]func(n int) (metric.Space, error){
+		"points": func(n int) (metric.Space, error) { return metric.UniformPoints(r, n, 2) },
+		"unit":   func(n int) (metric.Space, error) { return metric.UniformImplicit(n) },
+		"int-line": func(n int) (metric.Space, error) {
+			pos := make([]float64, n)
+			x := 0.0
+			for j := range pos {
+				x += float64(1 + r.Intn(3))
+				pos[j] = x
+			}
+			return metric.Line(pos)
+		},
+	}
+	checked := 0
+	for _, name := range []string{"points", "unit", "int-line"} {
+		for _, model := range []core.CostModel{core.StretchModel{}, core.DistanceModel{}} {
+			t.Run(name+"/"+model.Name(), func(t *testing.T) {
+				for trial := 0; trial < 20; trial++ {
+					n := 4 + r.Intn(7)
+					space, err := spaces[name](n)
+					if err != nil {
+						t.Fatal(err)
+					}
+					inst, err := core.NewInstance(space, r.Range(0.2, 4), core.WithUndirected(), core.WithModel(model))
+					if err != nil {
+						t.Fatal(err)
+					}
+					ev, ref := core.NewEvaluator(inst), core.NewEvaluator(inst)
+					p := core.NewProfile(n)
+					for i := 0; i < n; i++ {
+						for j := 0; j < n; j++ {
+							if i != j && r.Bool([]float64{0.05, 0.2, 0.4}[trial%3]) {
+								_ = p.AddLink(i, j)
+							}
+						}
+					}
+					for i := 0; i < n; i++ {
+						stack, scan := &Exact{}, &Exact{}
+						got, err := stack.BestResponse(ev, p, i)
+						if err != nil {
+							t.Fatal(err)
+						}
+						want, err := scan.bestResponseScan(ref, p, i)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !got.Strategy.Equal(want.Strategy) || got.Eval != want.Eval || stack.Evaluations() != scan.Evaluations() {
+							t.Fatalf("trial %d peer %d: stack %v %+v after %d, scan %v %+v after %d",
+								trial, i, got.Strategy, got.Eval, stack.Evaluations(), want.Strategy, want.Eval, scan.Evaluations())
+						}
+						checked++
+					}
+				}
+			})
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no best responses checked")
+	}
+}
+
 // TestMoveScorerSourcesAgree is the differential behind the move base:
 // HillClimb and greedy over the batch's move base (BatchMoves) must
 // return the same Result — Strategy Equal, Eval == — as over the
 // adapter that scores each explicit strategy with b.Eval (b.EvalActive
 // under a mask), unmasked and masked, on tie-free random points and on
-// the tie-heavy unit metric and integer line.
+// the tie-heavy unit metric and integer line. In undirected games the
+// adapter scores with a fresh DeviationEval(Active), so the move base
+// is held to Dijkstra's bits.
 func TestMoveScorerSourcesAgree(t *testing.T) {
 	r := rng.New(67)
 	spaces := map[string]func(n int) (metric.Space, error){
@@ -402,19 +474,24 @@ func TestMoveScorerSourcesAgree(t *testing.T) {
 			return metric.Line(pos)
 		},
 	}
-	for _, name := range []string{"points", "unit", "int-line"} {
+	for _, name := range []string{"points", "unit", "int-line", "points-undirected", "unit-undirected", "int-line-undirected"} {
 		t.Run(name, func(t *testing.T) {
+			family, undirected := strings.CutSuffix(name, "-undirected")
+			var opts []core.Option
+			if undirected {
+				opts = append(opts, core.WithUndirected())
+			}
 			for trial := 0; trial < 4; trial++ {
 				n := 6 + r.Intn(12)
-				space, err := spaces[name](n)
+				space, err := spaces[family](n)
 				if err != nil {
 					t.Fatal(err)
 				}
-				inst, err := core.NewInstance(space, r.Range(0.5, 4))
+				inst, err := core.NewInstance(space, r.Range(0.5, 4), opts...)
 				if err != nil {
 					t.Fatal(err)
 				}
-				ev := core.NewEvaluator(inst)
+				ev, ref := core.NewEvaluator(inst), core.NewEvaluator(inst)
 				p := core.NewProfile(n)
 				for i := 0; i < n; i++ {
 					for j := 0; j < n; j++ {
@@ -440,7 +517,10 @@ func TestMoveScorerSourcesAgree(t *testing.T) {
 							}
 						}
 						explicit := ScoredMoves(func(s core.Strategy) core.Eval {
-							if active == nil {
+							switch {
+							case undirected:
+								return ref.DeviationEvalActive(p, i, s, active)
+							case active == nil:
 								return b.Eval(s)
 							}
 							return b.EvalActive(s, active)

@@ -10,10 +10,10 @@ import (
 // stand on. It has two sources:
 //
 //   - BatchMoves: a DeviationBatch's move base, which scores each move
-//     in one O(n) pass (core.DeviationBatch.SetBase);
+//     in O(n) and stops the sum once the move cannot be Better
+//     (core.DeviationBatch.MoveBetter);
 //   - ScoredMoves: an adapter that edits the strategy and scores it
-//     whole, for regimes without a batch (undirected links, congestion,
-//     n above the batch cap).
+//     whole, where no batch exists (γ>0, n>2048).
 //
 // Either way a move's score is bit-identical to the source's score of
 // the explicit strategy the move produces, so the climbs take the same
@@ -69,18 +69,19 @@ func (m *MoveScorer) eval(s core.Strategy) core.Eval {
 	return m.score(s)
 }
 
-// move scores base \ {j} ∪ {k}, with −1 for no drop or no add; j must
-// be in the base and k not.
-func (m *MoveScorer) move(j, k int) core.Eval {
+// better scores base \ {j} ∪ {k}, with −1 for no drop or no add, and
+// reports whether it is Better than than; the Eval is its score when it
+// is. j must be in the base and k not.
+func (m *MoveScorer) better(j, k int, than core.Eval) (core.Eval, bool) {
 	if m.batch != nil {
-		return m.batch.MoveEval(j, k)
+		return m.batch.MoveBetter(j, k, than, Tolerance)
 	}
 	m.cur.Remove(j) // a negative index is a no-op
 	m.cur.Add(k)
 	e := m.score(m.cur)
 	m.cur.Remove(k)
 	m.cur.Add(j)
-	return e
+	return e, e.Better(than, Tolerance)
 }
 
 // accept applies the move (j, k) to the base. On the batch an add folds

@@ -18,7 +18,7 @@
 //
 // Repairs and stabilization are best responses in the subgame induced
 // on the online peers (core's masked evaluation, see core/active.go):
-// in the batched regime the exact fused search
+// in the directed batched regime the exact fused search
 // (DeviationBatch.ExactSearchActive), otherwise a masked add/drop/swap
 // hill climb. A repair rewrites the peer's stored memory, which is how
 // the overlay simulator's selfish repair becomes a real best response
@@ -47,7 +47,7 @@ const (
 	RepairNearest
 	// RepairSelfish replays the game: the repairing peer adopts a best
 	// response in the subgame induced on the online peers (exact in the
-	// batched regime, masked local search otherwise).
+	// directed batched regime, masked local search otherwise).
 	RepairSelfish
 )
 
@@ -262,10 +262,11 @@ func (e *Engine) Join(v int) ([]int, error) {
 }
 
 // BestResponseActive computes peer v's best response in the subgame
-// induced on the online peers: the exact fused search in the batched
-// regime (directed, congestion-free), a masked add/drop/swap hill
-// climb otherwise or when the exact search exceeds SearchBudget. The
-// returned strategy links to online peers only.
+// induced on the online peers: the exact fused search in the directed
+// batched regime (directed, congestion-free, n ≤ 2048), a masked
+// add/drop/swap hill climb otherwise or when the exact search exceeds
+// SearchBudget. Undirected games keep the hill climb, on the batch's
+// move base. The returned strategy links to online peers only.
 func (e *Engine) BestResponseActive(v int) (core.Strategy, core.Eval, error) {
 	if !e.online[v] {
 		return core.Strategy{}, core.Eval{}, fmt.Errorf("churn: peer %d is offline", v)
@@ -273,12 +274,14 @@ func (e *Engine) BestResponseActive(v int) (core.Strategy, core.Eval, error) {
 	live := e.dy.Profile()
 	var moves *bestresponse.MoveScorer
 	if b := e.ev.NewDeviationBatch(live, v); b != nil {
-		out := b.ExactSearchActive(live.Strategy(v), e.online, bestresponse.TermLowerBound(e.inst, v, e.online), bestresponse.Tolerance, e.SearchBudget)
-		if !out.OverBudget {
-			return out.Strategy, out.Eval, nil
+		if !e.inst.Undirected() {
+			out := b.ExactSearchActive(live.Strategy(v), e.online, bestresponse.TermLowerBound(e.inst, v, e.online), bestresponse.Tolerance, e.SearchBudget)
+			if !out.OverBudget {
+				return out.Strategy, out.Eval, nil
+			}
 		}
-		// Over budget: hill-climb on the batch's move base instead,
-		// which scores each add, drop or swap in O(n).
+		// Undirected, or over budget: hill-climb on the batch's move
+		// base, which scores each add, drop or swap in O(n).
 		moves = bestresponse.BatchMoves(b, e.online)
 	} else {
 		moves = bestresponse.ScoredMoves(func(s core.Strategy) core.Eval { return e.ev.DeviationEvalActive(live, v, s, e.online) })

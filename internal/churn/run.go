@@ -65,9 +65,10 @@ type Result struct {
 	Unstable int
 	// TailMoves and TailStable describe the rate→0 tail: every offline
 	// peer rejoins and the full game is stabilized. TailStable is true
-	// when the tail converged — under the exact oracle (batched regime)
-	// that certifies the final profile is a pure Nash equilibrium, i.e.
-	// an equilibrium is reachable as a stable state under this churn.
+	// when the tail converged — under the exact oracle (directed
+	// batched regime) that certifies the final profile is a pure Nash
+	// equilibrium, i.e. an equilibrium is reachable as a stable state
+	// under this churn.
 	TailMoves  int
 	TailStable bool
 	// Final is the final full profile after the tail.

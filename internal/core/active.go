@@ -65,8 +65,8 @@ func (ev *Evaluator) PeerEvalActive(p Profile, i int, active []bool) Eval {
 
 // DeviationEvalActive returns peer i's enriched cost under the
 // unilateral switch to alt, counting only active partners. It is the
-// masked fallback scorer for regimes without a DeviationBatch
-// (undirected links, congestion).
+// masked fallback scorer where no DeviationBatch exists (γ>0,
+// n>2048).
 func (ev *Evaluator) DeviationEvalActive(p Profile, i int, alt Strategy, active []bool) Eval {
 	d := ev.sssp(p, i, i, alt)
 	return ev.peerEvalFromActive(d, i, alt.Count(), active)

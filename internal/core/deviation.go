@@ -8,29 +8,47 @@ import "math"
 const maxBatchPeers = 2048
 
 // SupportsBatchEval reports whether the instance admits batched
-// deviation evaluation: directed, congestion-free and within the memory
-// cap (see NewDeviationBatch for why the other regimes cannot use the
-// decomposition). Callers that provision resources for batch
-// construction — e.g. the dynamics layer's intra-step worker pool —
-// gate on it.
+// deviation evaluation: congestion-free and within the memory cap (see
+// NewDeviationBatch for why congestion cannot use the decomposition).
+// Callers that provision resources for batch construction — e.g. the
+// dynamics layer's intra-step worker pool — gate on it.
 func (in *Instance) SupportsBatchEval() bool {
-	return !in.undirected && in.congestionGamma == 0 && in.n <= maxBatchPeers
+	return in.congestionGamma == 0 && in.n <= maxBatchPeers
 }
 
 // DeviationBatch evaluates many candidate strategies for one fixed peer
 // far faster than per-candidate SSSP. It exploits the structure of a
-// unilateral deviation in the directed, congestion-free game: peer i's
-// outgoing links only matter as the first hop of a path from i (positive
-// weights mean shortest paths never revisit i), so with
+// unilateral deviation in a congestion-free game: peer i's own links
+// only matter as the first hop of a path from i (positive weights mean
+// shortest paths never revisit i), so with rest row k holding the
+// distances from k with i's own links removed, the deviation distances
+// are
 //
-//	rest[k][j] = d_{G−i}(k, j)   (distances with i's out-arcs removed)
+//	d[j] = min(fixed[j], min_{k∈s} (hop[k] + rest[k][j]))
 //
-// the deviation distances are d[j] = min_{k∈s} (d(i,k) + rest[k][j]),
 // an O(|s|·n) fold per candidate instead of a full Dijkstra. The exact
 // best-response oracle scores hundreds of candidates per call, so the
 // n−1 upfront SSSPs amortize immediately. A candidate one add, drop or
 // swap away from a base strategy costs O(n) on the move base
 // (moves.go), which local search and greedy score with.
+//
+// The two regimes fill the rows differently:
+//   - Directed: rest[k][j] = d_{G−i}(k, j), hop = d(i, ·), and fixed is
+//     +Inf but for fixed[i] = 0. Evals agree with DeviationEval up to
+//     floating-point association (d(i,k) is added after the path sum).
+//   - Undirected: a link another peer owns to i serves i too, as a first
+//     hop i cannot drop. Rest row k starts at d(i,k) (the row loops'
+//     seed), so each entry is the left-fold Dijkstra from i computes
+//     along that path; hop is all zeros (0 + x == x); and fixed is the
+//     min of the rows of the peers that own a link to i, with fixed[i] =
+//     0. Dijkstra's distance is the min over paths of left-fold sums;
+//     the paths from i split by first hop, and a path through i again is
+//     no shorter than its part after i, which starts with one of
+//     fixed's hops. So every Eval == DeviationEval, bit for bit.
+//
+// Every fold takes its minima with the min builtin, branch-free: no
+// value is NaN (weights are positive, rows non-negative or +Inf) and no
+// zero is negative, so min is the exact minimum.
 //
 // The batch reuses evaluator-owned scratch: it stays valid until the
 // next NewDeviationBatch call on the same evaluator, and is bound to the
@@ -41,7 +59,10 @@ type DeviationBatch struct {
 	ev   *Evaluator
 	i    int
 	rest [][]float64
-	d    []float64
+	// hop[k] is the first-hop weight added to rest row k, and fixed the
+	// distances over the first hops every strategy of i keeps.
+	hop, fixed []float64
+	d          []float64
 	// The move base (moves.go): per-column best and second-best fold
 	// values of the base strategy, the peer giving the best, the base's
 	// degree and the mask its scores sum over.
@@ -52,19 +73,18 @@ type DeviationBatch struct {
 }
 
 // NewDeviationBatch prepares batched deviation evaluation for peer i
-// under profile p. It returns nil when the instance does not admit the
-// decomposition — undirected links (i's arcs serve other peers' paths
-// too) or congestion (candidate links shift in-degrees, re-weighting the
-// whole graph) — or when n exceeds the memory cap; callers must then
-// fall back to DeviationEval.
+// under profile p. It returns nil under congestion (candidate links
+// shift in-degrees, re-weighting the whole graph) or when n exceeds the
+// memory cap; callers must then fall back to DeviationEval.
 //
-// While a DynEval is attached (NewDynEval attaches itself) and its
-// profile equals p, rest row k is the engine's own row k, read in place,
-// unless a link of i is tight on it (DynEval.tightLink): a row on which
-// no shortest path leaves i over one of its links is already
-// d_{G−i}(k, ·), since removing arcs no shortest path uses changes no
-// distance. Those rows, and every row when no engine is attached or its
-// profile differs, settle through fillRestRows.
+// In a directed game, while a DynEval is attached (NewDynEval attaches
+// itself) and its profile equals p, rest row k is the engine's own row
+// k, read in place, unless a link of i is tight on it
+// (DynEval.tightLink): a row on which no shortest path leaves i over
+// one of its links is already d_{G−i}(k, ·), since removing arcs no
+// shortest path uses changes no distance. Those rows, every row when no
+// engine is attached or its profile differs, and every seeded row of an
+// undirected game settle through fillRestRows.
 func (ev *Evaluator) NewDeviationBatch(p Profile, i int) *DeviationBatch {
 	n := ev.inst.N()
 	if !ev.inst.SupportsBatchEval() {
@@ -76,6 +96,7 @@ func (ev *Evaluator) NewDeviationBatch(p Profile, i int) *DeviationBatch {
 	if cap(ev.batchFlat) < n*n {
 		ev.batchFlat = make([]float64, n*n)
 		ev.batchD = make([]float64, n)
+		ev.batchFixed = make([]float64, n)
 	}
 	if cap(ev.batchRows) < n {
 		ev.batchRows = make([][]float64, n)
@@ -99,33 +120,57 @@ func (ev *Evaluator) NewDeviationBatch(p Profile, i int) *DeviationBatch {
 		}
 	}
 	ev.srcScratch = srcs
-	ev.fillRestRows(p, i, srcs, rest)
+	row := ev.inst.distRow(i)
+	hop, seed := row, []float64(nil)
+	if ev.inst.undirected {
+		if len(ev.batchZero) < n {
+			ev.batchZero = make([]float64, n)
+		}
+		hop, seed = ev.batchZero[:n], row
+	}
+	ev.fillRestRows(p, i, srcs, seed, rest)
 	if dy != nil {
 		dy.stats.RowsReused += n - 1 - len(srcs)
 		dy.stats.RowsSettled += len(srcs)
 	}
-	ev.batch = DeviationBatch{ev: ev, i: i, rest: rest, d: ev.batchD[:n]}
+	fixed := ev.batchFixed[:n]
+	for j := range fixed {
+		fixed[j] = math.Inf(1)
+	}
+	if ev.inst.undirected {
+		for v := 0; v < n; v++ {
+			if v == i || !p.strategies[v].Contains(i) {
+				continue
+			}
+			for j, x := range rest[v] {
+				fixed[j] = min(fixed[j], x)
+			}
+		}
+	}
+	fixed[i] = 0
+	ev.batch = DeviationBatch{ev: ev, i: i, rest: rest, hop: hop, fixed: fixed, d: ev.batchD[:n]}
 	return &ev.batch
 }
 
 // fillRestRows writes into dst[k], for every source k in srcs, the
-// distances d_{G−skip}(k, ·): SSSP from k over p with peer skip's
-// out-arcs removed. It is the one row fill of NewDeviationBatch, for
-// every row with no attached engine and for the rows an engine's own
-// row cannot stand in for. The rows fan across the attached pool when
-// fanPool says so and settle on ev otherwise, and each lands in the
-// slot indexed by its source, so dst is byte-identical at any width.
-func (ev *Evaluator) fillRestRows(p Profile, skip int, srcs []int32, dst [][]float64) {
+// distances from k over p with peer skip's own links removed, starting
+// at seed[k] (nil: at 0; see Evaluator.settleRows). It is the one row
+// fill of NewDeviationBatch, for every row with no attached engine and
+// for the rows an engine's own row cannot stand in for. The rows fan
+// across the attached pool when fanPool says so and settle on ev
+// otherwise, and each lands in the slot indexed by its source, so dst
+// is byte-identical at any width.
+func (ev *Evaluator) fillRestRows(p Profile, skip int, srcs []int32, seed []float64, dst [][]float64) {
 	// Each branch has its own visit literal: the pool's escapes to its
 	// workers, and sharing it would put the sequential fill on the heap.
 	if pl := ev.fanPool(len(srcs)); pl != nil {
-		pl.settleRows(p, skip, Strategy{}, srcs, 0, func(_ *Evaluator, i int, d []float64) bool {
+		pl.settleRows(p, skip, Strategy{}, srcs, seed, 0, func(_ *Evaluator, i int, d []float64) bool {
 			copy(dst[srcs[i]], d)
 			return true
 		})
 		return
 	}
-	ev.settleRows(p, skip, Strategy{}, srcs, 0, func(k int32, d []float64) bool {
+	ev.settleRows(p, skip, Strategy{}, srcs, seed, 0, func(k int32, d []float64) bool {
 		copy(dst[k], d)
 		return true
 	})
@@ -143,34 +188,29 @@ func (ev *Evaluator) fanPool(m int) *Pool {
 
 // Eval returns peer i's enriched cost if it unilaterally switches to
 // strategy alt while everyone else keeps playing the batch's profile.
-// It is the batched equivalent of Evaluator.DeviationEval; results agree
-// with it up to floating-point association (different summation order
-// along paths), well within the oracles' tolerance.
+// It is the batched equivalent of Evaluator.DeviationEval: == it in an
+// undirected game, and in a directed one equal up to floating-point
+// association (different summation order along paths), well within the
+// oracles' tolerance.
 func (b *DeviationBatch) Eval(alt Strategy) Eval {
 	return b.ev.peerEvalFrom(b.fold(alt), b.i, alt.Count())
 }
 
-// fold computes the deviation distances d[j] = min_{k∈alt} (d(i,k) +
-// rest[k][j]) into the batch's scratch row, shared by Eval and
-// EvalActive (active.go).
+// fold computes the deviation distances d[j] = min(fixed[j], min_{k∈alt}
+// (hop[k] + rest[k][j])) into the batch's scratch row, shared by Eval
+// and EvalActive (active.go).
 func (b *DeviationBatch) fold(alt Strategy) []float64 {
 	d := b.d
 	n := len(d)
-	for j := range d {
-		d[j] = math.Inf(1)
-	}
-	d[b.i] = 0
-	row := b.ev.inst.distRow(b.i)
+	copy(d, b.fixed)
 	alt.ForEach(func(k int) bool {
 		rk := b.rest[k]
 		if rk == nil {
 			return true // k == i: a self-link never shortens a path
 		}
-		wk := row[k]
+		wk := b.hop[k]
 		for j := 0; j < n; j++ {
-			if v := wk + rk[j]; v < d[j] {
-				d[j] = v
-			}
+			d[j] = min(d[j], wk+rk[j])
 		}
 		return true
 	})
@@ -185,7 +225,7 @@ const maxSuffixMinFloats = 1 << 20
 // suffixBound holds, for every suffix of the exact oracle's candidate
 // list, the pointwise-minimal single-link deviation terms:
 //
-//	term[ci][j] = model term of (min over k ∈ candidates[ci:] of d(i,k) + rest[k][j])
+//	term[ci][j] = model term of (min(fixed[j], min over k ∈ candidates[ci:] of hop[k] + rest[k][j]))
 //
 // (term[len][j] = +Inf). Any strategy drawing links only from
 // candidates[ci:] has a per-pair term of at least term[ci][j]: the
@@ -253,14 +293,18 @@ func (b *DeviationBatch) suffixMins(candidates []int, active []bool) *suffixBoun
 			copy(cur, prev)
 			sums[ci] = sums[ci+1]
 		} else {
-			wk := row[k]
+			wk := b.hop[k]
 			acc := 0.0
 			for j := 0; j < n; j++ {
-				t := wk + rk[j]
+				if j == b.i {
+					cur[j] = 0 // i's own column, never counted
+					continue
+				}
+				t := min(b.fixed[j], wk+rk[j])
 				if stretch {
 					t /= row[j]
 				}
-				counted := j != b.i && (active == nil || active[j])
+				counted := active == nil || active[j]
 				if counted {
 					se.Cost.Term += t
 					if math.IsInf(t, 1) {
@@ -269,12 +313,9 @@ func (b *DeviationBatch) suffixMins(candidates []int, active []bool) *suffixBoun
 						se.FiniteTerm += t
 					}
 				}
-				if prev[j] < t {
-					t = prev[j]
-				}
-				cur[j] = t
+				cur[j] = min(prev[j], t)
 				if counted {
-					acc += t
+					acc += cur[j]
 				}
 			}
 			sums[ci] = acc

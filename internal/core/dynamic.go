@@ -104,12 +104,13 @@ type BatchStats struct {
 
 // NewDynEval builds the incremental engine for the evaluator's instance
 // at the given starting profile (cloned, not retained). When the
-// instance admits batched deviation evaluation (directed, congestion
-// free, within the memory cap) the engine attaches itself to the
-// evaluator, so the evaluator's deviation batches on the engine's
-// profile read their rest rows off the engine's matrix wherever the
-// deviating peer has no tight link (see NewDeviationBatch); Close
-// detaches it.
+// instance admits batched deviation evaluation and is directed, the
+// engine attaches itself to the evaluator, so the evaluator's deviation
+// batches on the engine's profile read their rest rows off the engine's
+// matrix wherever the deviating peer has no tight link (see
+// NewDeviationBatch); Close detaches it. An undirected batch's rows
+// start at the deviating peer's direct distances while the engine's
+// start at 0, so there it lends none.
 func NewDynEval(ev *Evaluator, p Profile) (*DynEval, error) {
 	n := ev.inst.N()
 	if p.N() != n {
@@ -133,14 +134,14 @@ func NewDynEval(ev *Evaluator, p Profile) (*DynEval, error) {
 	// evaluator's row loop over the evaluator's own adjacency of p, which
 	// carries the same traversal arcs and weights as dy's CSR, so the rows
 	// are bit-identical whichever kernel the instance dispatches to.
-	ev.settleRows(dy.p, -1, Strategy{}, ev.inst.peers, 0, func(s int32, d []float64) bool {
+	ev.settleRows(dy.p, -1, Strategy{}, ev.inst.peers, nil, 0, func(s int32, d []float64) bool {
 		copy(dy.Row(int(s)), d)
 		return true
 	})
 	for s := 0; s < n; s++ {
 		dy.rebuildRowCounts(s)
 	}
-	if ev.inst.SupportsBatchEval() {
+	if ev.inst.SupportsBatchEval() && !ev.inst.undirected {
 		ev.dyn = dy
 	}
 	return dy, nil

@@ -174,16 +174,19 @@ func dynFuzzInstance(t *testing.T, r *rng.RNG, space string, n int, regime uint8
 // links, then every owner of a link to it drops that link) or a join
 // that reuses the index with new links and two incumbents linking back.
 // After every Apply each row must == Evaluator.Distances on the same
-// profile and, in the batch regime, every peer's engine-backed batch
-// must have rest rows == an engine-free evaluator's. The seed corpus
-// under testdata/fuzz/FuzzDynEval covers the nine regime × metric pairs.
+// profile and, in the batch regime, every peer's batch on the engine's
+// evaluator must have rest rows == an engine-free evaluator's. In a
+// directed game the engine lends exactly the rows with no tight link of
+// the peer; in an undirected one it lends none, and the batch's Evals
+// must == DeviationEval. The seed corpus under
+// testdata/fuzz/FuzzDynEval covers the nine regime × metric pairs.
 func FuzzDynEval(f *testing.F) {
 	f.Fuzz(func(t *testing.T, size, regime uint8, seed uint64, script []byte) {
 		n := 2 + int(size)%23
 		if len(script) > 64 {
 			script = script[:64]
 		}
-		r := rng.New(seed)
+		r, cands := rng.New(seed), rng.New(seed+1) // cands draws only the checked strategies
 		inst := dynFuzzInstance(t, r, dynFuzzSpaces[int(regime/3)%len(dynFuzzSpaces)], n, regime)
 		ev, fresh := NewEvaluator(inst), NewEvaluator(inst)
 		p := randomDiffProfile(r, n, 0.4*r.Float64())
@@ -211,7 +214,20 @@ func FuzzDynEval(f *testing.F) {
 			}
 			if inst.SupportsBatchEval() {
 				for i := 0; i < n; i++ {
-					checkEngineBatch(t, ev, fresh, dy, p, i, true)
+					checkEngineBatch(t, ev, fresh, dy, p, i, !inst.Undirected())
+				}
+			}
+			if inst.SupportsBatchEval() && inst.Undirected() {
+				if st := dy.Stats(); st != (BatchStats{}) {
+					t.Fatalf("an undirected engine counted batch rows: %+v", st)
+				}
+				i := mover % n
+				b := ev.NewDeviationBatch(p, i)
+				for c := 0; c < 3; c++ {
+					alt := randomStrategy(cands, n, i, cands.Float64())
+					if got, want := b.Eval(alt), fresh.DeviationEval(p, i, alt); got != want {
+						t.Fatalf("after a move by %d: peer %d Eval(%v) %+v, Dijkstra %+v", mover, i, alt, got, want)
+					}
 				}
 			}
 		}

@@ -139,7 +139,7 @@ func (ev *Evaluator) sampledEvals(p Profile, srcs []int, visit func(src int, e E
 		list = append(list, int32(src))
 	}
 	ev.srcScratch = list
-	ev.settleRows(p, -1, Strategy{}, list, 64, func(src int32, d []float64) bool {
+	ev.settleRows(p, -1, Strategy{}, list, nil, 64, func(src int32, d []float64) bool {
 		visit(int(src), ev.peerEvalFrom(d, int(src), p.OutDegree(int(src))))
 		return true
 	})

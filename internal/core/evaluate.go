@@ -250,9 +250,13 @@ type Evaluator struct {
 	fwd, rev csr
 	revFill  []int32
 	heap     vertexHeap
-	// Scratch for batched deviation evaluation (see deviation.go).
-	batchFlat []float64
-	batchD    []float64
+	// Scratch for batched deviation evaluation (see deviation.go): the
+	// rest rows, the fold row, the fixed row and the all-zero hop row of
+	// undirected batches.
+	batchFlat  []float64
+	batchD     []float64
+	batchFixed []float64
+	batchZero  []float64
 	// The DeviationBatch move base's columns (see moves.go).
 	baseBest, baseSecond []float64
 	baseArg              []int32
@@ -518,13 +522,21 @@ func (ev *Evaluator) prepareBFS(p Profile, override int, alt Strategy) {
 // (decrease-key, so each vertex is popped exactly once) in general. All
 // kernels compute identical bits (see kernels.go). The result is valid
 // until the next ssspFrom or prepare call.
-func (ev *Evaluator) ssspFrom(src int) []float64 {
+//
+// src starts at distance seed instead of 0, so every entry is the
+// left-fold seed + w1 + w2 + … along its shortest path, the bits a
+// Dijkstra from an earlier vertex gives when it reaches src at seed.
+// The seeds callers pass are 0 or a direct distance. On the bfs and
+// dial kernels the unseeded row plus seed already has those bits: there
+// the seed is the unit u and hopDist[h] + u == hopDist[h+1], or an
+// integer, and integer sums are exact.
+func (ev *Evaluator) ssspFrom(src int, seed float64) []float64 {
 	n := ev.inst.N()
 	switch ev.inst.kernel {
 	case kernelBFS:
 		w := bfsWords(n)
 		bfsUnitSSSP(ev.d, ev.bfsAdj, w, src, ev.inst.hopDist, ev.bfsFront[:w], ev.bfsNext[:w], ev.bfsVisited[:w])
-		return ev.d
+		return ev.seeded(seed)
 	case kernelDial:
 		// Tiny directed instances keep the unsorted-frontier loop below:
 		// Dial's empty-bucket scan costs O(max distance) ≥ O(span) per
@@ -536,14 +548,14 @@ func (ev *Evaluator) ssspFrom(src int) []float64 {
 				revHead, revTo, revW = ev.rev.head, ev.rev.to, ev.rev.w
 			}
 			dialSSSP(ev.d, &ev.dial, ev.inst.span, src, ev.fwd.head, ev.fwd.to, ev.fwd.w, revHead, revTo, revW)
-			return ev.d
+			return ev.seeded(seed)
 		}
 	}
 	d := ev.d
 	for i := range d {
 		d[i] = math.Inf(1)
 	}
-	d[src] = 0
+	d[src] = seed
 	fwdHead, fwdTo, fwdW := ev.fwd.head, ev.fwd.to, ev.fwd.w
 	revHead, revTo, revW := ev.rev.head, ev.rev.to, ev.rev.w
 	undirected := ev.inst.undirected
@@ -583,7 +595,7 @@ func (ev *Evaluator) ssspFrom(src int) []float64 {
 	}
 	h := &ev.heap
 	h.reset(n)
-	h.fix(int32(src), 0)
+	h.fix(int32(src), seed)
 	for !h.empty() {
 		u, du := h.popMin()
 		for k := fwdHead[u]; k < fwdHead[u+1]; k++ {
@@ -606,12 +618,23 @@ func (ev *Evaluator) ssspFrom(src int) []float64 {
 	return d
 }
 
+// seeded adds seed to every entry of the row a bfs or dial kernel just
+// wrote into ev.d (see ssspFrom) and returns it.
+func (ev *Evaluator) seeded(seed float64) []float64 {
+	if seed != 0 {
+		for j := range ev.d {
+			ev.d[j] += seed
+		}
+	}
+	return ev.d
+}
+
 // sssp computes shortest-path distances from src over the profile
 // topology, with peer override's strategy replaced by alt (override = -1
 // disables the override). The result is valid until the next sssp call.
 func (ev *Evaluator) sssp(p Profile, src, override int, alt Strategy) []float64 {
 	ev.prepare(p, override, alt)
-	return ev.ssspFrom(src)
+	return ev.ssspFrom(src, 0)
 }
 
 // settleRows is the evaluator's one row loop. It prepares p once, with
@@ -621,22 +644,27 @@ func (ev *Evaluator) sssp(p Profile, src, override int, alt Strategy) []float64 
 // an empty one visits nothing. A row is valid only inside visit; the
 // prepared adjacency stays valid after the call, as after prepare.
 //
+// A non-nil seed starts each source src at seed[src] (see ssspFrom); the
+// undirected deviation batch passes its peer's direct distances, and
+// every other caller passes nil.
+//
 // band picks the path, and every path yields the same bits:
 //   - band == 0 is the slab path: ssspFrom per source (bitset BFS,
 //     Dial, the heap or the small-frontier loop).
-//   - band ≥ 1 is the streamed path. On kernelBFS instances it runs
-//     msbfsChunk over the CSR in chunks of min(band, 64) sources and
-//     never builds the bitset adjacency slab, so at most min(band, 64)
-//     rows are resident. Other kernels run ssspFrom per source.
+//   - band ≥ 1 is the streamed path, which is never seeded. On
+//     kernelBFS instances it runs msbfsChunk over the CSR in chunks of
+//     min(band, 64) sources and never builds the bitset adjacency slab,
+//     so at most min(band, 64) rows are resident. Other kernels run
+//     ssspFrom per source.
 //
 // This loop runs on the caller's goroutine. The streamed fold that fans
 // out (socialCost at band ≥ 1) calls it at width 1 and Pool.settleRows
 // on a pool built for the call otherwise.
-func (ev *Evaluator) settleRows(p Profile, override int, alt Strategy, srcs []int32, band int, visit func(src int32, d []float64) bool) {
+func (ev *Evaluator) settleRows(p Profile, override int, alt Strategy, srcs []int32, seed []float64, band int, visit func(src int32, d []float64) bool) {
 	ev.prepareWith(p, override, alt, band == 0)
 	if !ev.inst.msbfsBand(band) {
 		for _, src := range srcs {
-			if !visit(src, ev.ssspFrom(int(src))) {
+			if !visit(src, ev.ssspFrom(int(src), seedOf(seed, src))) {
 				return
 			}
 		}
@@ -649,6 +677,15 @@ func (ev *Evaluator) settleRows(p Profile, override int, alt Strategy, srcs []in
 			return
 		}
 	}
+}
+
+// seedOf returns source src's start distance in a row loop: seed[src],
+// or 0 when the loop is unseeded.
+func seedOf(seed []float64, src int32) float64 {
+	if seed == nil {
+		return 0
+	}
+	return seed[src]
 }
 
 // msbfsBand reports whether the row loops take the multi-source BFS
@@ -880,7 +917,7 @@ func (ev *Evaluator) socialCost(p Profile, band int) Cost {
 		return NewPool(ev.inst, w).socialCost(p, band)
 	}
 	total := Cost{}
-	ev.settleRows(p, -1, Strategy{}, ev.inst.peers, band, func(src int32, d []float64) bool {
+	ev.settleRows(p, -1, Strategy{}, ev.inst.peers, nil, band, func(src int32, d []float64) bool {
 		c := ev.peerEvalFrom(d, int(src), p.OutDegree(int(src))).Cost
 		total.Link += c.Link
 		total.Term += c.Term
@@ -894,7 +931,7 @@ func (ev *Evaluator) socialCost(p Profile, band int) Cost {
 // entries are 0; unreachable pairs are +Inf.
 func (ev *Evaluator) TermMatrix(p Profile) [][]float64 {
 	out := make([][]float64, ev.inst.N())
-	ev.settleRows(p, -1, Strategy{}, ev.inst.peers, 0, func(src int32, d []float64) bool {
+	ev.settleRows(p, -1, Strategy{}, ev.inst.peers, nil, 0, func(src int32, d []float64) bool {
 		out[src] = ev.inst.termRow(d, int(src))
 		return true
 	})
@@ -906,7 +943,7 @@ func (ev *Evaluator) TermMatrix(p Profile) [][]float64 {
 // Nash equilibrium.
 func (ev *Evaluator) MaxTerm(p Profile) float64 {
 	maxT := 0.0
-	ev.settleRows(p, -1, Strategy{}, ev.inst.peers, 0, func(src int32, d []float64) bool {
+	ev.settleRows(p, -1, Strategy{}, ev.inst.peers, nil, 0, func(src int32, d []float64) bool {
 		if t := ev.inst.rowMaxTerm(d, int(src)); t > maxT {
 			maxT = t
 		}
@@ -919,7 +956,7 @@ func (ev *Evaluator) MaxTerm(p Profile) float64 {
 // directed overlay.
 func (ev *Evaluator) Connected(p Profile) bool {
 	connected := true
-	ev.settleRows(p, -1, Strategy{}, ev.inst.peers, 0, func(src int32, d []float64) bool {
+	ev.settleRows(p, -1, Strategy{}, ev.inst.peers, nil, 0, func(src int32, d []float64) bool {
 		connected = reachesAll(d, int(src))
 		return connected
 	})

@@ -70,6 +70,7 @@ func (b *DeviationBatch) ExactSearchActive(incumbent Strategy, active []bool, su
 		n:       n,
 		i:       b.i,
 		alpha:   inst.alpha,
+		hop:     b.hop,
 		row:     inst.distRow(b.i),
 		stretch: inst.modelKind == modelStretch,
 		tol:     tol,
@@ -95,10 +96,7 @@ func (b *DeviationBatch) ExactSearchActive(incumbent Strategy, active []bool, su
 	}
 	s.levels = ev.stackLevels[:(m+1)*n]
 	base := s.levels[:n]
-	for j := range base {
-		base[j] = math.Inf(1)
-	}
-	base[s.i] = 0
+	copy(base, b.fixed) // the empty strategy's distances
 
 	monotone := ev.builtinMonotoneModel()
 	if monotone {
@@ -107,10 +105,12 @@ func (b *DeviationBatch) ExactSearchActive(incumbent Strategy, active []bool, su
 		}
 		s.terms = ev.stackTerms[:(m+1)*n]
 		tbase := s.terms[:n]
-		for j := range tbase {
-			tbase[j] = math.Inf(1)
+		for j, f := range base {
+			if s.stretch && j != s.i {
+				f /= s.row[j]
+			}
+			tbase[j] = f
 		}
-		tbase[s.i] = 0
 	}
 
 	s.setBest(incumbent.Clone(), b.EvalActive(incumbent, active))
@@ -201,7 +201,8 @@ type exactSearch struct {
 	b          *DeviationBatch
 	n, i, m    int
 	alpha      float64
-	row        []float64
+	hop        []float64 // first-hop weights (the batch's hop row)
+	row        []float64 // direct distances, the stretch denominators
 	stretch    bool
 	tol        float64
 	budget     int
@@ -268,11 +269,7 @@ func (s *exactSearch) prunable(start, depth int) bool {
 			if j == s.i {
 				continue
 			}
-			t := tcur[j]
-			if tsuf[j] < t {
-				t = tsuf[j]
-			}
-			partial += t
+			partial += min(tcur[j], tsuf[j])
 			if link+partial >= threshold {
 				return true
 			}
@@ -285,11 +282,7 @@ func (s *exactSearch) prunable(start, depth int) bool {
 		if j == s.i || !s.active[j] {
 			continue
 		}
-		t := tcur[j]
-		if tsuf[j] < t {
-			t = tsuf[j]
-		}
-		partial += t
+		partial += min(tcur[j], tsuf[j])
 		if link+partial >= threshold {
 			return true
 		}
@@ -303,13 +296,9 @@ func (s *exactSearch) push(k, depth int) {
 	cur := s.levels[depth*n : (depth+1)*n]
 	next := s.levels[(depth+1)*n : (depth+2)*n]
 	rk := s.b.rest[k]
-	wk := s.row[k]
+	wk := s.hop[k]
 	for j := 0; j < n; j++ {
-		v := wk + rk[j]
-		if cur[j] < v {
-			v = cur[j]
-		}
-		next[j] = v
+		next[j] = min(cur[j], wk+rk[j])
 	}
 	if s.terms != nil {
 		tcur := s.terms[depth*n : (depth+1)*n]
@@ -317,11 +306,7 @@ func (s *exactSearch) push(k, depth int) {
 		if s.stretch {
 			row := s.row
 			for j := 0; j < n; j++ {
-				t := (wk + rk[j]) / row[j]
-				if tcur[j] < t {
-					t = tcur[j]
-				}
-				tnext[j] = t
+				tnext[j] = min(tcur[j], (wk+rk[j])/row[j])
 			}
 		} else {
 			copy(tnext, next)
@@ -374,7 +359,7 @@ func (s *exactSearch) leaf(k, depth int) {
 	n := s.n
 	cur := s.levels[depth*n : (depth+1)*n]
 	rk := s.b.rest[k]
-	wk := s.row[k]
+	wk := s.hop[k]
 	stretch := s.stretch
 	row := s.row
 	e := Eval{Cost: Cost{Link: s.alpha * float64(depth+1)}}
@@ -384,10 +369,7 @@ func (s *exactSearch) leaf(k, depth int) {
 			if j == s.i {
 				continue
 			}
-			v := wk + rk[j]
-			if cur[j] < v {
-				v = cur[j]
-			}
+			v := min(cur[j], wk+rk[j])
 			t := v
 			if stretch {
 				t = v / row[j]
@@ -407,10 +389,7 @@ func (s *exactSearch) leaf(k, depth int) {
 			if j == s.i || !s.active[j] {
 				continue
 			}
-			v := wk + rk[j]
-			if cur[j] < v {
-				v = cur[j]
-			}
+			v := min(cur[j], wk+rk[j])
 			t := v
 			if stretch {
 				t = v / row[j]

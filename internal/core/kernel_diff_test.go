@@ -358,13 +358,10 @@ func TestKernelEvalsMatchHeapBitForBit(t *testing.T) {
 			if a, h := evA.MaxTerm(p), evH.MaxTerm(p); a != h {
 				t.Fatalf("MaxTerm: %v vs heap %v", a, h)
 			}
-			if kc.undirected {
-				return // no deviation batch in undirected regimes
-			}
 			i := r.Intn(kc.n)
 			bA, bH := evA.NewDeviationBatch(p, i), evH.NewDeviationBatch(p, i)
 			if bA == nil || bH == nil {
-				t.Fatal("batch unsupported on a directed congestion-free instance")
+				t.Fatal("batch unsupported on a congestion-free instance")
 			}
 			for cand := 0; cand < 10; cand++ {
 				alt := randomStrategy(r, kc.n, i, r.Float64())
@@ -426,20 +423,29 @@ func TestKernelDynEvalMatchesHeapBitForBit(t *testing.T) {
 // deviation-batch path: rest rows filled through an attached pool must
 // be byte-identical to the sequential fill, with no engine attached
 // (every row settles) and with one (only the rows the engine cannot
-// lend settle).
+// lend settle). Undirected batches seed their rows at the deviating
+// peer's direct distances and lend none from the engine; their seeded
+// rows and fixed row must match at pool widths 1 and 2.
 func TestParallelRestRowsByteIdentical(t *testing.T) {
 	r := rng.New(43)
 	for _, c := range []diffCase{
 		{name: "points", n: 26, linkProb: 0.12},
 		{name: "unit", n: 70, linkProb: 0.06, space: "unit"},
 		{name: "int", n: 30, linkProb: 0.1, space: "int"},
+		{name: "points-undirected", n: 26, linkProb: 0.08, undirected: true},
+		{name: "unit-undirected", n: 70, linkProb: 0.04, space: "unit", undirected: true},
+		{name: "int-undirected", n: 30, linkProb: 0.06, space: "int", undirected: true},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			seed := r.Uint64()
 			inst := buildDiffInstance(t, rng.New(seed), c)
 			evSeq := NewEvaluator(inst)
 			evPar := NewEvaluator(inst)
-			evPar.AttachPool(NewPool(inst, 4))
+			width := 4
+			if c.undirected {
+				width = 2
+			}
+			evPar.AttachPool(NewPool(inst, width))
 			p := randomDiffProfile(r, c.n, c.linkProb)
 
 			for _, i := range []int{0, c.n / 2, c.n - 1} {
@@ -447,6 +453,10 @@ func TestParallelRestRowsByteIdentical(t *testing.T) {
 				bP := evPar.NewDeviationBatch(p, i)
 				if bS == nil || bP == nil {
 					t.Fatal("batch unsupported")
+				}
+				if j, ok := distsIdentical(bS.fixed, bP.fixed); !ok {
+					t.Fatalf("peer %d fixed row: parallel d[%d]=%v, sequential d[%d]=%v",
+						i, j, bP.fixed[j], j, bS.fixed[j])
 				}
 				for k := 0; k < c.n; k++ {
 					if (bS.rest[k] == nil) != (bP.rest[k] == nil) {
@@ -539,13 +549,29 @@ func TestZeroAllocKernelHotPaths(t *testing.T) {
 			s := randomStrategy(r, c.n, 2, 0.2)
 			s.Add(0)
 			s.Remove(3)
-			_ = b.SetBase(s, nil)
+			base := b.SetBase(s, nil)
 			if avg := testing.AllocsPerRun(10, func() {
 				_ = b.SetBase(s, nil)
 				_, _, _ = b.MoveEval(-1, 3), b.MoveEval(0, -1), b.MoveEval(0, 3)
+				_, _ = b.MoveBetter(0, 3, base, 1e-9)
 				b.AddToBase(3)
 			}); avg != 0 {
 				t.Errorf("the move base allocates %v per run, want 0", avg)
+			}
+			// An undirected batch adds its fixed row and the all-zero hop
+			// row, both evaluator-owned as well.
+			uc := c
+			uc.undirected = true
+			uinst := buildDiffInstance(t, r, uc)
+			uev := NewEvaluator(uinst)
+			up := randomDiffProfile(r, c.n, c.linkProb)
+			_ = uev.NewDeviationBatch(up, 1).SetBase(s, nil)
+			if avg := testing.AllocsPerRun(10, func() {
+				ub := uev.NewDeviationBatch(up, 2)
+				_ = ub.SetBase(s, nil)
+				_, _ = ub.MoveBetter(0, 3, base, 1e-9)
+			}); avg != 0 {
+				t.Errorf("the undirected batch allocates %v per run, want 0", avg)
 			}
 		})
 	}

@@ -33,8 +33,9 @@ var moveSpaces = []struct{ name, kernel string }{
 // moveModels are the cost models the move base is checked under.
 var moveModels = []CostModel{StretchModel{}, DistanceModel{}, rootTermModel{}}
 
-// moveInstance builds an n-peer directed instance over the named space.
-func moveInstance(t *testing.T, r *rng.RNG, space string, n int, model CostModel) *Instance {
+// moveInstance builds an n-peer instance over the named space, directed
+// unless opts say otherwise.
+func moveInstance(t *testing.T, r *rng.RNG, space string, n int, model CostModel, opts ...Option) *Instance {
 	t.Helper()
 	var s metric.Space
 	var err error
@@ -59,7 +60,7 @@ func moveInstance(t *testing.T, r *rng.RNG, space string, n int, model CostModel
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst, err := NewInstance(s, 1+r.Float64()*3, WithModel(model))
+	inst, err := NewInstance(s, 1+r.Float64()*3, append(opts, WithModel(model))...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,19 +223,31 @@ func randomMove(r *rng.RNG, n, i int, s Strategy) (j, k int) {
 
 // FuzzMoveScorer decodes an instance size, a seed, the base strategy's
 // bits and a move sequence, and checks every step with ==: each move's
-// score against EvalActive of the explicit strategy, then, once the
-// move is accepted, the new base's score against the same.
+// score against the explicit strategy's, then, once the move is
+// accepted, the new base's score against the same. Bit 8 of the seed
+// masks the sums and bit 9 makes the game undirected, where the
+// explicit score is a fresh DeviationEvalActive (EvalActive in a
+// directed game). Each move's MoveBetter against the base's Eval must
+// agree with its MoveEval too.
 func FuzzMoveScorer(f *testing.F) {
 	f.Add(uint8(6), uint64(1), uint64(0), []byte{0, 1, 2, 3, 4, 5})
 	f.Add(uint8(12), uint64(7), uint64(0b1011_0110), []byte{2, 9, 1, 4, 0, 0, 2, 2})
 	f.Add(uint8(39), uint64(3), uint64(1)<<33|1<<5, []byte{0, 7, 0, 8, 1, 0, 2, 1})
+	f.Add(uint8(9), uint64(1<<9|5), uint64(0b1100_1010), []byte{0, 3, 2, 1, 1, 0, 2, 5})
+	f.Add(uint8(22), uint64(1<<9|8), uint64(0b0110_0001), []byte{1, 0, 0, 4, 2, 9, 0, 1})
+	f.Add(uint8(17), uint64(1<<9|1<<8|14), uint64(0b1001), []byte{0, 2, 0, 6, 2, 3, 1, 1})
+	f.Add(uint8(30), uint64(1<<9|3), uint64(1)<<20|1<<2, []byte{2, 4, 0, 9, 1, 1, 2, 7})
 	f.Fuzz(func(t *testing.T, size uint8, seed uint64, bits uint64, moves []byte) {
 		n := 2 + int(size)%40
 		r := rng.New(seed)
 		space := moveSpaces[seed%uint64(len(moveSpaces))].name
 		model := moveModels[(seed/4)%uint64(len(moveModels))]
-		inst := moveInstance(t, r, space, n, model)
-		ev := NewEvaluator(inst)
+		var opts []Option
+		if seed&(1<<9) != 0 {
+			opts = append(opts, WithUndirected())
+		}
+		inst := moveInstance(t, r, space, n, model, opts...)
+		ev, ref := NewEvaluator(inst), NewEvaluator(inst)
 		p := randomDiffProfile(r, n, r.Float64()*0.4)
 		i := int(seed % uint64(n))
 		var active []bool
@@ -251,8 +264,15 @@ func FuzzMoveScorer(f *testing.F) {
 		if b == nil {
 			t.Fatal("batch unsupported")
 		}
-		if got, want := b.SetBase(s, active), b.EvalActive(s, active); got != want {
-			t.Fatalf("base %v: SetBase %+v, want %+v", s, got, want)
+		explicit := func(s Strategy) Eval {
+			if inst.Undirected() {
+				return ref.DeviationEvalActive(p, i, s, active)
+			}
+			return b.EvalActive(s, active)
+		}
+		base := b.SetBase(s, active)
+		if want := explicit(s); base != want {
+			t.Fatalf("base %v: SetBase %+v, want %+v", s, base, want)
 		}
 		for len(moves) >= 2 {
 			op, pick := moves[0], int(moves[1])
@@ -270,23 +290,27 @@ func FuzzMoveScorer(f *testing.F) {
 				continue
 			}
 			got := b.MoveEval(j, k)
+			if e, better := b.MoveBetter(j, k, base, 1e-9); better != got.Better(base, 1e-9) || (better && e != got) {
+				t.Fatalf("move (-%d,+%d) from %v: MoveBetter %+v %t, MoveEval %+v", j, k, s, e, better, got)
+			}
 			s.Remove(j)
 			s.Add(k)
-			want := b.EvalActive(s, active)
+			want := explicit(s)
 			if got != want {
 				t.Fatalf("move (-%d,+%d) to %v: %+v, want %+v", j, k, s, got, want)
 			}
 			if j < 0 {
 				b.AddToBase(k)
+				base = got
 			} else {
-				b.SetBase(s, active)
+				base = b.SetBase(s, active)
 			}
 			// An add after the accepted move scores the new base plus
 			// one peer: it must match too, so a stale base shows.
 			for x := 0; x < n; x++ {
 				if x != i && !s.Contains(x) {
 					s.Add(x)
-					if got, want := b.MoveEval(-1, x), b.EvalActive(s, active); got != want {
+					if got, want := b.MoveEval(-1, x), explicit(s); got != want {
 						t.Fatalf("after move, add %d to %v: %+v, want %+v", x, s, got, want)
 					}
 					s.Remove(x)
@@ -295,4 +319,100 @@ func FuzzMoveScorer(f *testing.F) {
 			}
 		}
 	})
+}
+
+// betterProbes returns the Evals TestMoveBetterMatchesMoveEval holds a
+// move with Eval e against, from the base's Eval base: the base, a tie,
+// a strictly better Eval, a disconnected one, and two whose Better
+// thresholds (Key() − tol) sit one ulp either side of e's key.
+func betterProbes(base, e Eval, tol float64) []Eval {
+	probes := []Eval{base, e}
+	better := e
+	better.FiniteTerm = math.Nextafter(e.FiniteTerm-1, math.Inf(-1))
+	better.Cost.Term = better.FiniteTerm
+	better.Unreachable = 0
+	probes = append(probes, better)
+	disconnected := e
+	disconnected.Unreachable++
+	disconnected.Cost.Term = math.Inf(1)
+	probes = append(probes, disconnected)
+	if e.Unreachable > 0 || math.IsInf(e.Key(), 0) {
+		return probes
+	}
+	// Walk a than's FiniteTerm until its threshold is the ulp just below,
+	// then just above, e's key (or as near as a than's key can get).
+	for _, dir := range []float64{math.Inf(-1), math.Inf(1)} {
+		want := math.Nextafter(e.Key(), dir)
+		than := Eval{Cost: Cost{Link: e.Cost.Link}, FiniteTerm: e.FiniteTerm + tol}
+		for step := 0; step < 64 && than.Key()-tol != want; step++ {
+			if than.Key()-tol < want {
+				than.FiniteTerm = math.Nextafter(than.FiniteTerm, math.Inf(1))
+			} else {
+				than.FiniteTerm = math.Nextafter(than.FiniteTerm, math.Inf(-1))
+			}
+		}
+		than.Cost.Term = than.FiniteTerm
+		probes = append(probes, than)
+	}
+	return probes
+}
+
+// TestMoveBetterMatchesMoveEval pins MoveBetter's contract: for every
+// add, drop and swap from a base, against the base's Eval, a tie, a
+// strictly better Eval, a disconnected one and thresholds one ulp
+// either side of the move's key, MoveBetter reports Better iff
+// MoveEval(…).Better(than, tol), and when it does its Eval ==
+// MoveEval's. Directed and undirected, on every kernel and cost model
+// (the custom one included), masked and unmasked.
+func TestMoveBetterMatchesMoveEval(t *testing.T) {
+	const tol = 1e-9
+	r := rng.New(227)
+	for _, sp := range moveSpaces {
+		for _, model := range moveModels {
+			t.Run(sp.name+"/"+model.Name(), func(t *testing.T) {
+				checked := 0
+				for trial := 0; trial < 4; trial++ {
+					n := 4 + r.Intn(14)
+					var opts []Option
+					if trial%2 == 1 {
+						opts = append(opts, WithUndirected())
+					}
+					inst := moveInstance(t, r, sp.name, n, model, opts...)
+					ev := NewEvaluator(inst)
+					p := randomDiffProfile(r, n, []float64{0.05, 0.2, 0.35, 0.5}[trial])
+					for i := 0; i < n; i++ {
+						b := ev.NewDeviationBatch(p, i)
+						for _, active := range [][]bool{nil, randomActiveMask(r, n, i, 0.6)} {
+							s := randomStrategy(r, n, i, 0.3)
+							base := b.SetBase(s, active)
+							check := func(j, k int) {
+								e := b.MoveEval(j, k)
+								for _, than := range betterProbes(base, e, tol) {
+									got, better := b.MoveBetter(j, k, than, tol)
+									if want := e.Better(than, tol); better != want || (better && got != e) {
+										t.Fatalf("peer %d base %v move (-%d,+%d) than %+v: MoveBetter %+v %t, MoveEval %+v %t",
+											i, s, j, k, than, got, better, e, want)
+									}
+									checked++
+								}
+							}
+							in, out := splitPeers(n, i, s)
+							for _, k := range out {
+								check(-1, k)
+							}
+							for _, j := range in {
+								check(j, -1)
+								for _, k := range out {
+									check(j, k)
+								}
+							}
+						}
+					}
+				}
+				if checked == 0 {
+					t.Fatal("nothing checked")
+				}
+			})
+		}
+	}
 }

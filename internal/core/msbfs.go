@@ -202,7 +202,7 @@ func (ev *Evaluator) DeviationEvalStreamed(p Profile, i int, alt Strategy) Eval 
 func (ev *Evaluator) streamedEval(p Profile, i, override int, alt Strategy, degree int) Eval {
 	var e Eval
 	src := [1]int32{int32(i)}
-	ev.settleRows(p, override, alt, src[:], 1, func(_ int32, d []float64) bool {
+	ev.settleRows(p, override, alt, src[:], nil, 1, func(_ int32, d []float64) bool {
 		e = ev.peerEvalFrom(d, i, degree)
 		return true
 	})

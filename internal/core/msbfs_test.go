@@ -70,11 +70,11 @@ func TestSSSPBandsRowsMatchSlabBitForBit(t *testing.T) {
 			evSlab.prepare(p, -1, Strategy{})
 			slab := make([][]float64, c.n)
 			for s := 0; s < c.n; s++ {
-				slab[s] = append([]float64(nil), evSlab.ssspFrom(s)...)
+				slab[s] = append([]float64(nil), evSlab.ssspFrom(s, 0)...)
 			}
 			for _, band := range bandWidths(c.n) {
 				seen := 0
-				evBand.settleRows(p, -1, Strategy{}, inst.peers, band, func(src int32, d []float64) bool {
+				evBand.settleRows(p, -1, Strategy{}, inst.peers, nil, band, func(src int32, d []float64) bool {
 					if int(src) != seen {
 						t.Fatalf("band %d: visited src %d, want %d (order contract)", band, src, seen)
 					}

@@ -50,7 +50,7 @@ func (pl *Pool) Workers() int { return len(pl.evs) }
 func (pl *Pool) Instance() *Instance { return pl.evs[0].inst }
 
 // settleRows is the pool's one claim-counter loop, the fan-out twin of
-// Evaluator.settleRows: band picks the path exactly as there. Each
+// Evaluator.settleRows: seed and band act exactly as there. Each
 // worker prepares its own adjacency for p (peer override playing alt)
 // on its first claim, then claims work from a shared counter and hands
 // visit its evaluator, the list index i of source srcs[i] and that
@@ -65,7 +65,7 @@ func (pl *Pool) Instance() *Instance { return pl.evs[0].inst }
 // Workers run visit concurrently, so it may write only per-source
 // slots; once it returns false, no worker claims again. With one worker
 // or at most one claim the loop runs on the caller's goroutine.
-func (pl *Pool) settleRows(p Profile, override int, alt Strategy, srcs []int32, band int, visit func(ev *Evaluator, i int, d []float64) bool) {
+func (pl *Pool) settleRows(p Profile, override int, alt Strategy, srcs []int32, seed []float64, band int, visit func(ev *Evaluator, i int, d []float64) bool) {
 	streamed := pl.Instance().msbfsBand(band)
 	chunk := pl.Instance().claimSize(band)
 	var next atomic.Int64
@@ -87,7 +87,7 @@ func (pl *Pool) settleRows(p Profile, override int, alt Strategy, srcs []int32, 
 					return visit(ev, lo+k, d)
 				})
 			} else {
-				ok = visit(ev, lo, ev.ssspFrom(int(srcs[lo])))
+				ok = visit(ev, lo, ev.ssspFrom(int(srcs[lo]), seedOf(seed, srcs[lo])))
 			}
 			if !ok {
 				stop.Store(true)
@@ -141,7 +141,7 @@ func (in *Instance) streamWidth(band int) int {
 // PeerEvals returns every peer's enriched cost under p, in peer order.
 func (pl *Pool) PeerEvals(p Profile) []Eval {
 	out := make([]Eval, pl.Instance().N())
-	pl.settleRows(p, -1, Strategy{}, pl.Instance().peers, 0, func(ev *Evaluator, i int, d []float64) bool {
+	pl.settleRows(p, -1, Strategy{}, pl.Instance().peers, nil, 0, func(ev *Evaluator, i int, d []float64) bool {
 		out[i] = ev.peerEvalFrom(d, i, p.OutDegree(i))
 		return true
 	})
@@ -159,7 +159,7 @@ func (pl *Pool) SocialCost(p Profile) Cost { return pl.socialCost(p, 0) }
 // band and every width.
 func (pl *Pool) socialCost(p Profile, band int) Cost {
 	costs := make([]Cost, pl.Instance().N())
-	pl.settleRows(p, -1, Strategy{}, pl.Instance().peers, band, func(ev *Evaluator, i int, d []float64) bool {
+	pl.settleRows(p, -1, Strategy{}, pl.Instance().peers, nil, band, func(ev *Evaluator, i int, d []float64) bool {
 		costs[i] = ev.peerEvalFrom(d, i, p.OutDegree(i)).Cost
 		return true
 	})
@@ -174,7 +174,7 @@ func (pl *Pool) socialCost(p Profile, band int) Cost {
 // MaxTerm returns the largest pairwise term, as Evaluator.MaxTerm.
 func (pl *Pool) MaxTerm(p Profile) float64 {
 	perSource := make([]float64, pl.Instance().N())
-	pl.settleRows(p, -1, Strategy{}, pl.Instance().peers, 0, func(ev *Evaluator, i int, d []float64) bool {
+	pl.settleRows(p, -1, Strategy{}, pl.Instance().peers, nil, 0, func(ev *Evaluator, i int, d []float64) bool {
 		perSource[i] = ev.inst.rowMaxTerm(d, i)
 		return true
 	})
@@ -191,7 +191,7 @@ func (pl *Pool) MaxTerm(p Profile) float64 {
 // directed overlay, as Evaluator.Connected.
 func (pl *Pool) Connected(p Profile) bool {
 	var disconnected atomic.Bool
-	pl.settleRows(p, -1, Strategy{}, pl.Instance().peers, 0, func(_ *Evaluator, i int, d []float64) bool {
+	pl.settleRows(p, -1, Strategy{}, pl.Instance().peers, nil, 0, func(_ *Evaluator, i int, d []float64) bool {
 		if !reachesAll(d, i) {
 			disconnected.Store(true)
 			return false
@@ -204,7 +204,7 @@ func (pl *Pool) Connected(p Profile) bool {
 // TermMatrix returns the per-pair cost terms, as Evaluator.TermMatrix.
 func (pl *Pool) TermMatrix(p Profile) [][]float64 {
 	out := make([][]float64, pl.Instance().N())
-	pl.settleRows(p, -1, Strategy{}, pl.Instance().peers, 0, func(ev *Evaluator, i int, d []float64) bool {
+	pl.settleRows(p, -1, Strategy{}, pl.Instance().peers, nil, 0, func(ev *Evaluator, i int, d []float64) bool {
 		out[i] = ev.inst.termRow(d, i)
 		return true
 	})

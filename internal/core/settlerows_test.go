@@ -75,13 +75,13 @@ func TestSettleRowsContract(t *testing.T) {
 				}
 				for _, band := range []int{0, 1, 63, 64, 65, c.n} {
 					for _, empty := range [][]int32{nil, {}} {
-						ev.settleRows(p, ov.override, ov.alt, empty, band, func(src int32, _ []float64) bool {
+						ev.settleRows(p, ov.override, ov.alt, empty, nil, band, func(src int32, _ []float64) bool {
 							t.Fatalf("band %d: empty list visited source %d", band, src)
 							return true
 						})
 					}
 					seen := 0
-					ev.settleRows(p, ov.override, ov.alt, srcs, band, func(src int32, d []float64) bool {
+					ev.settleRows(p, ov.override, ov.alt, srcs, nil, band, func(src int32, d []float64) bool {
 						if src != srcs[seen] {
 							t.Fatalf("override %d band %d: visit %d got source %d, want %d (list order)",
 								ov.override, band, seen, src, srcs[seen])
@@ -98,7 +98,7 @@ func TestSettleRowsContract(t *testing.T) {
 					}
 					for _, k := range []int{1, 40, 65} {
 						visits := 0
-						ev.settleRows(p, ov.override, ov.alt, srcs, band, func(int32, []float64) bool {
+						ev.settleRows(p, ov.override, ov.alt, srcs, nil, band, func(int32, []float64) bool {
 							visits++
 							return visits < k
 						})
@@ -125,7 +125,7 @@ func checkPoolRows(t *testing.T, pl *Pool, p Profile, override int, alt Strategy
 	w := pl.Workers()
 	for _, empty := range [][]int32{nil, {}} {
 		var visits atomic.Int32
-		pl.settleRows(p, override, alt, empty, band, func(*Evaluator, int, []float64) bool {
+		pl.settleRows(p, override, alt, empty, nil, band, func(*Evaluator, int, []float64) bool {
 			visits.Add(1)
 			return true
 		})
@@ -135,7 +135,7 @@ func checkPoolRows(t *testing.T, pl *Pool, p Profile, override int, alt Strategy
 	}
 	counts := make([]atomic.Int32, len(srcs))
 	same := make([]bool, len(srcs))
-	pl.settleRows(p, override, alt, srcs, band, func(_ *Evaluator, i int, d []float64) bool {
+	pl.settleRows(p, override, alt, srcs, nil, band, func(_ *Evaluator, i int, d []float64) bool {
 		counts[i].Add(1)
 		_, same[i] = distsIdentical(d, want[srcs[i]])
 		return true
@@ -148,7 +148,7 @@ func checkPoolRows(t *testing.T, pl *Pool, p Profile, override int, alt Strategy
 	}
 	for _, k := range []int32{1, 40, 65} {
 		var visits atomic.Int32
-		pl.settleRows(p, override, alt, srcs, band, func(*Evaluator, int, []float64) bool {
+		pl.settleRows(p, override, alt, srcs, nil, band, func(*Evaluator, int, []float64) bool {
 			return visits.Add(1) < k
 		})
 		if v := visits.Load(); v < k || v > k+int32(w)-1 {
@@ -160,18 +160,22 @@ func checkPoolRows(t *testing.T, pl *Pool, p Profile, override int, alt Strategy
 // TestFillRestRowsWritesOnlyListedSlots pins the shared rest-row fill
 // behind both batch paths, sequentially and on a width-2 pool: listed
 // sources get their G−skip row, every other slot keeps its sentinel.
+// Undirected fills are seeded at skip's direct distances, as the
+// undirected batch seeds them, and must match a heap twin's seeded
+// Dijkstra bit for bit.
 func TestFillRestRowsWritesOnlyListedSlots(t *testing.T) {
 	const sentinel = -7.5
 	r := rng.New(83)
 	for _, c := range rowCases() {
-		if c.undirected {
-			continue // the batch paths exist only for directed instances
-		}
 		t.Run(c.name, func(t *testing.T) {
-			inst := buildDiffInstance(t, r, c)
+			inst, heap := twinInstances(t, r, c)
 			p := randomDiffProfile(r, c.n, c.linkProb)
 			const skip = 3
-			ref := NewEvaluator(inst)
+			var seed []float64
+			if c.undirected {
+				seed = inst.distRow(skip)
+			}
+			ref := NewEvaluator(heap)
 			srcs := scrambledSources(r, c.n)[:20]
 			for _, workers := range []int{0, 2} {
 				ev := NewEvaluator(inst)
@@ -189,7 +193,7 @@ func TestFillRestRowsWritesOnlyListedSlots(t *testing.T) {
 							dst[k][j] = sentinel
 						}
 					}
-					ev.fillRestRows(p, skip, list, dst)
+					ev.fillRestRows(p, skip, list, seed, dst)
 					listed := map[int]bool{}
 					for _, k := range list {
 						listed[int(k)] = true
@@ -209,7 +213,8 @@ func TestFillRestRowsWritesOnlyListedSlots(t *testing.T) {
 							}
 							continue
 						}
-						want := ref.sssp(p, k, skip, Strategy{})
+						ref.prepare(p, skip, Strategy{})
+						want := ref.ssspFrom(k, seedOf(seed, int32(k)))
 						if j, ok := distsIdentical(row, want); !ok {
 							t.Fatalf("workers %d row %d: d[%d]=%v, reference %v", workers, k, j, row[j], want[j])
 						}

@@ -244,8 +244,10 @@ func TestDeviationBatchMatchesDeviationEval(t *testing.T) {
 	}
 }
 
-// TestDeviationBatchUnsupportedRegimes confirms the oracle fallback
-// contract: undirected or congested instances must return nil.
+// TestDeviationBatchUnsupportedRegimes pins the oracle fallback
+// contract: congested instances, and instances above the batch cap,
+// must return nil. An undirected instance gets a batch, and its Evals
+// must == DeviationEval.
 func TestDeviationBatchUnsupportedRegimes(t *testing.T) {
 	r := rng.New(17)
 	for _, c := range []diffCase{
@@ -256,11 +258,41 @@ func TestDeviationBatchUnsupportedRegimes(t *testing.T) {
 			inst := buildDiffInstance(t, r, c)
 			ev := NewEvaluator(inst)
 			p := randomDiffProfile(r, c.n, c.linkProb)
-			if b := ev.NewDeviationBatch(p, 0); b != nil {
-				t.Fatalf("expected nil batch for %s instance", c.name)
+			b := ev.NewDeviationBatch(p, 0)
+			if !c.undirected {
+				if b != nil {
+					t.Fatalf("expected nil batch for %s instance", c.name)
+				}
+				return
+			}
+			if b == nil {
+				t.Fatal("no batch for an undirected congestion-free instance")
+			}
+			ref := NewEvaluator(inst)
+			for cand := 0; cand < 20; cand++ {
+				alt := randomStrategy(r, c.n, 0, r.Float64())
+				if got, want := b.Eval(alt), ref.DeviationEval(p, 0, alt); got != want {
+					t.Fatalf("cand %v: batch %+v, Dijkstra %+v", alt, got, want)
+				}
 			}
 		})
 	}
+	t.Run("above-cap", func(t *testing.T) {
+		space, err := metric.UniformImplicit(maxBatchPeers + 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inst, err := NewInstance(space, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if inst.SupportsBatchEval() {
+			t.Fatal("SupportsBatchEval above the batch cap")
+		}
+		if b := NewEvaluator(inst).NewDeviationBatch(NewProfile(inst.N()), 0); b != nil {
+			t.Fatalf("expected nil batch at n = %d", inst.N())
+		}
+	})
 }
 
 // TestSSSPMatchesSingleCallAfterMultiSource guards the prepare-once

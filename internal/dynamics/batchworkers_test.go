@@ -16,12 +16,16 @@ import (
 )
 
 func TestBatchWorkersTrajectoriesByteIdentical(t *testing.T) {
+	points := func(r *rng.RNG, n int) (metric.Space, error) { return metric.UniformPoints(r, n, 2) }
 	for _, tc := range []struct {
 		name  string
 		space func(r *rng.RNG, n int) (metric.Space, error)
+		opts  []core.Option
 	}{
-		{name: "points", space: func(r *rng.RNG, n int) (metric.Space, error) { return metric.UniformPoints(r, n, 2) }},
+		{name: "points", space: points},
 		{name: "unit", space: func(_ *rng.RNG, n int) (metric.Space, error) { return metric.Uniform(n) }},
+		// Undirected batches settle seeded rows, on the same pool.
+		{name: "points-undirected", space: points, opts: []core.Option{core.WithUndirected()}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			const n = 72
@@ -30,7 +34,7 @@ func TestBatchWorkersTrajectoriesByteIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				inst, err := core.NewInstance(space, 2)
+				inst, err := core.NewInstance(space, 2, tc.opts...)
 				if err != nil {
 					t.Fatal(err)
 				}
