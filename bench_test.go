@@ -160,8 +160,9 @@ func starSetup(b *testing.B, n int) (*core.Evaluator, core.Profile, core.Cost) {
 }
 
 // BenchmarkSocialCostBanded evaluates the exact all-pairs social cost
-// through the banded multi-source BFS (64 source rows resident, bit-
-// identical to the slab fold) across the n-scaling curve. The n=65536
+// through the banded multi-source BFS (64 sources' hop levels resident
+// per worker, bit-identical to the slab fold) across the n-scaling
+// curve. The n=65536
 // point is the certify acceptance workload: 2³² pair terms, no dense
 // matrix. BenchmarkSocialCostSlabStar1024 folds the n=1024 instance
 // through the slab path, for a like-for-like comparison at a
@@ -170,6 +171,34 @@ func BenchmarkSocialCostBanded(b *testing.B) {
 	for _, n := range []int{1024, 4096, 16384, 65536} {
 		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
 			ev, p, want := starSetup(b, n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				got, err := ev.SocialCostBanded(p, 64)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if got != want {
+					b.Fatalf("banded %+v != closed form %+v", got, want)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkSocialCostBandedChain is BenchmarkSocialCostBanded on the
+// chain, certify's other closed form: a chunk's BFS runs about n waves
+// of at most 128 vertices each, where the star's runs two waves of
+// about n vertices.
+func BenchmarkSocialCostBandedChain(b *testing.B) {
+	for _, n := range []int{1024, 8192} {
+		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
+			ev, _, _ := starSetup(b, n)
+			p, err := core.ChainProfile(n)
+			if err != nil {
+				b.Fatal(err)
+			}
+			want := core.ChainSocialCost(n, 2)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

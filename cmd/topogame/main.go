@@ -356,11 +356,11 @@ const certifyBand = 64
 // single-source evaluator for per-peer costs and the witness deviation
 // — and compared with == (no tolerances). No dense distance matrix or
 // n² slab is ever materialized. The banded fold runs at certifyBand on
-// min(GOMAXPROCS, claims) workers, each holding 64 rows that live only
-// for the call, and on fewer when their rows together would pass 512
-// MiB. At n = 65536 a worker holds about 41 MiB (32 MiB of rows plus
-// its adjacency and scratch), so at most 16 workers fold and the run
-// fits in well under 2 GiB on any core count. The sampled
+// min(GOMAXPROCS, claims) workers, each holding the hop levels of 64
+// sources for the call only, and on fewer when their level tables
+// together would pass 512 MiB. At n = 65536 a worker's level table is
+// 16 MiB, so at most 32 workers fold and the run fits in well under
+// 1 GiB on any core count. The sampled
 // estimator runs on the caller's goroutine. The output bytes do not
 // depend on the width, so GOMAXPROCS=1 is the single-core run.
 func runCertify(args []string) error {
@@ -412,7 +412,7 @@ func runCertify(args []string) error {
 
 		// The banded social cost must reproduce the closed form exactly —
 		// this walks every one of the n² pairs through the multi-source
-		// kernel with 64 rows resident per worker.
+		// kernel with 64 sources' hop levels resident per worker.
 		banded, err := ev.SocialCostBanded(p, certifyBand)
 		if err != nil {
 			return err
@@ -548,8 +548,9 @@ commands:
                            paper's closed forms and verify them ==
                            through the banded kernels, no dense matrix
                            (-topology -n -alpha -samples); the fold
-                           runs on every core within 512 MiB of rows,
-                           each worker holding 64 rows for the call
+                           runs on every core within 512 MiB of hop
+                           levels, each worker holding 64 sources' for
+                           the call
   help                     show this help
 
 flags (run/spec/sweep/churn; certify takes all but -quick and -par):

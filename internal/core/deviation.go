@@ -164,13 +164,13 @@ func (ev *Evaluator) fillRestRows(p Profile, skip int, srcs []int32, seed []floa
 	// Each branch has its own visit literal: the pool's escapes to its
 	// workers, and sharing it would put the sequential fill on the heap.
 	if pl := ev.fanPool(len(srcs)); pl != nil {
-		pl.settleRows(p, skip, Strategy{}, srcs, seed, 0, func(_ *Evaluator, i int, d []float64) bool {
+		pl.settleRows(p, skip, Strategy{}, srcs, seed, func(_ *Evaluator, i int, d []float64) bool {
 			copy(dst[srcs[i]], d)
 			return true
 		})
 		return
 	}
-	ev.settleRows(p, skip, Strategy{}, srcs, seed, 0, func(k int32, d []float64) bool {
+	ev.settleRows(p, skip, Strategy{}, srcs, seed, func(k int32, d []float64) bool {
 		copy(dst[k], d)
 		return true
 	})

@@ -134,7 +134,7 @@ func NewDynEval(ev *Evaluator, p Profile) (*DynEval, error) {
 	// evaluator's row loop over the evaluator's own adjacency of p, which
 	// carries the same traversal arcs and weights as dy's CSR, so the rows
 	// are bit-identical whichever kernel the instance dispatches to.
-	ev.settleRows(dy.p, -1, Strategy{}, ev.inst.peers, nil, 0, func(s int32, d []float64) bool {
+	ev.settleRows(dy.p, -1, Strategy{}, ev.inst.peers, nil, func(s int32, d []float64) bool {
 		copy(dy.Row(int(s)), d)
 		return true
 	})

@@ -130,17 +130,19 @@ func (ev *Evaluator) estimate(p Profile, samples int, seed uint64, meanTerm bool
 }
 
 // sampledEvals evaluates the Evals of the given source peers under p
-// on the streamed path of settleRows: the multi-source BFS in ≤64-source
-// chunks on uniform metrics, the per-source kernel otherwise. Sources
-// are visited in the given order; the slab is never materialized.
+// on the streamed path of settleEvals: on uniform metrics the
+// multi-source BFS settles ≤64-source chunks and folds their Evals from
+// its hop-level table, holding no distance row; otherwise the
+// per-source kernel runs. Sources are visited in the given order; the
+// slab is never materialized.
 func (ev *Evaluator) sampledEvals(p Profile, srcs []int, visit func(src int, e Eval)) {
 	list := ev.srcScratch[:0]
 	for _, src := range srcs {
 		list = append(list, int32(src))
 	}
 	ev.srcScratch = list
-	ev.settleRows(p, -1, Strategy{}, list, nil, 64, func(src int32, d []float64) bool {
-		visit(int(src), ev.peerEvalFrom(d, int(src), p.OutDegree(int(src))))
+	ev.settleEvals(p, -1, Strategy{}, list, 64, func(src int32, e Eval) bool {
+		visit(int(src), e)
 		return true
 	})
 }

@@ -41,10 +41,15 @@ type Instance struct {
 	kernel kernelKind
 	// unit is the common direct distance (kernelBFS); hopDist[h] is the
 	// IEEE left-fold of h unit addends, the exact value heap Dijkstra
-	// assigns a vertex settled at hop h. Immutable after construction,
-	// so evaluator clones share it.
-	unit    float64
-	hopDist []float64
+	// assigns a vertex settled at hop h. hopTerm[h] is the model's term
+	// of hopDist[h] at the unit (0 at h = 0, the source's own column)
+	// for each hop count whose distance is finite, and missTerm the term
+	// of +Inf: the streamed fold (msbfs.go) looks every pair up there.
+	// Immutable after construction, so evaluator clones share them.
+	unit     float64
+	hopDist  []float64
+	hopTerm  []float64
+	missTerm float64
 	// span is the largest integer distance (kernelDial).
 	span int
 	// peers is the source list 0..n−1 the all-pairs folds hand the row
@@ -167,6 +172,13 @@ func (in *Instance) classifyKernel(info metric.ClassInfo) {
 		for h := 1; h <= n; h++ {
 			in.hopDist[h] = in.hopDist[h-1] + in.unit
 		}
+		// A path has at most n−1 arcs, and a hop count whose left-fold
+		// overflows lies at distance +Inf, like a peer never reached.
+		in.hopTerm = make([]float64, 1, n)
+		for h := 1; h < n && !math.IsInf(in.hopDist[h], 1); h++ {
+			in.hopTerm = append(in.hopTerm, in.model.Term(in.hopDist[h], in.unit))
+		}
+		in.missTerm = in.model.Term(math.Inf(1), in.unit)
 	case kernelDial:
 		in.span = info.MaxWeight
 	}
@@ -228,12 +240,12 @@ func (c Cost) Total() float64 { return c.Link + c.Term }
 // copies from an existing evaluator with Clone (the bound Instance is
 // immutable after construction, so clones share it safely).
 //
-// SocialCostBanded uses every core on its own: it fans its rows out
-// across min(GOMAXPROCS, claims) workers, fewer when their rows would
-// pass streamRowBudget (see SocialCostBanded), each holding at most
-// min(band, 64) rows that live only for the call. At width 1 the
-// evaluator runs the streamed loop itself and keeps its rows, so
-// steady-state calls allocate nothing.
+// SocialCostBanded uses every core on its own: it fans its sources out
+// across min(GOMAXPROCS, claims) workers, fewer when their level tables
+// would pass streamRowBudget (see SocialCostBanded), each holding the
+// hop levels of at most min(band, 64) sources for the call only. At
+// width 1 the evaluator runs the streamed loop itself and keeps its
+// table, so steady-state calls allocate nothing.
 type Evaluator struct {
 	inst *Instance
 	// SSSP distance scratch (one entry per peer).
@@ -283,8 +295,9 @@ type Evaluator struct {
 	bfsVisited []uint64
 	// Dial kernel bucket storage (kernelDial instances).
 	dial dialQueue
-	// Streamed-path scratch of settleRows (see msbfs.go): per-vertex
-	// source masks, frontier lists and band row storage.
+	// Streamed-path scratch of settleEvals (see msbfs.go): per-vertex
+	// source masks, frontier lists, the hop-level table and the
+	// per-source fold accumulators.
 	ms msScratch
 	// pool, when attached, fans the rest-row SSSPs of NewDeviationBatch
 	// across evaluator clones. See AttachPool.
@@ -309,6 +322,10 @@ type csr struct {
 	to   []int32
 	w    []float64
 }
+
+// degree returns the number of arcs leaving u: on the forward CSR, the
+// out-degree of u's prepared strategy.
+func (c *csr) degree(u int32) int { return int(c.head[u+1] - c.head[u]) }
 
 // NewEvaluator returns an evaluator bound to the instance.
 func NewEvaluator(inst *Instance) *Evaluator {
@@ -341,8 +358,8 @@ func (ev *Evaluator) Clone() *Evaluator { return NewEvaluator(ev.inst) }
 // That row fill is its whole scope. The streamed fold
 // (SocialCostBanded) never uses an attached pool: it fans out across
 // min(GOMAXPROCS, claims) workers, capped by streamRowBudget, of a pool
-// built for the call, each holding at most min(band, 64) rows that live
-// only for the call.
+// built for the call, each holding the hop levels of at most
+// min(band, 64) sources for the call only.
 func (ev *Evaluator) AttachPool(pl *Pool) { ev.pool = pl }
 
 // Pool returns the attached worker pool, or nil.
@@ -373,7 +390,7 @@ func (ev *Evaluator) prepare(p Profile, override int, alt Strategy) {
 // prepareWith is prepare with the bitset adjacency build optional:
 // bitsetAdj = false skips the n·⌈n/64⌉-word bfsAdj slab on kernelBFS
 // instances (512 MB at n = 65536) and builds only the CSR structures.
-// settleRows' streamed path runs the multi-source BFS over the CSR
+// settleEvals' streamed path runs the multi-source BFS over the CSR
 // directly, so it never needs the slab; after a bitsetAdj = false call,
 // ssspFrom must not be used on a kernelBFS instance until a full
 // prepare rebuilds it.
@@ -640,40 +657,55 @@ func (ev *Evaluator) sssp(p Profile, src, override int, alt Strategy) []float64 
 // settleRows is the evaluator's one row loop. It prepares p once, with
 // peer override playing alt (override = -1 disables the override), and
 // hands visit the distance row of each source in srcs, in list order,
-// stopping as soon as visit returns false. The list is always explicit:
-// an empty one visits nothing. A row is valid only inside visit; the
-// prepared adjacency stays valid after the call, as after prepare.
+// settled by ssspFrom (bitset BFS, Dial, the heap or the small-frontier
+// loop), stopping as soon as visit returns false. The list is always
+// explicit: an empty one visits nothing. A row is valid only inside
+// visit; the prepared adjacency stays valid after the call, as after
+// prepare.
 //
 // A non-nil seed starts each source src at seed[src] (see ssspFrom); the
 // undirected deviation batch passes its peer's direct distances, and
 // every other caller passes nil.
 //
-// band picks the path, and every path yields the same bits:
-//   - band == 0 is the slab path: ssspFrom per source (bitset BFS,
-//     Dial, the heap or the small-frontier loop).
-//   - band ≥ 1 is the streamed path, which is never seeded. On
-//     kernelBFS instances it runs msbfsChunk over the CSR in chunks of
-//     min(band, 64) sources and never builds the bitset adjacency slab,
-//     so at most min(band, 64) rows are resident. Other kernels run
-//     ssspFrom per source.
-//
-// This loop runs on the caller's goroutine. The streamed fold that fans
-// out (socialCost at band ≥ 1) calls it at width 1 and Pool.settleRows
-// on a pool built for the call otherwise.
-func (ev *Evaluator) settleRows(p Profile, override int, alt Strategy, srcs []int32, seed []float64, band int, visit func(src int32, d []float64) bool) {
-	ev.prepareWith(p, override, alt, band == 0)
-	if !ev.inst.msbfsBand(band) {
-		for _, src := range srcs {
-			if !visit(src, ev.ssspFrom(int(src), seedOf(seed, src))) {
-				return
-			}
+// This loop runs on the caller's goroutine; Pool.settleRows is its
+// fan-out twin. Callers that want each source's Eval, not its row, go
+// through settleEvals, whose streamed path holds no row at all.
+func (ev *Evaluator) settleRows(p Profile, override int, alt Strategy, srcs []int32, seed []float64, visit func(src int32, d []float64) bool) {
+	ev.prepare(p, override, alt)
+	for _, src := range srcs {
+		if !visit(src, ev.ssspFrom(int(src), seedOf(seed, src))) {
+			return
 		}
+	}
+}
+
+// settleEvals is the row loop's Eval twin: it hands visit the Eval of
+// each source in srcs under p, peer override playing alt, in list
+// order, stopping as soon as visit returns false; an empty list visits
+// nothing. Every band yields the same bits:
+//   - band == 0, and any band on heap and Dial instances, runs
+//     settleRows and folds each row by peerEvalFrom.
+//   - band ≥ 1 on kernelBFS instances is the streamed path: it prepares
+//     the CSR only, never the bitset adjacency slab, and settles chunks
+//     of min(band, 64) sources by foldChunk, so no distance row exists
+//     and at most min(band, 64) sources' hop levels are resident.
+//
+// A source's degree is its out-arc count in the prepared adjacency, so
+// the overriding source's Link counts alt. The streamed fold that fans
+// out (socialCost at band ≥ 1) calls this loop at width 1 and
+// Pool.settleEvals on a pool built for the call otherwise.
+func (ev *Evaluator) settleEvals(p Profile, override int, alt Strategy, srcs []int32, band int, visit func(src int32, e Eval) bool) {
+	if !ev.inst.msbfsBand(band) {
+		ev.settleRows(p, override, alt, srcs, nil, func(src int32, d []float64) bool {
+			return visit(src, ev.peerEvalFrom(d, int(src), ev.fwd.degree(src)))
+		})
 		return
 	}
+	ev.prepareWith(p, override, alt, false)
 	chunk := ev.inst.claimSize(band)
 	for lo := 0; lo < len(srcs); lo += chunk {
 		part := srcs[lo:min(lo+chunk, len(srcs))]
-		if !ev.settleChunk(part, func(k int, d []float64) bool { return visit(part[k], d) }) {
+		if !ev.foldChunk(part, func(k int, e Eval) bool { return visit(part[k], e) }) {
 			return
 		}
 	}
@@ -688,25 +720,9 @@ func seedOf(seed []float64, src int32) float64 {
 	return seed[src]
 }
 
-// msbfsBand reports whether the row loops take the multi-source BFS
-// path at band: band ≥ 1 on a kernelBFS instance.
+// msbfsBand reports whether settleEvals takes the streamed path at
+// band: band ≥ 1 on a kernelBFS instance.
 func (in *Instance) msbfsBand(band int) bool { return band >= 1 && in.kernel == kernelBFS }
-
-// settleChunk is the chunk body of the multi-source BFS path, shared by
-// both row loops: it fills one row per source of part (at most 64) by
-// msbfsChunk over ev's prepared CSR, in ev's reused row storage, and
-// hands visit each source's position in part and its row, in order. It
-// reports false as soon as visit does.
-func (ev *Evaluator) settleChunk(part []int32, visit func(k int, d []float64) bool) bool {
-	rows := ev.ms.rows(len(part), ev.inst.N())
-	msbfsChunk(rows, part, ev.inst.hopDist, &ev.fwd, &ev.rev, ev.inst.undirected, &ev.ms)
-	for k := range part {
-		if !visit(k, rows[k]) {
-			return false
-		}
-	}
-	return true
-}
 
 // ssspDense is the retained dense O(n²) reference implementation of the
 // profile SSSP (selection-scan Dijkstra, congestion-aware, with the
@@ -907,20 +923,19 @@ func (ev *Evaluator) PeerCost(p Profile, i int) Cost {
 // The adjacency is prepared once and shared by all n source runs.
 func (ev *Evaluator) SocialCost(p Profile) Cost { return ev.socialCost(p, 0) }
 
-// socialCost folds every peer's cost in source order through settleRows
-// at the given band; the fold is the same sequence of additions at
-// every band and every width, so the bits are too. At band ≥ 1 the
-// rows fan out across a pool of streamWidth workers, built for the
-// call, when that is more than one.
+// socialCost folds every peer's cost in source order through
+// settleEvals at the given band; the fold is the same sequence of
+// additions at every band and every width, so the bits are too. At
+// band ≥ 1 the sources fan out across a pool of streamWidth workers,
+// built for the call, when that is more than one.
 func (ev *Evaluator) socialCost(p Profile, band int) Cost {
 	if w := ev.inst.streamWidth(band); w > 1 {
 		return NewPool(ev.inst, w).socialCost(p, band)
 	}
 	total := Cost{}
-	ev.settleRows(p, -1, Strategy{}, ev.inst.peers, nil, band, func(src int32, d []float64) bool {
-		c := ev.peerEvalFrom(d, int(src), p.OutDegree(int(src))).Cost
-		total.Link += c.Link
-		total.Term += c.Term
+	ev.settleEvals(p, -1, Strategy{}, ev.inst.peers, band, func(_ int32, e Eval) bool {
+		total.Link += e.Cost.Link
+		total.Term += e.Cost.Term
 		return true
 	})
 	return total
@@ -931,7 +946,7 @@ func (ev *Evaluator) socialCost(p Profile, band int) Cost {
 // entries are 0; unreachable pairs are +Inf.
 func (ev *Evaluator) TermMatrix(p Profile) [][]float64 {
 	out := make([][]float64, ev.inst.N())
-	ev.settleRows(p, -1, Strategy{}, ev.inst.peers, nil, 0, func(src int32, d []float64) bool {
+	ev.settleRows(p, -1, Strategy{}, ev.inst.peers, nil, func(src int32, d []float64) bool {
 		out[src] = ev.inst.termRow(d, int(src))
 		return true
 	})
@@ -943,7 +958,7 @@ func (ev *Evaluator) TermMatrix(p Profile) [][]float64 {
 // Nash equilibrium.
 func (ev *Evaluator) MaxTerm(p Profile) float64 {
 	maxT := 0.0
-	ev.settleRows(p, -1, Strategy{}, ev.inst.peers, nil, 0, func(src int32, d []float64) bool {
+	ev.settleRows(p, -1, Strategy{}, ev.inst.peers, nil, func(src int32, d []float64) bool {
 		if t := ev.inst.rowMaxTerm(d, int(src)); t > maxT {
 			maxT = t
 		}
@@ -956,7 +971,7 @@ func (ev *Evaluator) MaxTerm(p Profile) float64 {
 // directed overlay.
 func (ev *Evaluator) Connected(p Profile) bool {
 	connected := true
-	ev.settleRows(p, -1, Strategy{}, ev.inst.peers, nil, 0, func(src int32, d []float64) bool {
+	ev.settleRows(p, -1, Strategy{}, ev.inst.peers, nil, func(src int32, d []float64) bool {
 		connected = reachesAll(d, int(src))
 		return connected
 	})

@@ -79,8 +79,9 @@ func TestFanOutClosedFormsAtWidths(t *testing.T) {
 
 // TestFanOutWidthRowBudget pins the width of the streamed fold: it is
 // min(GOMAXPROCS, claims), 1 on the slab path, and capped so the
-// workers' rows fit streamRowBudget. At n = 2^19 one 64-row claim
-// holds 256 MiB of rows, so two workers fit the budget; at n = 2^20 one
+// workers' level tables fit streamRowBudget. At n = 2^19 one 64-source
+// claim holds 128 MiB of levels, so four workers fit the budget and all
+// three of GOMAXPROCS 3 run; at n = 2^20 two fit, and at n = 2^21 one
 // claim fills it and the fold runs on the caller alone.
 func TestFanOutWidthRowBudget(t *testing.T) {
 	for _, c := range []struct {
@@ -93,10 +94,12 @@ func TestFanOutWidthRowBudget(t *testing.T) {
 		{64, 64, 1},
 		{64, 63, 2},
 		{1 << 19, 1, 3},
-		{1 << 19, 64, 2},
-		{1 << 19, 1 << 19, 2},
-		{1 << 20, 32, 2},
-		{1 << 20, 64, 1},
+		{1 << 19, 64, 3},
+		{1 << 19, 1 << 19, 3},
+		{1 << 20, 32, 3},
+		{1 << 20, 64, 2},
+		{1 << 21, 32, 2},
+		{1 << 21, 64, 1},
 	} {
 		space, err := metric.UniformImplicit(c.n)
 		if err != nil {

@@ -37,10 +37,13 @@ import (
 //     congestion scale factors destroy both structures).
 //
 // Evaluator.ssspFrom is the only caller of these kernels. Rows reach
-// their users through the row loop, Evaluator.settleRows (or its
-// pool twin): band 0 runs ssspFrom per source, and band ≥ 1 on
-// kernelBFS instances runs the multi-source BFS of msbfs.go instead.
-// DynEval settles its construction matrix through the same loop.
+// their users through the row loop, Evaluator.settleRows (or its pool
+// twin), which runs ssspFrom per source; DynEval settles its
+// construction matrix through the same loop. Its Eval twin,
+// settleEvals, folds those rows by peerEvalFrom, except at band ≥ 1 on
+// kernelBFS instances, where the multi-source BFS of msbfs.go settles
+// 64 sources per sweep and folds their Evals from hop levels, with no
+// row at all.
 
 // kernelKind tags the SSSP kernel an instance dispatches to.
 type kernelKind uint8

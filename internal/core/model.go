@@ -28,7 +28,10 @@ type CostModel interface {
 	// Term returns the per-pair cost given the overlay (routing)
 	// distance dG and the direct metric distance dDirect > 0.
 	// dG may be +Inf for unreachable pairs, in which case the term is
-	// +Inf too.
+	// +Inf too. Term must be a pure function of its arguments: on
+	// uniform metrics the streamed fold (SocialCostBanded, the sampled
+	// estimators, the streamed evaluators) calls it once per hop count
+	// when the instance is built and reuses that value for every pair.
 	Term(dG, dDirect float64) float64
 	// LowerBound returns the smallest possible value of Term for a pair
 	// at direct distance dDirect (achieved by a direct link). Used by

@@ -6,56 +6,67 @@ import (
 	"math/bits"
 )
 
-// This file holds the streamed path of the row loop (settleRows in
+// This file holds the streamed path of the Eval loop (settleEvals in
 // evaluate.go, and its fan-out twin in parallel.go) and the
 // multi-source bitset BFS kernel behind it. A materialized all-pairs
 // matrix is the O(n²) wall at internet scale — n=65536 is a 34 GB
-// matrix. The streamed path keeps at most min(band, 64) source rows
-// resident per worker, so social cost, the sampled estimators and the
-// streamed per-peer evaluators run in O(n) memory per worker at any n.
-// The social cost fold fans out across min(GOMAXPROCS, claims) workers,
-// a claim being a chunk of min(band, 64) sources on uniform metrics and
-// one source otherwise, and fewer when their rows together would pass
-// streamRowBudget (512 MiB); at width 1 the caller's evaluator runs the
-// loop itself. A fan-out's pool and rows live only for the call, and
-// its per-source results are folded in list order.
+// matrix. The streamed path never holds a distance row: it hands each
+// source's Eval, folded from a hop-level table of min(band, 64) sources
+// per worker, so social cost, the sampled estimators and the streamed
+// per-peer evaluators run in O(n) memory per worker at any n. The
+// social cost fold fans out across min(GOMAXPROCS, claims) workers, a
+// claim being a chunk of min(band, 64) sources on uniform metrics and
+// one source otherwise, and fewer when their level tables together
+// would pass streamRowBudget (512 MiB); at width 1 the caller's
+// evaluator runs the loop itself. A fan-out's pool and tables live only
+// for the call, and its per-source results are folded in list order.
 //
-// On uniform metrics (kernelBFS) the rows are fed by msbfsChunk, a
+// On uniform metrics (kernelBFS) the Evals are fed by msbfsChunk, a
 // word-parallel BFS over *sources*: where bfsUnitSSSP packs 64
 // candidate arcs per word, msbfsChunk packs 64 concurrent sources per
 // word — each vertex carries one uint64 mask whose bit s means "source
 // s has reached me", and one wave sweep advances all ≤64 BFS trees at
 // once over the shared CSR adjacency. Per source the reached level sets
-// are exactly the single-source BFS level sets, and distances are
-// assigned from the same hopDist left-fold replay table, so every row
-// is bit-identical to bfsUnitSSSP — and hence to heap Dijkstra.
+// are exactly the single-source BFS level sets. msbfsChunk records the
+// hop count of each reached (vertex, source) pair in a vertex-major
+// level table, and foldLevels then sums every source's terms in one
+// pass over the vertices, looking each up in the instance's hopTerm
+// table: the model's term of hopDist[h], the left-fold replay value
+// bfsUnitSSSP writes. Each source thus runs the same j-ordered left
+// fold that peerEvalFrom runs over the slab row, so every Eval is
+// bit-identical to it — and hence to heap Dijkstra.
 //
 // Determinism conventions (shared with the rest of the core):
-//   - rows are handed over in list order, or (on the fan-out) land in
-//     per-source slots folded in list order, so the folds over 0..n-1
-//     run the same left-fold as the slab path, at every band width and
+//   - Evals are handed over in list order, or (on the fan-out) land in
+//     per-source slots folded in list order, so the social cost fold
+//     runs the same left-fold as the slab path, at every band width and
 //     every worker count;
-//   - per-row values replay hopDist[h] (kernelBFS) or the kernel's own
+//   - per-pair values replay hopDist[h] (kernelBFS) or the kernel's own
 //     fixpoint (other kernels), never a re-derived expression;
 //   - therefore SocialCostBanded == SocialCost bit for bit, for any
 //     band ≥ 1, any kernel, directed or undirected.
 
 // msScratch is the reusable scratch of the streamed path: the
-// per-vertex source masks and frontier lists of msbfsChunk plus the
-// band row storage. Owned by an Evaluator, so steady-state banded
-// evaluation allocates nothing.
+// per-vertex source masks and frontier lists of msbfsChunk, its level
+// table, and the per-source accumulators of foldLevels. Owned by an
+// Evaluator, so steady-state banded evaluation allocates nothing.
 type msScratch struct {
 	front, next, reached []uint64
 	frontier, wave       []int32
-	bandBuf              []float64
-	bandRows             [][]float64
+	// level[v·k+s] is the hop count at which source s of the current
+	// k-source chunk reached vertex v, valid only where bit s of
+	// reached[v] is set: the table is never cleared.
+	level []uint32
+	// sum, finite and miss are foldLevels' per-source accumulators.
+	sum, finite [64]float64
+	miss        [64]int
 }
 
-// rows returns k band rows of n entries over the reused band buffer,
-// sizing the per-vertex scratch for n peers as well. front, next and
-// reached are all-zero only on first allocation; msbfsChunk re-zeroes
-// what it used, preserving the all-zero invariant between calls.
-func (st *msScratch) rows(k, n int) [][]float64 {
+// ensure sizes the scratch for chunks of k sources over n peers. front,
+// next and reached are all-zero only on first allocation; msbfsChunk
+// and foldLevels re-zero what they used, preserving the all-zero
+// invariant between chunks.
+func (st *msScratch) ensure(k, n int) {
 	if len(st.front) < n {
 		st.front = make([]uint64, n)
 		st.next = make([]uint64, n)
@@ -63,38 +74,26 @@ func (st *msScratch) rows(k, n int) [][]float64 {
 		st.frontier = make([]int32, 0, n)
 		st.wave = make([]int32, 0, n)
 	}
-	if cap(st.bandBuf) < k*n {
-		st.bandBuf = make([]float64, k*n)
+	if len(st.level) < k*n {
+		st.level = make([]uint32, k*n)
 	}
-	if cap(st.bandRows) < k {
-		st.bandRows = make([][]float64, k)
-	}
-	rows := st.bandRows[:k]
-	for r := range rows {
-		rows[r] = st.bandBuf[r*n : (r+1)*n]
-	}
-	return rows
 }
 
 // msbfsChunk runs the word-parallel multi-source unit-weight BFS for
-// the ≤64 sources srcs over the prepared CSR adjacency, writing the
-// full distance row of srcs[s] into rows[s]. fwd holds the strategy
-// arcs; rev (consulted when undirected) is the maintained reverse
-// index, the same arc set bfsUnitSSSP pre-ORs into its bitset rows.
-// hopDist is the instance's IEEE left-fold replay table, so row values
-// are bit-identical to the single-source kernels. st.front/next/reached
-// must be all-zero on entry (rows + the re-zeroing on exit keep that
-// invariant).
-func msbfsChunk(rows [][]float64, srcs []int32, hopDist []float64, fwd, rev *csr, undirected bool, st *msScratch) {
-	front, next, reached := st.front, st.next, st.reached
-	inf := math.Inf(1)
-	for s, src := range srcs {
-		row := rows[s]
-		for v := range row {
-			row[v] = inf
-		}
-		row[src] = 0
-	}
+// the ≤64 sources srcs over the prepared CSR adjacency, setting bit s
+// of st.reached[v] and st.level[v·k+s] (k = len(srcs)) for every vertex
+// v that source srcs[s] reaches within fewer than hops hops. fwd holds
+// the strategy arcs; rev (consulted when undirected) is the maintained
+// reverse index, the same arc set bfsUnitSSSP pre-ORs into its bitset
+// rows. hops is len(hopTerm), the number of hop counts whose left-fold
+// distance is finite: a vertex first reached at hop hops or later lies
+// at distance +Inf, exactly like one never reached, so it is left
+// unreached. st.front/next/reached must be
+// all-zero on entry; front and next are all-zero again on return, and
+// reached is left for foldLevels to read and re-zero.
+func msbfsChunk(srcs []int32, hops int, fwd, rev *csr, undirected bool, st *msScratch) {
+	k := len(srcs)
+	front, next, reached, level := st.front, st.next, st.reached, st.level
 	frontier := st.frontier[:0]
 	for s, src := range srcs {
 		bit := uint64(1) << uint(s)
@@ -103,18 +102,18 @@ func msbfsChunk(rows [][]float64, srcs []int32, hopDist []float64, fwd, rev *csr
 		}
 		front[src] |= bit
 		reached[src] |= bit
+		level[int(src)*k+s] = 0
 	}
 	wave := st.wave[:0]
-	for hop := 1; len(frontier) > 0; hop++ {
-		hd := hopDist[hop]
+	for hop := 1; len(frontier) > 0 && hop < hops; hop++ {
 		wave = wave[:0]
 		// Advance every source tree one level: each arc u→v carries the
 		// whole 64-source mask in one OR, minus the sources that already
 		// reached v.
 		for _, u := range frontier {
 			fu := front[u]
-			for k := fwd.head[u]; k < fwd.head[u+1]; k++ {
-				v := fwd.to[k]
+			for a := fwd.head[u]; a < fwd.head[u+1]; a++ {
+				v := fwd.to[a]
 				if nw := fu &^ reached[v]; nw != 0 {
 					if next[v] == 0 {
 						wave = append(wave, v)
@@ -123,8 +122,8 @@ func msbfsChunk(rows [][]float64, srcs []int32, hopDist []float64, fwd, rev *csr
 				}
 			}
 			if undirected {
-				for k := rev.head[u]; k < rev.head[u+1]; k++ {
-					v := rev.to[k]
+				for a := rev.head[u]; a < rev.head[u+1]; a++ {
+					v := rev.to[a]
 					if nw := fu &^ reached[v]; nw != 0 {
 						if next[v] == 0 {
 							wave = append(wave, v)
@@ -134,48 +133,137 @@ func msbfsChunk(rows [][]float64, srcs []int32, hopDist []float64, fwd, rev *csr
 				}
 			}
 		}
-		// Commit the wave: clear the old frontier's masks, then assign the
-		// hop-h distance to each newly reached (source, vertex) pair. The
-		// clear runs first so a vertex in both waves keeps its new mask.
+		// Commit the wave: clear the old frontier's masks, then record
+		// hop h for each newly reached (vertex, source) pair, in the
+		// vertex's own k-entry stretch of the table. The clear runs first
+		// so a vertex in both waves keeps its new mask.
 		for _, u := range frontier {
 			front[u] = 0
 		}
+		h := uint32(hop)
 		for _, v := range wave {
-			nw := next[v] &^ reached[v]
+			nw := next[v]
 			next[v] = 0
 			reached[v] |= nw
 			front[v] = nw
+			lv := level[int(v)*k : int(v)*k+k]
 			for m := nw; m != 0; m &= m - 1 {
-				rows[bits.TrailingZeros64(m)][v] = hd
+				lv[bits.TrailingZeros64(m)] = h
 			}
 		}
 		frontier, wave = wave, frontier
 	}
-	// Restore the all-zero invariant for the next chunk: front and next
-	// are already zero (cleared per wave), reached is not. The final
-	// frontier is empty, so its masks were never set.
-	for i := range reached {
-		reached[i] = 0
+	// Restore front's all-zero invariant: the final frontier is empty
+	// unless the hop cap stopped the sweep, and next is cleared per wave.
+	for _, u := range frontier {
+		front[u] = 0
 	}
 	st.frontier, st.wave = frontier[:0], wave[:0]
 }
 
+// foldLevels sums the terms of the k sources msbfsChunk just settled
+// over n peers in one pass over v = 0…n−1, reading reached[v] before
+// re-zeroing it. Each source s adds terms[h] for a vertex it reached at
+// hop h (terms[0] = 0 for its own column), in v order — the left fold
+// peerEvalFrom runs over the slab row. Under the built-in models
+// (custom false) every reached term is finite, so st.sum[s] is the
+// FiniteTerm accumulator and st.miss[s] counts the vertices s missed,
+// whose term is +Inf. A custom model's term may be +Inf or NaN at any
+// distance, so there st.sum[s] takes every term, missed vertices
+// adding miss (the term of +Inf), and peerEvalFrom's IsInf rule splits
+// st.finite[s] and st.miss[s] off it.
+func (st *msScratch) foldLevels(k, n int, terms []float64, miss float64, custom bool) {
+	sum, finite, misses := st.sum[:k], st.finite[:k], st.miss[:k]
+	for s := range sum {
+		sum[s], finite[s], misses[s] = 0, 0, 0
+	}
+	full := ^uint64(0) >> uint(64-k)
+	reached, level := st.reached[:n], st.level
+	for v, m := range reached {
+		reached[v] = 0
+		lv := level[v*k : v*k+k]
+		switch {
+		case custom:
+			for s, h := range lv {
+				t := miss
+				if m>>uint(s)&1 != 0 {
+					t = terms[h]
+				}
+				sum[s] += t
+				if math.IsInf(t, 1) {
+					misses[s]++
+				} else {
+					finite[s] += t
+				}
+			}
+		case m == full:
+			sum := sum[:len(lv)]
+			for s, h := range lv {
+				sum[s] += terms[h]
+			}
+		default:
+			for s, h := range lv {
+				if m>>uint(s)&1 != 0 {
+					sum[s] += terms[h]
+				} else {
+					misses[s]++
+				}
+			}
+		}
+	}
+}
+
+// foldChunk is the chunk body of the streamed path, shared by both Eval
+// loops: it settles the sources of part (at most 64) by msbfsChunk over
+// ev's prepared CSR, folds their Evals by foldLevels on ev's reused
+// scratch, and hands visit each source's position in part and its Eval,
+// in order. Each Eval == peerEvalFrom over the source's slab row; a
+// source's degree is its prepared out-arc count. It reports false as
+// soon as visit does.
+func (ev *Evaluator) foldChunk(part []int32, visit func(k int, e Eval) bool) bool {
+	inst, st := ev.inst, &ev.ms
+	k, n := len(part), inst.N()
+	st.ensure(k, n)
+	msbfsChunk(part, len(inst.hopTerm), &ev.fwd, &ev.rev, inst.undirected, st)
+	custom := inst.modelKind == modelCustom
+	st.foldLevels(k, n, inst.hopTerm, inst.missTerm, custom)
+	for s, src := range part {
+		e := Eval{
+			Cost:        Cost{Link: inst.alpha * float64(ev.fwd.degree(src)), Term: st.sum[s]},
+			Unreachable: st.miss[s],
+			FiniteTerm:  st.sum[s],
+		}
+		switch {
+		case custom:
+			e.FiniteTerm = st.finite[s]
+		case e.Unreachable > 0:
+			e.Cost.Term = math.Inf(1)
+		}
+		if !visit(s, e) {
+			return false
+		}
+	}
+	return true
+}
+
 // SocialCostBanded computes SocialCost through the streamed path of
-// settleRows, bit-identical to the slab path at every band width: the
-// rows carry the same kernel-computed values and the fold runs in the
-// same source order, so the float64 left-fold is the same sequence of
-// additions. This is the social-cost entry point past the O(n²) wall.
-// The fold runs on min(GOMAXPROCS, claims) workers, where a claim is a
-// chunk of min(band, 64) sources on uniform metrics and one source
-// otherwise, and on fewer when their rows together would pass
-// streamRowBudget (512 MiB: 16 workers at n = 65536); each worker's
+// settleEvals, bit-identical to the slab path at every band width: each
+// source's Eval is folded from the same kernel-computed distances in
+// the same j order, and the Evals are summed in the same source order,
+// so the float64 left-fold is the same sequence of additions. This is
+// the social-cost entry point past the O(n²) wall. The fold runs on
+// min(GOMAXPROCS, claims) workers, where a claim is a chunk of
+// min(band, 64) sources on uniform metrics and one source otherwise,
+// and on fewer when their level tables together would pass
+// streamRowBudget (512 MiB: 32 workers at n = 65536); each worker's
 // per-peer costs land in slots that are summed in peer order, so the
-// bits do not depend on the width. Each worker holds at most
-// min(band, 64) rows, because the multi-source BFS fills 64 rows per
-// sweep and a wider band would only cost memory: at n = 65536 a worker
-// touches ~34 MB where the slab needs 34 GB. At width 2 or more the
-// workers' rows live only for the call; at width 1 the evaluator keeps
-// its own rows for the next call.
+// bits do not depend on the width. Each worker holds at most min(band,
+// 64) sources' hop levels, 4 bytes per (source, peer) pair, because the
+// multi-source BFS settles 64 sources per sweep and a wider band would
+// only cost memory: at n = 65536 a worker's level table is 16 MiB where
+// the slab needs 34 GB. At width 2 or more the workers' tables live
+// only for the call; at width 1 the evaluator keeps its own for the
+// next call.
 func (ev *Evaluator) SocialCostBanded(p Profile, band int) (Cost, error) {
 	if band < 1 {
 		return Cost{}, fmt.Errorf("core: band width %d, want ≥ 1", band)
@@ -187,23 +275,23 @@ func (ev *Evaluator) SocialCostBanded(p Profile, band int) (Cost, error) {
 // adjacency slab: identical bits, O(n) memory, the per-peer evaluation
 // primitive for best-response steps at internet scale.
 func (ev *Evaluator) PeerEvalStreamed(p Profile, i int) Eval {
-	return ev.streamedEval(p, i, -1, Strategy{}, p.OutDegree(i))
+	return ev.streamedEval(p, i, -1, Strategy{})
 }
 
 // DeviationEvalStreamed is DeviationEval without the bitset adjacency
 // slab: peer i's enriched cost if it unilaterally switches to alt,
 // identical bits, O(n) memory.
 func (ev *Evaluator) DeviationEvalStreamed(p Profile, i int, alt Strategy) Eval {
-	return ev.streamedEval(p, i, i, alt, alt.Count())
+	return ev.streamedEval(p, i, i, alt)
 }
 
-// streamedEval evaluates peer i, of out-degree degree, on the streamed
-// path of settleRows with one source.
-func (ev *Evaluator) streamedEval(p Profile, i, override int, alt Strategy, degree int) Eval {
+// streamedEval evaluates peer i on the streamed path of settleEvals
+// with one source, peer override playing alt.
+func (ev *Evaluator) streamedEval(p Profile, i, override int, alt Strategy) Eval {
 	var e Eval
 	src := [1]int32{int32(i)}
-	ev.settleRows(p, override, alt, src[:], nil, 1, func(_ int32, d []float64) bool {
-		e = ev.peerEvalFrom(d, i, degree)
+	ev.settleEvals(p, override, alt, src[:], 1, func(_ int32, got Eval) bool {
+		e = got
 		return true
 	})
 	return e

@@ -3,8 +3,9 @@ package core
 // Differential tests for the banded distance store and the multi-source
 // bitset BFS (msbfs.go), plus the implicit uniform instance storage.
 // The contract is the house invariant, stated bit-for-bit: at EVERY
-// band width, on every kernel and regime, the streamed rows and the
-// banded social-cost fold must equal the slab path exactly — and an
+// band width, on every kernel and regime, the streamed Evals, the
+// expanded level rows and the banded social-cost fold must equal the
+// slab path exactly — and an
 // instance over the implicit O(1)-storage uniform space must be
 // indistinguishable, bit for bit, from one over the dense Uniform
 // matrix.
@@ -54,39 +55,44 @@ func TestSocialCostBandedMatchesSlabBitForBit(t *testing.T) {
 	}
 }
 
-// TestSSSPBandsRowsMatchSlabBitForBit checks every row of the streamed
-// path of settleRows over all n sources against the slab-path ssspFrom
-// row, exactly, at band widths straddling the 64-source chunk boundary
-// — the multi-word, disconnected and undirected BFS regimes are where
-// the mask bookkeeping could go wrong.
+// TestSSSPBandsRowsMatchSlabBitForBit checks the streamed path of
+// settleEvals over all n sources against the slab path, exactly, at
+// band widths straddling the 64-source chunk boundary: every Eval
+// equals peerEvalFrom over the slab-path ssspFrom row, and on kernelBFS
+// instances every expanded level row equals that row — the multi-word,
+// disconnected and undirected BFS regimes are where the mask and level
+// bookkeeping could go wrong.
 func TestSSSPBandsRowsMatchSlabBitForBit(t *testing.T) {
 	r := rng.New(59)
 	for _, c := range diffCases() {
 		t.Run(c.name, func(t *testing.T) {
 			inst := buildDiffInstance(t, r, c)
 			evBand := NewEvaluator(inst)
-			evSlab := NewEvaluator(inst)
 			p := randomDiffProfile(r, c.n, c.linkProb)
-			evSlab.prepare(p, -1, Strategy{})
-			slab := make([][]float64, c.n)
-			for s := 0; s < c.n; s++ {
-				slab[s] = append([]float64(nil), evSlab.ssspFrom(s, 0)...)
-			}
+			slab, evals := slabReference(inst, p, -1, Strategy{})
 			for _, band := range bandWidths(c.n) {
 				seen := 0
-				evBand.settleRows(p, -1, Strategy{}, inst.peers, nil, band, func(src int32, d []float64) bool {
+				evBand.settleEvals(p, -1, Strategy{}, inst.peers, band, func(src int32, e Eval) bool {
 					if int(src) != seen {
 						t.Fatalf("band %d: visited src %d, want %d (order contract)", band, src, seen)
 					}
 					seen++
-					if j, ok := distsIdentical(d, slab[src]); !ok {
-						t.Fatalf("band %d src %d: banded d[%d]=%v, slab d[%d]=%v",
-							band, src, j, d[j], j, slab[src][j])
+					if e != evals[src] {
+						t.Fatalf("band %d src %d: banded %+v, slab %+v", band, src, e, evals[src])
 					}
 					return true
 				})
 				if seen != c.n {
 					t.Fatalf("band %d: visited %d sources, want %d", band, seen, c.n)
+				}
+				if !inst.msbfsBand(band) {
+					continue
+				}
+				for src, d := range levelRows(evBand, p, -1, Strategy{}, inst.peers, band) {
+					if j, ok := distsIdentical(d, slab[src]); !ok {
+						t.Fatalf("band %d src %d: level row d[%d]=%v, slab d[%d]=%v",
+							band, src, j, d[j], j, slab[src][j])
+					}
 				}
 			}
 		})
@@ -96,7 +102,8 @@ func TestSSSPBandsRowsMatchSlabBitForBit(t *testing.T) {
 // TestStreamedEvalsMatchBitForBit checks the slab-free single-source
 // eval surface — PeerEvalStreamed and DeviationEvalStreamed — against
 // PeerEval/DeviationEval exactly, in every regime including overrides
-// that disconnect the mover.
+// that disconnect the mover, and on kernelBFS instances the mover's
+// one-source level table, expanded, against its slab row.
 func TestStreamedEvalsMatchBitForBit(t *testing.T) {
 	r := rng.New(61)
 	for _, c := range diffCases() {
@@ -105,10 +112,24 @@ func TestStreamedEvalsMatchBitForBit(t *testing.T) {
 			evStream := NewEvaluator(inst)
 			evSlab := NewEvaluator(inst)
 			p := randomDiffProfile(r, c.n, c.linkProb)
+			// checkLevels compares source i's one-source level row, with
+			// peer override playing alt, against its slab row.
+			checkLevels := func(i, override int, alt Strategy) {
+				t.Helper()
+				if !inst.msbfsBand(1) {
+					return
+				}
+				want := evSlab.sssp(p, i, override, alt)
+				got := levelRows(evStream, p, override, alt, []int32{int32(i)}, 1)[0]
+				if j, ok := distsIdentical(got, want); !ok {
+					t.Fatalf("override %d source %d: level row d[%d]=%v, slab %v", override, i, j, got[j], want[j])
+				}
+			}
 			for i := 0; i < c.n; i++ {
 				if got, want := evStream.PeerEvalStreamed(p, i), evSlab.PeerEval(p, i); got != want {
 					t.Fatalf("PeerEvalStreamed(%d): %+v, want %+v", i, got, want)
 				}
+				checkLevels(i, -1, Strategy{})
 			}
 			for trial := 0; trial < 4; trial++ {
 				i := r.Intn(c.n)
@@ -118,10 +139,12 @@ func TestStreamedEvalsMatchBitForBit(t *testing.T) {
 				if got != want {
 					t.Fatalf("DeviationEvalStreamed(%d): %+v, want %+v", i, got, want)
 				}
+				checkLevels(i, i, alt)
 				empty := Strategy{}
 				if got, want := evStream.DeviationEvalStreamed(p, i, empty), evSlab.DeviationEval(p, i, empty); got != want {
 					t.Fatalf("DeviationEvalStreamed(%d, empty): %+v, want %+v", i, got, want)
 				}
+				checkLevels(i, i, empty)
 			}
 		})
 	}

@@ -1,12 +1,14 @@
 package core
 
-// Contract tests for the row loop (Evaluator.settleRows), its pool
-// twin (Pool.settleRows, on both paths and at widths 1–3, and behind
-// the rest-row fill), and the banded fold's resident-memory bound. The
+// Contract tests for the row loop (Evaluator.settleRows), its Eval twin
+// (Evaluator.settleEvals, on both paths), their pool twins (at widths
+// 1–3, and behind the rest-row fill), and the banded fold's
+// resident-memory bound. The
 // row loop takes an explicit source list on every path, so a "nil or
 // empty means every peer" slip must fail here, not only in a benchmark.
 
 import (
+	"fmt"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -44,11 +46,14 @@ func scrambledSources(r *rng.RNG, n int) []int32 {
 	return srcs
 }
 
-// TestSettleRowsContract pins the row loop on every path: an empty list
-// visits nothing, a scrambled list is visited in list order, every row
-// equals the single-source slab reference with the override applied,
-// and a false from visit stops the loop at once. The pool twin is held
-// to the same contract at every band on pools of 1–3 workers, where
+// TestSettleRowsContract pins the row loop and its Eval twin: an empty
+// list visits nothing, a scrambled list is visited in list order, and a
+// false from visit stops the loop at once. settleRows hands every
+// source's row, which equals the single-source slab reference with the
+// override applied; settleEvals hands, at every band, every source's
+// Eval, which equals peerEvalFrom over that row, and on the streamed
+// path the expanded level rows equal the reference rows too. The pool
+// twins are held to the same contract on pools of 1–3 workers, where
 // list order gives way to one visit per listed source.
 func TestSettleRowsContract(t *testing.T) {
 	r := rng.New(79)
@@ -70,44 +75,53 @@ func TestSettleRowsContract(t *testing.T) {
 				{override: 5}, // empty strategy: peer 5 drops its links
 			} {
 				want := make(map[int32][]float64, len(srcs))
+				wantEval := make(map[int32]Eval, len(srcs))
 				for _, src := range srcs {
 					want[src] = append([]float64(nil), ref.sssp(p, int(src), ov.override, ov.alt)...)
+					wantEval[src] = ref.peerEvalFrom(want[src], int(src), strategyOf(p, int(src), ov.override, ov.alt).Count())
+				}
+				what := fmt.Sprintf("override %d rows", ov.override)
+				checkLoop(t, what, srcs, func(list []int32, visit func(int32) bool) {
+					ev.settleRows(p, ov.override, ov.alt, list, nil, func(src int32, d []float64) bool {
+						if j, ok := distsIdentical(d, want[src]); !ok {
+							t.Fatalf("%s source %d: d[%d]=%v, reference %v", what, src, j, d[j], want[src][j])
+						}
+						return visit(src)
+					})
+				})
+				for workers := 1; workers <= 3; workers++ {
+					pl := NewPool(inst, workers)
+					checkPoolLoop(t, what, workers, srcs, func(list []int32, visit func(int, bool) bool) {
+						pl.settleRows(p, ov.override, ov.alt, list, nil, func(_ *Evaluator, i int, d []float64) bool {
+							_, same := distsIdentical(d, want[list[i]])
+							return visit(i, same)
+						})
+					})
 				}
 				for _, band := range []int{0, 1, 63, 64, 65, c.n} {
-					for _, empty := range [][]int32{nil, {}} {
-						ev.settleRows(p, ov.override, ov.alt, empty, nil, band, func(src int32, _ []float64) bool {
-							t.Fatalf("band %d: empty list visited source %d", band, src)
-							return true
+					what := fmt.Sprintf("override %d band %d Evals", ov.override, band)
+					checkLoop(t, what, srcs, func(list []int32, visit func(int32) bool) {
+						ev.settleEvals(p, ov.override, ov.alt, list, band, func(src int32, e Eval) bool {
+							if e != wantEval[src] {
+								t.Fatalf("%s source %d: %+v, reference %+v", what, src, e, wantEval[src])
+							}
+							return visit(src)
 						})
-					}
-					seen := 0
-					ev.settleRows(p, ov.override, ov.alt, srcs, nil, band, func(src int32, d []float64) bool {
-						if src != srcs[seen] {
-							t.Fatalf("override %d band %d: visit %d got source %d, want %d (list order)",
-								ov.override, band, seen, src, srcs[seen])
-						}
-						if j, ok := distsIdentical(d, want[src]); !ok {
-							t.Fatalf("override %d band %d source %d: d[%d]=%v, reference %v",
-								ov.override, band, src, j, d[j], want[src][j])
-						}
-						seen++
-						return true
 					})
-					if seen != len(srcs) {
-						t.Fatalf("override %d band %d: %d visits, want %d", ov.override, band, seen, len(srcs))
-					}
-					for _, k := range []int{1, 40, 65} {
-						visits := 0
-						ev.settleRows(p, ov.override, ov.alt, srcs, nil, band, func(int32, []float64) bool {
-							visits++
-							return visits < k
-						})
-						if visits != k {
-							t.Fatalf("override %d band %d: stop after %d visits ran %d", ov.override, band, k, visits)
-						}
-					}
 					for workers := 1; workers <= 3; workers++ {
-						checkPoolRows(t, NewPool(inst, workers), p, ov.override, ov.alt, srcs, band, want)
+						pl := NewPool(inst, workers)
+						checkPoolLoop(t, what, workers, srcs, func(list []int32, visit func(int, bool) bool) {
+							pl.settleEvals(p, ov.override, ov.alt, list, band, func(i int, e Eval) bool {
+								return visit(i, e == wantEval[list[i]])
+							})
+						})
+					}
+					if inst.msbfsBand(band) {
+						for k, row := range levelRows(ev, p, ov.override, ov.alt, srcs, band) {
+							if j, ok := distsIdentical(row, want[srcs[k]]); !ok {
+								t.Fatalf("%s source %d: level row d[%d]=%v, reference %v", what, srcs[k], j, row[j], want[srcs[k]][j])
+							}
+						}
 					}
 				}
 			}
@@ -115,44 +129,79 @@ func TestSettleRowsContract(t *testing.T) {
 	}
 }
 
-// checkPoolRows pins Pool.settleRows at one band: an empty list visits
-// nothing, every listed source is visited exactly once with its
-// reference row, and a false from visit stops the claims. Every visit
-// after the k-th returns false too and stops its own worker, so a stop
-// requested at visit k ends within k + workers − 1 visits.
-func checkPoolRows(t *testing.T, pl *Pool, p Profile, override int, alt Strategy, srcs []int32, band int, want map[int32][]float64) {
+// checkLoop pins one of the evaluator's loops, run over a source list
+// with a visit that gets only the source (run checks each source's
+// output itself): an empty list visits nothing, srcs is visited in list
+// order, and a false from visit stops the loop at once.
+func checkLoop(t *testing.T, what string, srcs []int32, run func(list []int32, visit func(src int32) bool)) {
 	t.Helper()
-	w := pl.Workers()
+	for _, empty := range [][]int32{nil, {}} {
+		run(empty, func(src int32) bool {
+			t.Fatalf("%s: empty list visited source %d", what, src)
+			return true
+		})
+	}
+	seen := 0
+	run(srcs, func(src int32) bool {
+		if src != srcs[seen] {
+			t.Fatalf("%s: visit %d got source %d, want %d (list order)", what, seen, src, srcs[seen])
+		}
+		seen++
+		return true
+	})
+	if seen != len(srcs) {
+		t.Fatalf("%s: %d visits, want %d", what, seen, len(srcs))
+	}
+	for _, k := range []int{1, 40, 65} {
+		visits := 0
+		run(srcs, func(int32) bool {
+			visits++
+			return visits < k
+		})
+		if visits != k {
+			t.Fatalf("%s: stop after %d visits ran %d", what, k, visits)
+		}
+	}
+}
+
+// checkPoolLoop pins one of the pool's loops on a pool of w workers,
+// run over a source list with a visit that gets the list index and
+// whether that source's output matched its reference: an empty list
+// visits nothing, every listed source is visited exactly once and
+// matches, and a false from visit stops the claims. Every visit after
+// the k-th returns false too and stops its own worker, so a stop
+// requested at visit k ends within k + w − 1 visits.
+func checkPoolLoop(t *testing.T, what string, w int, srcs []int32, run func(list []int32, visit func(i int, same bool) bool)) {
+	t.Helper()
 	for _, empty := range [][]int32{nil, {}} {
 		var visits atomic.Int32
-		pl.settleRows(p, override, alt, empty, nil, band, func(*Evaluator, int, []float64) bool {
+		run(empty, func(int, bool) bool {
 			visits.Add(1)
 			return true
 		})
 		if v := visits.Load(); v != 0 {
-			t.Fatalf("pool width %d band %d: empty list made %d visits", w, band, v)
+			t.Fatalf("%s pool width %d: empty list made %d visits", what, w, v)
 		}
 	}
 	counts := make([]atomic.Int32, len(srcs))
 	same := make([]bool, len(srcs))
-	pl.settleRows(p, override, alt, srcs, nil, band, func(_ *Evaluator, i int, d []float64) bool {
+	run(srcs, func(i int, ok bool) bool {
 		counts[i].Add(1)
-		_, same[i] = distsIdentical(d, want[srcs[i]])
+		same[i] = ok
 		return true
 	})
 	for i, src := range srcs {
 		if c := counts[i].Load(); c != 1 || !same[i] {
-			t.Fatalf("override %d pool width %d band %d: source %d visited %d times, reference row %v",
-				override, w, band, src, c, same[i])
+			t.Fatalf("%s pool width %d: source %d visited %d times, matches reference %v", what, w, src, c, same[i])
 		}
 	}
 	for _, k := range []int32{1, 40, 65} {
 		var visits atomic.Int32
-		pl.settleRows(p, override, alt, srcs, nil, band, func(*Evaluator, int, []float64) bool {
+		run(srcs, func(int, bool) bool {
 			return visits.Add(1) < k
 		})
 		if v := visits.Load(); v < k || v > k+int32(w)-1 {
-			t.Fatalf("override %d pool width %d band %d: stop after %d visits ran %d", override, w, band, k, v)
+			t.Fatalf("%s pool width %d: stop after %d visits ran %d", what, w, k, v)
 		}
 	}
 }
@@ -225,15 +274,15 @@ func TestFillRestRowsWritesOnlyListedSlots(t *testing.T) {
 	}
 }
 
-// TestSocialCostBandedWideBandMemory: the multi-source BFS fills at
-// most 64 rows per sweep, so a wider band keeps only 64 resident per
-// worker. The first fold on a fresh evaluator for the n = 4096 star at
-// band n allocates a few MiB, not band·n floats (128 MiB), and still
-// reproduces the closed form. The fold fans out across min(GOMAXPROCS,
-// claims) workers with about 2.3 MiB each, so the 8 MiB bound is
-// checked at GOMAXPROCS 1 and 2, set here; at the machine's own width
-// the band-n fold must allocate no more than the band-64 fold, up to
-// 64 KiB, which holds at any core count.
+// TestSocialCostBandedWideBandMemory: the multi-source BFS settles at
+// most 64 sources per sweep, so a wider band keeps only 64 sources' hop
+// levels resident per worker. The first fold on a fresh evaluator for
+// the n = 4096 star at band n allocates a few MiB, not band·n levels
+// (64 MiB), and still reproduces the closed form. The fold fans out
+// across min(GOMAXPROCS, claims) workers with about 1.3 MiB each, so
+// the 8 MiB bound is checked at GOMAXPROCS 1 and 2, set here; at the
+// machine's own width the band-n fold must allocate no more than the
+// band-64 fold, up to 64 KiB, which holds at any core count.
 func TestSocialCostBandedWideBandMemory(t *testing.T) {
 	const n = 4096
 	space, err := metric.UniformImplicit(n)
