@@ -96,12 +96,6 @@ type Engine struct {
 	stored core.Profile
 	online []bool
 	count  int
-
-	// SearchBudget bounds each exact masked search; past it the best
-	// response falls back to the masked hill climb (still
-	// deterministic, no longer globally optimal). ≤ 0 means unbounded.
-	// NewEngine sets DefaultSearchBudget.
-	SearchBudget int
 }
 
 // NewEngine builds the engine with every peer online and live = stored.
@@ -120,13 +114,12 @@ func NewEngine(ev *core.Evaluator, stored core.Profile) (*Engine, error) {
 		return nil, err
 	}
 	e := &Engine{
-		inst:         inst,
-		ev:           ev,
-		dy:           dy,
-		stored:       stored.Clone(),
-		online:       make([]bool, n),
-		count:        n,
-		SearchBudget: DefaultSearchBudget,
+		inst:   inst,
+		ev:     ev,
+		dy:     dy,
+		stored: stored.Clone(),
+		online: make([]bool, n),
+		count:  n,
 	}
 	for i := range e.online {
 		e.online[i] = true
@@ -265,7 +258,8 @@ func (e *Engine) Join(v int) ([]int, error) {
 // induced on the online peers: the exact fused search in the directed
 // batched regime (directed, congestion-free, n ≤ 2048), a masked
 // add/drop/swap hill climb otherwise or when the exact search exceeds
-// SearchBudget. Undirected games keep the hill climb, on the batch's
+// DefaultSearchBudget (still deterministic, no longer globally
+// optimal). Undirected games keep the hill climb, on the batch's
 // move base. The returned strategy links to online peers only.
 func (e *Engine) BestResponseActive(v int) (core.Strategy, core.Eval, error) {
 	if !e.online[v] {
@@ -275,7 +269,7 @@ func (e *Engine) BestResponseActive(v int) (core.Strategy, core.Eval, error) {
 	var moves *bestresponse.MoveScorer
 	if b := e.ev.NewDeviationBatch(live, v); b != nil {
 		if !e.inst.Undirected() {
-			out := b.ExactSearchActive(live.Strategy(v), e.online, bestresponse.TermLowerBound(e.inst, v, e.online), bestresponse.Tolerance, e.SearchBudget)
+			out := b.ExactSearchActive(live.Strategy(v), e.online, bestresponse.TermLowerBound(e.inst, v, e.online), bestresponse.Tolerance, DefaultSearchBudget)
 			if !out.OverBudget {
 				return out.Strategy, out.Eval, nil
 			}

@@ -27,17 +27,12 @@ func (in *Instance) CongestionGamma() float64 { return in.congestionGamma }
 
 // indegrees computes the in-degree of every peer under p with the
 // override applied, into the provided buffer.
-func (ev *Evaluator) indegrees(p Profile, override int, alt Strategy, buf []int) {
+func indegrees(p Profile, override int, alt Strategy, buf []int) {
 	for i := range buf {
 		buf[i] = 0
 	}
-	n := ev.inst.N()
-	for u := 0; u < n; u++ {
-		s := p.strategies[u]
-		if u == override {
-			s = alt
-		}
-		s.ForEach(func(j int) bool {
+	for u := 0; u < p.N(); u++ {
+		strategyOf(p, u, override, alt).ForEach(func(j int) bool {
 			buf[j]++
 			return true
 		})

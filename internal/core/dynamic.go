@@ -45,18 +45,15 @@ type DynEval struct {
 	dist []float64 // row-major n×n: dist[s*n+v] = d_G[p](s, v)
 	cnt  []int32   // row-major n×n: tight in-arcs of v under source s
 
-	// Traversal adjacency of the current profile: the strategy arcs
-	// plus, for undirected instances, the reverse-traversal arcs. in
-	// mirrors out head-indexed; inPos[k] is the out-position of in-arc
-	// k, so arc weights live only in out.w.
-	out    csr
+	// g is the overlay of the current profile, built by graph.build as
+	// the evaluator's is, with its in-degrees and congestion scale. in
+	// mirrors g's arc list head-indexed; inPos[k] is the position in g
+	// of in-arc k, so arc weights live only in g.w.
+	g      graph
 	inHead []int32
 	inTail []int32
 	inPos  []int32
 	inFill []int32
-
-	indeg []int     // strategy in-degrees (congestion bookkeeping)
-	scale []float64 // 1 + γ·indeg, nil when γ = 0
 
 	// stats counts the rest rows of the deviation batches built on this
 	// engine's profile (see Evaluator.NewDeviationBatch).
@@ -66,8 +63,8 @@ type DynEval struct {
 	deltas    []arcDelta // weight-changed or removed arcs (finite old weight)
 	added     []arcDelta // inserted arcs (infinite old weight)
 	markedPos []int32
-	isDelta   []bool    // by out-position: arc is in deltas
-	posNewW   []float64 // by out-position: new weight (+Inf = removed)
+	isDelta   []bool    // by position in g: arc is in deltas
+	posNewW   []float64 // by position in g: new weight (+Inf = removed)
 	newScale  []float64
 	addT      []int
 	remT      []int
@@ -103,7 +100,10 @@ type BatchStats struct {
 }
 
 // NewDynEval builds the incremental engine for the evaluator's instance
-// at the given starting profile (cloned, not retained). When the
+// at the given starting profile (cloned, not retained). Its starting
+// rows and its adjacency come from the same builder, graph.build: the
+// rows are settled on the evaluator's graph of the profile and the
+// engine keeps its own graph of it for the moves to come. When the
 // instance admits batched deviation evaluation and is directed, the
 // engine attaches itself to the evaluator, so the evaluator's deviation
 // batches on the engine's profile read their rest rows off the engine's
@@ -122,7 +122,6 @@ func NewDynEval(ev *Evaluator, p Profile) (*DynEval, error) {
 		n:        n,
 		dist:     make([]float64, n*n),
 		cnt:      make([]int32, n*n),
-		indeg:    make([]int, n),
 		inA:      make([]bool, n),
 		isImp:    make([]bool, n),
 		inR:      make([]bool, n),
@@ -131,9 +130,9 @@ func NewDynEval(ev *Evaluator, p Profile) (*DynEval, error) {
 	}
 	dy.rebuildAdjacency()
 	// Construction is the only full-matrix settle. It runs on the
-	// evaluator's row loop over the evaluator's own adjacency of p, which
-	// carries the same traversal arcs and weights as dy's CSR, so the rows
-	// are bit-identical whichever kernel the instance dispatches to.
+	// evaluator's row loop over the evaluator's own graph of p, which
+	// graph.build fills with the same arcs and weights as dy.g, so the
+	// rows are bit-identical whichever kernel the instance dispatches to.
 	ev.settleRows(dy.p, -1, Strategy{}, ev.inst.peers, nil, func(s int32, d []float64) bool {
 		copy(dy.Row(int(s)), d)
 		return true
@@ -179,8 +178,8 @@ func (dy *DynEval) tightLink(k, i int) bool {
 	if math.IsInf(di, 1) {
 		return false
 	}
-	for a := dy.out.head[i]; a < dy.out.head[i+1]; a++ {
-		if di+dy.out.w[a] == d[dy.out.to[a]] {
+	for a := dy.g.head[i]; a < dy.g.head[i+1]; a++ {
+		if di+dy.g.w[a] == d[dy.g.to[a]] {
 			return true
 		}
 	}
@@ -206,122 +205,60 @@ func (dy *DynEval) SocialCost() Cost {
 	return total
 }
 
-// arcWeight is the traversal weight of entering v from u: the direct
-// distance scaled by v's congestion factor. It matches the arithmetic
-// of Evaluator.prepare exactly, so distances agree bit for bit.
-func (dy *DynEval) arcWeight(u, v int, scale []float64) float64 {
+// arcWeight is the traversal weight of entering v from u under the
+// current profile: the direct distance scaled by v's congestion factor,
+// the arithmetic of graph.build, so distances agree bit for bit.
+func (dy *DynEval) arcWeight(u, v int) float64 {
 	w := dy.ev.inst.Distance(u, v)
-	if scale != nil {
-		w *= scale[v]
+	if dy.g.scale != nil {
+		w *= dy.g.scale[v]
 	}
 	return w
 }
 
-// rebuildAdjacency rebuilds the traversal CSR (out + head-indexed
-// mirror) and the congestion state for the current profile. O(n + E).
+// rebuildAdjacency rebuilds the engine's graph for the current profile
+// by graph.build, then its head-indexed mirror. O(n + E).
 func (dy *DynEval) rebuildAdjacency() {
 	n := dy.n
-	inst := dy.ev.inst
-
-	for i := range dy.indeg {
-		dy.indeg[i] = 0
-	}
-	for u := 0; u < n; u++ {
-		dy.p.strategies[u].ForEach(func(j int) bool {
-			dy.indeg[j]++
-			return true
-		})
-	}
-	if gamma := inst.congestionGamma; gamma > 0 {
-		if dy.scale == nil {
-			dy.scale = make([]float64, n)
-		}
-		for j := 0; j < n; j++ {
-			dy.scale[j] = 1 + gamma*float64(dy.indeg[j])
-		}
-	} else {
-		dy.scale = nil
-	}
-
-	if cap(dy.out.head) < n+1 {
-		dy.out.head = make([]int32, n+1)
+	dy.g.build(dy.ev.inst, dy.p, -1, Strategy{})
+	m := len(dy.g.to)
+	if cap(dy.inHead) < n+1 {
 		dy.inHead = make([]int32, n+1)
 		dy.inFill = make([]int32, n)
 	}
-	dy.out.head = dy.out.head[:n+1]
 	dy.inHead = dy.inHead[:n+1]
 	dy.inFill = dy.inFill[:n]
-	for u := 0; u <= n; u++ {
-		dy.out.head[u] = 0
-		dy.inHead[u] = 0
-	}
-	// Out-degree per row: own strategy arcs plus (undirected) the
-	// reverse-traversal arcs of links others own to us.
-	for u := 0; u < n; u++ {
-		deg := dy.p.strategies[u].Count()
-		if inst.undirected {
-			deg += dy.indeg[u]
-		}
-		dy.out.head[u+1] = dy.out.head[u] + int32(deg)
-	}
-	m := int(dy.out.head[n])
-	if cap(dy.out.to) < m {
-		dy.out.to = make([]int32, m)
-		dy.out.w = make([]float64, m)
+	if cap(dy.inTail) < m {
 		dy.inTail = make([]int32, m)
 		dy.inPos = make([]int32, m)
+		dy.isDelta = make([]bool, m)
+		dy.posNewW = make([]float64, m)
 	}
-	dy.out.to = dy.out.to[:m]
-	dy.out.w = dy.out.w[:m]
 	dy.inTail = dy.inTail[:m]
 	dy.inPos = dy.inPos[:m]
+	dy.isDelta = dy.isDelta[:m]
+	dy.posNewW = dy.posNewW[:m]
 
-	fill := dy.inFill // reuse as out-fill first
-	for u := 0; u < n; u++ {
-		fill[u] = dy.out.head[u]
+	// Head-indexed mirror with cross-references into g.
+	for v := range dy.inHead {
+		dy.inHead[v] = 0
 	}
-	for u := 0; u < n; u++ {
-		dy.p.strategies[u].ForEach(func(j int) bool {
-			pos := fill[u]
-			dy.out.to[pos] = int32(j)
-			dy.out.w[pos] = dy.arcWeight(u, j, dy.scale)
-			fill[u] = pos + 1
-			if inst.undirected {
-				// Reverse traversal j→u of the link u owns to j, entering
-				// the owner u: weight d(j,u) scaled by u's factor.
-				rp := fill[j]
-				dy.out.to[rp] = int32(u)
-				dy.out.w[rp] = dy.arcWeight(j, u, dy.scale)
-				fill[j] = rp + 1
-			}
-			return true
-		})
-	}
-
-	// Head-indexed mirror with cross-references into out.
-	for k := 0; k < m; k++ {
-		dy.inHead[dy.out.to[k]+1]++
+	for _, v := range dy.g.to {
+		dy.inHead[v+1]++
 	}
 	for v := 0; v < n; v++ {
 		dy.inHead[v+1] += dy.inHead[v]
 		dy.inFill[v] = dy.inHead[v]
 	}
 	for u := 0; u < n; u++ {
-		for k := dy.out.head[u]; k < dy.out.head[u+1]; k++ {
-			v := dy.out.to[k]
+		for k := dy.g.head[u]; k < dy.g.head[u+1]; k++ {
+			v := dy.g.to[k]
 			pos := dy.inFill[v]
 			dy.inTail[pos] = int32(u)
 			dy.inPos[pos] = k
 			dy.inFill[v] = pos + 1
 		}
 	}
-
-	if cap(dy.isDelta) < m {
-		dy.isDelta = make([]bool, m)
-		dy.posNewW = make([]float64, m)
-	}
-	dy.isDelta = dy.isDelta[:m]
-	dy.posNewW = dy.posNewW[:m]
 }
 
 // rebuildRowCounts recomputes every tight-parent count of source s by a
@@ -339,9 +276,9 @@ func (dy *DynEval) rebuildRowCounts(s int) {
 		if math.IsInf(du, 1) {
 			continue
 		}
-		for k := dy.out.head[u]; k < dy.out.head[u+1]; k++ {
-			if du+dy.out.w[k] == d[dy.out.to[k]] {
-				cnt[dy.out.to[k]]++
+		for k := dy.g.head[u]; k < dy.g.head[u+1]; k++ {
+			if du+dy.g.w[k] == d[dy.g.to[k]] {
+				cnt[dy.g.to[k]]++
 			}
 		}
 	}
@@ -360,8 +297,8 @@ func (dy *DynEval) markDeltaPos(pos int32, newW float64) {
 // (undirected mutual links) carry identical weights, so which of them
 // is attributed to the removed link is immaterial.
 func (dy *DynEval) findUnmarkedArc(u, v int) int32 {
-	for k := dy.out.head[u]; k < dy.out.head[u+1]; k++ {
-		if dy.out.to[k] == int32(v) && !dy.isDelta[k] {
+	for k := dy.g.head[u]; k < dy.g.head[u+1]; k++ {
+		if dy.g.to[k] == int32(v) && !dy.isDelta[k] {
 			return k
 		}
 	}
@@ -381,17 +318,17 @@ func (dy *DynEval) buildArcDeltas(mover int) {
 		// entering them is re-weighted; the toggled arcs themselves are
 		// the removal/insertion cases of that same scan.
 		for _, t := range dy.remT {
-			dy.newScale[t] = 1 + gamma*float64(dy.indeg[t]-1)
+			dy.newScale[t] = 1 + gamma*float64(dy.g.indeg[t]-1)
 		}
 		for _, t := range dy.addT {
-			dy.newScale[t] = 1 + gamma*float64(dy.indeg[t]+1)
+			dy.newScale[t] = 1 + gamma*float64(dy.g.indeg[t]+1)
 		}
 		for _, t := range dy.remT {
 			removedSeen := false
 			for k := dy.inHead[t]; k < dy.inHead[t+1]; k++ {
 				u := int(dy.inTail[k])
 				pos := dy.inPos[k]
-				oldW := dy.out.w[pos]
+				oldW := dy.g.w[pos]
 				if u == mover && !removedSeen {
 					removedSeen = true
 					dy.deltas = append(dy.deltas, arcDelta{u: int32(u), v: int32(t), oldW: oldW, newW: math.Inf(1)})
@@ -408,7 +345,7 @@ func (dy *DynEval) buildArcDeltas(mover int) {
 				u := int(dy.inTail[k])
 				pos := dy.inPos[k]
 				newW := inst.Distance(u, t) * dy.newScale[t]
-				dy.deltas = append(dy.deltas, arcDelta{u: int32(u), v: int32(t), oldW: dy.out.w[pos], newW: newW})
+				dy.deltas = append(dy.deltas, arcDelta{u: int32(u), v: int32(t), oldW: dy.g.w[pos], newW: newW})
 				dy.markDeltaPos(pos, newW)
 			}
 			dy.added = append(dy.added, arcDelta{
@@ -419,13 +356,13 @@ func (dy *DynEval) buildArcDeltas(mover int) {
 	} else {
 		for _, t := range dy.remT {
 			pos := dy.findUnmarkedArc(mover, t)
-			dy.deltas = append(dy.deltas, arcDelta{u: int32(mover), v: int32(t), oldW: dy.out.w[pos], newW: math.Inf(1)})
+			dy.deltas = append(dy.deltas, arcDelta{u: int32(mover), v: int32(t), oldW: dy.g.w[pos], newW: math.Inf(1)})
 			dy.markDeltaPos(pos, math.Inf(1))
 		}
 		for _, t := range dy.addT {
 			dy.added = append(dy.added, arcDelta{
 				u: int32(mover), v: int32(t),
-				oldW: math.Inf(1), newW: dy.arcWeight(mover, t, dy.scale),
+				oldW: math.Inf(1), newW: dy.arcWeight(mover, t),
 			})
 		}
 	}
@@ -436,13 +373,13 @@ func (dy *DynEval) buildArcDeltas(mover int) {
 		// self-move never changes.
 		for _, t := range dy.remT {
 			pos := dy.findUnmarkedArc(t, mover)
-			dy.deltas = append(dy.deltas, arcDelta{u: int32(t), v: int32(mover), oldW: dy.out.w[pos], newW: math.Inf(1)})
+			dy.deltas = append(dy.deltas, arcDelta{u: int32(t), v: int32(mover), oldW: dy.g.w[pos], newW: math.Inf(1)})
 			dy.markDeltaPos(pos, math.Inf(1))
 		}
 		for _, t := range dy.addT {
 			dy.added = append(dy.added, arcDelta{
 				u: int32(t), v: int32(mover),
-				oldW: math.Inf(1), newW: dy.arcWeight(t, mover, dy.scale),
+				oldW: math.Inf(1), newW: dy.arcWeight(t, mover),
 			})
 		}
 	}
@@ -453,7 +390,7 @@ func (dy *DynEval) buildArcDeltas(mover int) {
 func (dy *DynEval) forEachNewInArc(v int32, fn func(u int32, w float64)) {
 	for k := dy.inHead[v]; k < dy.inHead[v+1]; k++ {
 		pos := dy.inPos[k]
-		w := dy.out.w[pos]
+		w := dy.g.w[pos]
 		if dy.isDelta[pos] {
 			w = dy.posNewW[pos]
 			if math.IsInf(w, 1) {
@@ -471,15 +408,15 @@ func (dy *DynEval) forEachNewInArc(v int32, fn func(u int32, w float64)) {
 
 // forEachNewOutArc visits every out-arc of u in the post-move graph.
 func (dy *DynEval) forEachNewOutArc(u int32, fn func(x int32, w float64)) {
-	for k := dy.out.head[u]; k < dy.out.head[u+1]; k++ {
-		w := dy.out.w[k]
+	for k := dy.g.head[u]; k < dy.g.head[u+1]; k++ {
+		w := dy.g.w[k]
 		if dy.isDelta[k] {
 			w = dy.posNewW[k]
 			if math.IsInf(w, 1) {
 				continue
 			}
 		}
-		fn(dy.out.to[k], w)
+		fn(dy.g.to[k], w)
 	}
 	for _, a := range dy.added {
 		if a.u == u {
@@ -515,12 +452,12 @@ func (dy *DynEval) updateRow(s int) {
 		v := dy.queue[len(dy.queue)-1]
 		dy.queue = dy.queue[:len(dy.queue)-1]
 		dv := d[v]
-		for k := dy.out.head[v]; k < dy.out.head[v+1]; k++ {
+		for k := dy.g.head[v]; k < dy.g.head[v+1]; k++ {
 			if dy.isDelta[k] {
 				continue // already accounted as a changed arc
 			}
-			x := dy.out.to[k]
-			if dv+dy.out.w[k] == d[x] {
+			x := dy.g.to[k]
+			if dv+dy.g.w[k] == d[x] {
 				cnt[x]--
 				if cnt[x] == 0 && !dy.inA[x] {
 					dy.inA[x] = true

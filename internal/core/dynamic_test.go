@@ -12,7 +12,9 @@ package core
 // byte-identical.
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"selfishnet/internal/metric"
@@ -126,9 +128,11 @@ func TestDynEvalTightParentCountsStayExact(t *testing.T) {
 }
 
 // dynFuzzSpaces are FuzzDynEval's metric families: random points (a
-// general metric, heap kernel), the unit metric (bitset BFS) and an
-// integer line (Dial).
-var dynFuzzSpaces = []string{"points", "unit", "int-line"}
+// general metric, heap kernel), the unit metric (bitset BFS), an
+// integer line (Dial) and an asymmetric matrix, real (heap) or integer
+// (Dial), where an undirected game's reverse traversals weigh d(u,v),
+// not the owner's d(v,u).
+var dynFuzzSpaces = []string{"points", "unit", "int-line", "asym"}
 
 // dynFuzzInstance builds an n-peer instance on the named space in one
 // of three regimes: directed, undirected, or congested (γ > 0).
@@ -149,6 +153,8 @@ func dynFuzzInstance(t *testing.T, r *rng.RNG, space string, n int, regime uint8
 			pos[j] = x
 		}
 		s, err = metric.Line(pos)
+	case "asym":
+		s = randomAsymSpace(t, r, n, r.Bool(0.5))
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -168,18 +174,21 @@ func dynFuzzInstance(t *testing.T, r *rng.RNG, space string, n int, regime uint8
 }
 
 // FuzzDynEval decodes the fuzz input into a regime (directed, undirected
-// or γ > 0 on a general, unit or integer-line metric, n ≤ 24) and a move
-// script, and drives the script through a DynEval. The script's moves
-// toggle a link, redraw a strategy, or play a leave (the peer drops its
-// links, then every owner of a link to it drops that link) or a join
-// that reuses the index with new links and two incumbents linking back.
-// After every Apply each row must == Evaluator.Distances on the same
-// profile and, in the batch regime, every peer's batch on the engine's
-// evaluator must have rest rows == an engine-free evaluator's. In a
-// directed game the engine lends exactly the rows with no tight link of
-// the peer; in an undirected one it lends none, and the batch's Evals
-// must == DeviationEval. The seed corpus under
-// testdata/fuzz/FuzzDynEval covers the nine regime × metric pairs.
+// or γ > 0 on a general, unit, integer-line or asymmetric metric,
+// n ≤ 24) and a move script, and drives the script through a DynEval.
+// The script's moves toggle a link, redraw a strategy, or play a leave
+// (the peer drops its links, then every owner of a link to it drops
+// that link) or a join that reuses the index with new links and two
+// incumbents linking back. After every Apply the engine's graph must
+// equal a fresh graph.build of its profile, each row must ==
+// Evaluator.Distances on the same profile and, in the batch regime,
+// every peer's batch on the engine's evaluator must have rest rows ==
+// an engine-free evaluator's. In a directed game the engine lends
+// exactly the rows with no tight link of the peer; in an undirected one
+// it lends none, and the batch's Evals must == DeviationEval. The seed
+// corpus under testdata/fuzz/FuzzDynEval covers the nine regime ×
+// metric pairs of the first three metrics and the undirected game on
+// the asymmetric one.
 func FuzzDynEval(f *testing.F) {
 	f.Fuzz(func(t *testing.T, size, regime uint8, seed uint64, script []byte) {
 		n := 2 + int(size)%23
@@ -202,6 +211,11 @@ func FuzzDynEval(f *testing.F) {
 			}
 			if err := dy.Apply(mover, alt); err != nil {
 				t.Fatal(err)
+			}
+			var g graph
+			g.build(inst, p, -1, Strategy{})
+			if u, ok := graphsEqual(&dy.g, &g); !ok {
+				t.Fatalf("after a move by %d: the engine's graph differs from a fresh build at row %d", mover, u)
 			}
 			for s := 0; s < n; s++ {
 				want, err := fresh.Distances(p, s)
@@ -263,4 +277,30 @@ func FuzzDynEval(f *testing.F) {
 			}
 		}
 	})
+}
+
+// graphsEqual reports whether two graphs have the same heads, link
+// counts and, per row, the same arcs at == weights, in any order within
+// the row; on a mismatch it returns the first row that differs.
+func graphsEqual(a, b *graph) (int, bool) {
+	if len(a.head) != len(b.head) {
+		return 0, false
+	}
+	for u := range a.owned {
+		if a.owned[u] != b.owned[u] || a.head[u+1] != b.head[u+1] {
+			return u, false
+		}
+		row := func(g *graph) []string {
+			var arcs []string
+			for k := g.head[u]; k < g.head[u+1]; k++ {
+				arcs = append(arcs, fmt.Sprintf("%d:%x", g.to[k], math.Float64bits(g.w[k])))
+			}
+			slices.Sort(arcs)
+			return arcs
+		}
+		if !slices.Equal(row(a), row(b)) {
+			return u, false
+		}
+	}
+	return 0, true
 }

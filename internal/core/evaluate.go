@@ -252,16 +252,11 @@ type Evaluator struct {
 	d []float64
 	// Scratch for the retained dense reference implementation.
 	done []bool
-	// Scratch for congestion-aware evaluation.
-	indegBuf []int
-	scale    []float64 // per-peer congestion factors; nil when γ = 0
-	// Per-profile adjacency in CSR form, rebuilt by prepare. fwd holds
-	// the strategy arcs; rev is the maintained reverse-adjacency index
-	// (only built for undirected instances, where links owned by others
-	// are traversable too).
-	fwd, rev csr
-	revFill  []int32
-	heap     vertexHeap
+	// g is the overlay of the profile last prepared: the one arc list
+	// the heap, small-frontier, Dial and multi-source BFS kernels walk,
+	// and each peer's link count (see graph.go).
+	g    graph
+	heap vertexHeap
 	// Scratch for batched deviation evaluation (see deviation.go): the
 	// rest rows, the fold row, the fixed row and the all-zero hop row of
 	// undirected batches.
@@ -315,18 +310,6 @@ type Evaluator struct {
 // unsorted-frontier settling loop instead of the indexed heap.
 const smallFrontierMax = 16
 
-// csr is a compressed-sparse-row adjacency: the arcs leaving vertex u
-// are (to[k], w[k]) for k in [head[u], head[u+1]).
-type csr struct {
-	head []int32
-	to   []int32
-	w    []float64
-}
-
-// degree returns the number of arcs leaving u: on the forward CSR, the
-// out-degree of u's prepared strategy.
-func (c *csr) degree(u int32) int { return int(c.head[u+1] - c.head[u]) }
-
 // NewEvaluator returns an evaluator bound to the instance.
 func NewEvaluator(inst *Instance) *Evaluator {
 	n := inst.N()
@@ -376,11 +359,11 @@ func strategyOf(p Profile, u, override int, alt Strategy) Strategy {
 	return p.strategies[u]
 }
 
-// prepare (re)builds the per-profile adjacency structures for SSSP:
-// congestion scale factors, the forward CSR over strategy arcs and — for
-// undirected instances — the reverse-adjacency CSR, so traversing links
-// owned by others costs O(indegree) per settled node instead of an O(n)
-// scan. The structures stay valid until the next prepare call; callers
+// prepare (re)builds the per-profile structures for SSSP: the overlay
+// graph (graph.build: every traversal arc at its congestion-scaled
+// weight, reverse traversals included in undirected games, so a settled
+// node costs O(degree)) and, on kernelBFS instances, the bitset
+// adjacency rows. They stay valid until the next prepare call; callers
 // evaluating many sources over one profile go through settleRows, which
 // prepares once and then calls ssspFrom per source.
 func (ev *Evaluator) prepare(p Profile, override int, alt Strategy) {
@@ -389,115 +372,15 @@ func (ev *Evaluator) prepare(p Profile, override int, alt Strategy) {
 
 // prepareWith is prepare with the bitset adjacency build optional:
 // bitsetAdj = false skips the n·⌈n/64⌉-word bfsAdj slab on kernelBFS
-// instances (512 MB at n = 65536) and builds only the CSR structures.
-// settleEvals' streamed path runs the multi-source BFS over the CSR
-// directly, so it never needs the slab; after a bitsetAdj = false call,
-// ssspFrom must not be used on a kernelBFS instance until a full
-// prepare rebuilds it.
+// instances (512 MB at n = 65536) and builds only the graph.
+// settleEvals' streamed path runs the multi-source BFS over the graph's
+// arc list directly, so it never needs the slab; after a bitsetAdj =
+// false call, ssspFrom must not be used on a kernelBFS instance until a
+// full prepare rebuilds it.
 func (ev *Evaluator) prepareWith(p Profile, override int, alt Strategy, bitsetAdj bool) {
-	n := ev.inst.N()
-	inst := ev.inst
-
-	// Congestion: fold the head peer's in-degree into the arc weight, so
-	// the traversal itself needs no special casing.
-	if gamma := ev.inst.congestionGamma; gamma > 0 {
-		if ev.indegBuf == nil {
-			ev.indegBuf = make([]int, n)
-		}
-		ev.indegrees(p, override, alt, ev.indegBuf)
-		if cap(ev.scale) < n {
-			ev.scale = make([]float64, n)
-		}
-		ev.scale = ev.scale[:n]
-		for j := 0; j < n; j++ {
-			ev.scale[j] = 1 + gamma*float64(ev.indegBuf[j])
-		}
-	} else {
-		ev.scale = nil
-	}
-
-	// Forward CSR: one row per peer, arcs to the strategy's targets.
-	if cap(ev.fwd.head) < n+1 {
-		ev.fwd.head = make([]int32, n+1)
-	}
-	ev.fwd.head = ev.fwd.head[:n+1]
-	ev.fwd.head[0] = 0
-	for u := 0; u < n; u++ {
-		ev.fwd.head[u+1] = ev.fwd.head[u] + int32(strategyOf(p, u, override, alt).Count())
-	}
-	m := int(ev.fwd.head[n])
-	if cap(ev.fwd.to) < m {
-		ev.fwd.to = make([]int32, m)
-		ev.fwd.w = make([]float64, m)
-	}
-	ev.fwd.to = ev.fwd.to[:m]
-	ev.fwd.w = ev.fwd.w[:m]
-	for u := 0; u < n; u++ {
-		idx := ev.fwd.head[u]
-		row := inst.distRow(u)
-		strategyOf(p, u, override, alt).ForEach(func(j int) bool {
-			w := row[j]
-			if ev.scale != nil {
-				w *= ev.scale[j]
-			}
-			ev.fwd.to[idx] = int32(j)
-			ev.fwd.w[idx] = w
-			idx++
-			return true
-		})
-	}
-
+	ev.g.build(ev.inst, p, override, alt)
 	if bitsetAdj && ev.inst.kernel == kernelBFS {
 		ev.prepareBFS(p, override, alt)
-	}
-
-	if !ev.inst.undirected {
-		ev.rev.head = ev.rev.head[:0]
-		return
-	}
-
-	// Reverse CSR: row u lists the owners v with u ∈ s_v; traversing
-	// such a link from u into v costs d(u,v) scaled by v's congestion
-	// factor (the peer being entered), matching the forward convention.
-	if cap(ev.rev.head) < n+1 {
-		ev.rev.head = make([]int32, n+1)
-		ev.revFill = make([]int32, n)
-	}
-	ev.rev.head = ev.rev.head[:n+1]
-	ev.revFill = ev.revFill[:n]
-	for u := 0; u <= n; u++ {
-		ev.rev.head[u] = 0
-	}
-	for v := 0; v < n; v++ {
-		strategyOf(p, v, override, alt).ForEach(func(u int) bool {
-			ev.rev.head[u+1]++
-			return true
-		})
-	}
-	for u := 0; u < n; u++ {
-		ev.rev.head[u+1] += ev.rev.head[u]
-		ev.revFill[u] = ev.rev.head[u]
-	}
-	if cap(ev.rev.to) < m {
-		ev.rev.to = make([]int32, m)
-		ev.rev.w = make([]float64, m)
-	}
-	ev.rev.to = ev.rev.to[:m]
-	ev.rev.w = ev.rev.w[:m]
-	for v := 0; v < n; v++ {
-		sc := 1.0
-		if ev.scale != nil {
-			sc = ev.scale[v]
-		}
-		strategyOf(p, v, override, alt).ForEach(func(u int) bool {
-			pos := ev.revFill[u]
-			ev.rev.to[pos] = int32(v)
-			// d(u,v), not d(v,u): matches the dense reference and the
-			// forward convention even on asymmetric distance matrices.
-			ev.rev.w[pos] = inst.Distance(u, v) * sc
-			ev.revFill[u] = pos + 1
-			return true
-		})
 	}
 }
 
@@ -555,16 +438,11 @@ func (ev *Evaluator) ssspFrom(src int, seed float64) []float64 {
 		bfsUnitSSSP(ev.d, ev.bfsAdj, w, src, ev.inst.hopDist, ev.bfsFront[:w], ev.bfsNext[:w], ev.bfsVisited[:w])
 		return ev.seeded(seed)
 	case kernelDial:
-		// Tiny directed instances keep the unsorted-frontier loop below:
-		// Dial's empty-bucket scan costs O(max distance) ≥ O(span) per
-		// source, which dominates at a handful of vertices.
+		// Tiny instances keep the unsorted-frontier loop below: Dial's
+		// empty-bucket scan costs O(max distance) ≥ O(span) per source,
+		// which dominates at a handful of vertices.
 		if n > smallFrontierMax {
-			var revHead, revTo []int32
-			var revW []float64
-			if ev.inst.undirected {
-				revHead, revTo, revW = ev.rev.head, ev.rev.to, ev.rev.w
-			}
-			dialSSSP(ev.d, &ev.dial, ev.inst.span, src, ev.fwd.head, ev.fwd.to, ev.fwd.w, revHead, revTo, revW)
+			dialSSSP(ev.d, &ev.dial, ev.inst.span, src, &ev.g.csr)
 			return ev.seeded(seed)
 		}
 	}
@@ -573,14 +451,14 @@ func (ev *Evaluator) ssspFrom(src int, seed float64) []float64 {
 		d[i] = math.Inf(1)
 	}
 	d[src] = seed
-	fwdHead, fwdTo, fwdW := ev.fwd.head, ev.fwd.to, ev.fwd.w
-	revHead, revTo, revW := ev.rev.head, ev.rev.to, ev.rev.w
-	undirected := ev.inst.undirected
-	if n <= smallFrontierMax && !undirected {
+	head, to, w := ev.g.head, ev.g.to, ev.g.w
+	if n <= smallFrontierMax {
 		// Tiny graphs: an unsorted frontier array beats the heap — the
 		// active frontier of a sparse overlay holds a handful of
 		// vertices, so linear min extraction is a few compares with no
-		// sift traffic. Settling order may differ from the heap's on
+		// sift traffic. A vertex joins the frontier once, when it is
+		// first reached, so n slots suffice in directed and undirected
+		// games alike. Settling order may differ from the heap's on
 		// ties, but the computed distances are the same unique
 		// min-over-paths fixpoint (cross-checked by the differential
 		// SSSP tests).
@@ -597,14 +475,14 @@ func (ev *Evaluator) ssspFrom(src int, seed float64) []float64 {
 			u := frontier[bi]
 			fn--
 			frontier[bi] = frontier[fn]
-			for k := fwdHead[u]; k < fwdHead[u+1]; k++ {
-				to := fwdTo[k]
-				if nd := bd + fwdW[k]; nd < d[to] {
-					if math.IsInf(d[to], 1) {
-						frontier[fn] = to
+			for k := head[u]; k < head[u+1]; k++ {
+				v := to[k]
+				if nd := bd + w[k]; nd < d[v] {
+					if math.IsInf(d[v], 1) {
+						frontier[fn] = v
 						fn++
 					}
-					d[to] = nd
+					d[v] = nd
 				}
 			}
 		}
@@ -615,20 +493,11 @@ func (ev *Evaluator) ssspFrom(src int, seed float64) []float64 {
 	h.fix(int32(src), seed)
 	for !h.empty() {
 		u, du := h.popMin()
-		for k := fwdHead[u]; k < fwdHead[u+1]; k++ {
-			to := fwdTo[k]
-			if nd := du + fwdW[k]; nd < d[to] {
-				d[to] = nd
-				h.fix(to, nd)
-			}
-		}
-		if undirected {
-			for k := revHead[u]; k < revHead[u+1]; k++ {
-				to := revTo[k]
-				if nd := du + revW[k]; nd < d[to] {
-					d[to] = nd
-					h.fix(to, nd)
-				}
+		for k := head[u]; k < head[u+1]; k++ {
+			v := to[k]
+			if nd := du + w[k]; nd < d[v] {
+				d[v] = nd
+				h.fix(v, nd)
 			}
 		}
 	}
@@ -697,7 +566,7 @@ func (ev *Evaluator) settleRows(p Profile, override int, alt Strategy, srcs []in
 func (ev *Evaluator) settleEvals(p Profile, override int, alt Strategy, srcs []int32, band int, visit func(src int32, e Eval) bool) {
 	if !ev.inst.msbfsBand(band) {
 		ev.settleRows(p, override, alt, srcs, nil, func(src int32, d []float64) bool {
-			return visit(src, ev.peerEvalFrom(d, int(src), ev.fwd.degree(src)))
+			return visit(src, ev.peerEvalFrom(d, int(src), int(ev.g.owned[src])))
 		})
 		return
 	}
@@ -736,7 +605,7 @@ func (ev *Evaluator) ssspDense(p Profile, src, override int, alt Strategy) []flo
 	var scale []float64
 	if gamma := ev.inst.congestionGamma; gamma > 0 {
 		indeg := make([]int, n)
-		ev.indegrees(p, override, alt, indeg)
+		indegrees(p, override, alt, indeg)
 		scale = make([]float64, n)
 		for j := 0; j < n; j++ {
 			scale[j] = 1 + gamma*float64(indeg[j])

@@ -39,7 +39,7 @@ func kernelCases() []struct {
 				diffCase
 				kernel string
 			}{c, "bfs"})
-		case "int":
+		case "int", "asym-int":
 			out = append(out, struct {
 				diffCase
 				kernel string

@@ -36,6 +36,12 @@ import (
 //   - kernelHeap: everything else, including every γ > 0 regime (the
 //     congestion scale factors destroy both structures).
 //
+// Every kernel walks one arc list, the graph that graph.build makes of
+// the profile (graph.go): each row holds a peer's own links and, in
+// undirected games, the reverse traversals of the links others own to
+// it, at their congestion-scaled weights. The bitset BFS reads the same
+// arcs as bitset rows, built by prepareBFS.
+//
 // Evaluator.ssspFrom is the only caller of these kernels. Rows reach
 // their users through the row loop, Evaluator.settleRows (or its pool
 // twin), which runs ssspFrom per source; DynEval settles its
@@ -149,18 +155,18 @@ func (q *dialQueue) ensure(span int) {
 	}
 }
 
-// dialSSSP runs Dial's bucket-queue Dijkstra from src over a CSR
-// adjacency whose weights are all positive integers ≤ span, writing
-// distances into d. rev*, when non-nil, is a second CSR relaxed
-// alongside the first (the undirected reverse index). Because every
-// path sum is an exact integer, the computed fixpoint is bit-identical
-// to the heap's regardless of settling order.
+// dialSSSP runs Dial's bucket-queue Dijkstra from src over the arc
+// list adj (the prepared graph, reverse traversals included in
+// undirected games), whose weights are all positive integers ≤ span,
+// writing distances into d. Because every path sum is an exact integer,
+// the computed fixpoint is bit-identical to the heap's regardless of
+// settling order.
 //
 // Pending distances always lie in [cur, cur+span], so a circular array
 // of span+1 buckets indexes them without collision; a popped vertex
 // whose stored distance no longer matches the bucket's distance is a
 // stale entry superseded by an earlier improvement and is skipped.
-func dialSSSP(d []float64, q *dialQueue, span, src int, fwdHead, fwdTo []int32, fwdW []float64, revHead, revTo []int32, revW []float64) {
+func dialSSSP(d []float64, q *dialQueue, span, src int, adj *csr) {
 	for i := range d {
 		d[i] = math.Inf(1)
 	}
@@ -170,6 +176,10 @@ func dialSSSP(d []float64, q *dialQueue, span, src int, fwdHead, fwdTo []int32, 
 	buckets := q.buckets
 	buckets[0] = append(buckets[0][:0], int32(src))
 	pending := 1
+	// Locals, not adj's fields, in the loop: the compiler cannot keep
+	// fields read through a pointer in registers across the stores to d
+	// and the buckets.
+	head, to, w := adj.head, adj.to, adj.w
 	for cur := 0; pending > 0; cur++ {
 		b := cur % nb
 		bk := buckets[b]
@@ -186,24 +196,13 @@ func dialSSSP(d []float64, q *dialQueue, span, src int, fwdHead, fwdTo []int32, 
 			if d[u] != du {
 				continue // stale: improved after this entry was pushed
 			}
-			for k := fwdHead[u]; k < fwdHead[u+1]; k++ {
-				v := fwdTo[k]
-				if nd := du + fwdW[k]; nd < d[v] {
+			for k := head[u]; k < head[u+1]; k++ {
+				v := to[k]
+				if nd := du + w[k]; nd < d[v] {
 					d[v] = nd
 					nbk := int(nd) % nb
 					buckets[nbk] = append(buckets[nbk], v)
 					pending++
-				}
-			}
-			if revHead != nil {
-				for k := revHead[u]; k < revHead[u+1]; k++ {
-					v := revTo[k]
-					if nd := du + revW[k]; nd < d[v] {
-						d[v] = nd
-						nbk := int(nd) % nb
-						buckets[nbk] = append(buckets[nbk], v)
-						pending++
-					}
 				}
 			}
 		}

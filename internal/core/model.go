@@ -13,11 +13,11 @@
 // Fabrikant et al., PODC 2003, whose distance term is d_G(i,j) itself)
 // reuse the same evaluation, dynamics and equilibrium machinery.
 //
-// Evaluation is built around a binary-heap SSSP over per-profile CSR
-// adjacency (with a maintained reverse index for undirected games), a
-// batched deviation evaluator for best-response search (DeviationBatch),
-// and a worker Pool that fans all-pairs evaluations across evaluator
-// clones with bit-identical results.
+// Evaluation is built around SSSP kernels that walk one per-profile arc
+// list (graph.go: own links, plus the reverse traversals of undirected
+// games), a batched deviation evaluator for best-response search
+// (DeviationBatch), and a worker Pool that fans all-pairs evaluations
+// across evaluator clones with bit-identical results.
 package core
 
 import "fmt"

@@ -26,15 +26,15 @@ import (
 // candidate arcs per word, msbfsChunk packs 64 concurrent sources per
 // word — each vertex carries one uint64 mask whose bit s means "source
 // s has reached me", and one wave sweep advances all ≤64 BFS trees at
-// once over the shared CSR adjacency. Per source the reached level sets
-// are exactly the single-source BFS level sets. msbfsChunk records the
-// hop count of each reached (vertex, source) pair in a vertex-major
-// level table, and foldLevels then sums every source's terms in one
-// pass over the vertices, looking each up in the instance's hopTerm
-// table: the model's term of hopDist[h], the left-fold replay value
-// bfsUnitSSSP writes. Each source thus runs the same j-ordered left
-// fold that peerEvalFrom runs over the slab row, so every Eval is
-// bit-identical to it — and hence to heap Dijkstra.
+// once over the prepared graph's one arc list. Per source the reached
+// level sets are exactly the single-source BFS level sets. msbfsChunk
+// records the hop count of each reached (vertex, source) pair in a
+// vertex-major level table, and foldLevels then sums every source's
+// terms in one pass over the vertices, looking each up in the
+// instance's hopTerm table: the model's term of hopDist[h], the
+// left-fold replay value bfsUnitSSSP writes. Each source thus runs the
+// same j-ordered left fold that peerEvalFrom runs over the slab row, so
+// every Eval is bit-identical to it — and hence to heap Dijkstra.
 //
 // Determinism conventions (shared with the rest of the core):
 //   - Evals are handed over in list order, or (on the fan-out) land in
@@ -80,18 +80,18 @@ func (st *msScratch) ensure(k, n int) {
 }
 
 // msbfsChunk runs the word-parallel multi-source unit-weight BFS for
-// the ≤64 sources srcs over the prepared CSR adjacency, setting bit s
-// of st.reached[v] and st.level[v·k+s] (k = len(srcs)) for every vertex
-// v that source srcs[s] reaches within fewer than hops hops. fwd holds
-// the strategy arcs; rev (consulted when undirected) is the maintained
-// reverse index, the same arc set bfsUnitSSSP pre-ORs into its bitset
-// rows. hops is len(hopTerm), the number of hop counts whose left-fold
-// distance is finite: a vertex first reached at hop hops or later lies
-// at distance +Inf, exactly like one never reached, so it is left
-// unreached. st.front/next/reached must be
-// all-zero on entry; front and next are all-zero again on return, and
-// reached is left for foldLevels to read and re-zero.
-func msbfsChunk(srcs []int32, hops int, fwd, rev *csr, undirected bool, st *msScratch) {
+// the ≤64 sources srcs over the arc list adj, the prepared graph (in
+// undirected games its rows carry the reverse traversals too, the arc
+// set bfsUnitSSSP reads from its bitset rows), setting bit s of
+// st.reached[v] and st.level[v·k+s] (k = len(srcs)) for every vertex v
+// that source srcs[s] reaches within fewer than hops hops. hops is
+// len(hopTerm), the number of hop counts whose left-fold distance is
+// finite: a vertex first reached at hop hops or later lies at distance
+// +Inf, exactly like one never reached, so it is left unreached.
+// st.front/next/reached must be all-zero on entry; front and next are
+// all-zero again on return, and reached is left for foldLevels to read
+// and re-zero.
+func msbfsChunk(srcs []int32, hops int, adj *csr, st *msScratch) {
 	k := len(srcs)
 	front, next, reached, level := st.front, st.next, st.reached, st.level
 	frontier := st.frontier[:0]
@@ -105,6 +105,7 @@ func msbfsChunk(srcs []int32, hops int, fwd, rev *csr, undirected bool, st *msSc
 		level[int(src)*k+s] = 0
 	}
 	wave := st.wave[:0]
+	head, to := adj.head, adj.to
 	for hop := 1; len(frontier) > 0 && hop < hops; hop++ {
 		wave = wave[:0]
 		// Advance every source tree one level: each arc u→v carries the
@@ -112,24 +113,13 @@ func msbfsChunk(srcs []int32, hops int, fwd, rev *csr, undirected bool, st *msSc
 		// reached v.
 		for _, u := range frontier {
 			fu := front[u]
-			for a := fwd.head[u]; a < fwd.head[u+1]; a++ {
-				v := fwd.to[a]
+			for a := head[u]; a < head[u+1]; a++ {
+				v := to[a]
 				if nw := fu &^ reached[v]; nw != 0 {
 					if next[v] == 0 {
 						wave = append(wave, v)
 					}
 					next[v] |= nw
-				}
-			}
-			if undirected {
-				for a := rev.head[u]; a < rev.head[u+1]; a++ {
-					v := rev.to[a]
-					if nw := fu &^ reached[v]; nw != 0 {
-						if next[v] == 0 {
-							wave = append(wave, v)
-						}
-						next[v] |= nw
-					}
 				}
 			}
 		}
@@ -215,21 +205,21 @@ func (st *msScratch) foldLevels(k, n int, terms []float64, miss float64, custom 
 
 // foldChunk is the chunk body of the streamed path, shared by both Eval
 // loops: it settles the sources of part (at most 64) by msbfsChunk over
-// ev's prepared CSR, folds their Evals by foldLevels on ev's reused
+// ev's prepared graph, folds their Evals by foldLevels on ev's reused
 // scratch, and hands visit each source's position in part and its Eval,
 // in order. Each Eval == peerEvalFrom over the source's slab row; a
-// source's degree is its prepared out-arc count. It reports false as
-// soon as visit does.
+// source's degree is its link count in the graph (owned). It reports
+// false as soon as visit does.
 func (ev *Evaluator) foldChunk(part []int32, visit func(k int, e Eval) bool) bool {
 	inst, st := ev.inst, &ev.ms
 	k, n := len(part), inst.N()
 	st.ensure(k, n)
-	msbfsChunk(part, len(inst.hopTerm), &ev.fwd, &ev.rev, inst.undirected, st)
+	msbfsChunk(part, len(inst.hopTerm), &ev.g.csr, st)
 	custom := inst.modelKind == modelCustom
 	st.foldLevels(k, n, inst.hopTerm, inst.missTerm, custom)
 	for s, src := range part {
 		e := Eval{
-			Cost:        Cost{Link: inst.alpha * float64(ev.fwd.degree(src)), Term: st.sum[s]},
+			Cost:        Cost{Link: inst.alpha * float64(ev.g.owned[src]), Term: st.sum[s]},
 			Unreachable: st.miss[s],
 			FiniteTerm:  st.sum[s],
 		}

@@ -75,7 +75,7 @@ func (pl *Pool) settleRows(p Profile, override int, alt Strategy, srcs []int32, 
 func (pl *Pool) settleEvals(p Profile, override int, alt Strategy, srcs []int32, band int, visit func(i int, e Eval) bool) {
 	if !pl.Instance().msbfsBand(band) {
 		pl.settleRows(p, override, alt, srcs, nil, func(ev *Evaluator, i int, d []float64) bool {
-			return visit(i, ev.peerEvalFrom(d, int(srcs[i]), ev.fwd.degree(srcs[i])))
+			return visit(i, ev.peerEvalFrom(d, int(srcs[i]), int(ev.g.owned[srcs[i]])))
 		})
 		return
 	}
@@ -153,16 +153,6 @@ func (in *Instance) streamWidth(band int) int {
 	}
 	c, n := in.claimSize(band), in.N()
 	return max(1, min(runtime.GOMAXPROCS(0), (n+c-1)/c, streamRowBudget/(4*c*n)))
-}
-
-// PeerEvals returns every peer's enriched cost under p, in peer order.
-func (pl *Pool) PeerEvals(p Profile) []Eval {
-	out := make([]Eval, pl.Instance().N())
-	pl.settleEvals(p, -1, Strategy{}, pl.Instance().peers, 0, func(i int, e Eval) bool {
-		out[i] = e
-		return true
-	})
-	return out
 }
 
 // SocialCost returns the decomposed social cost C(G) = α|E| + Σ terms,

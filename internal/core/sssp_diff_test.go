@@ -21,7 +21,9 @@ const diffTol = 1e-9
 // metric family — and with it the SSSP kernel the instance dispatches
 // to: "" or "points" (random 2-D points, heap), "unit" (uniform metric,
 // word-parallel BFS; unit scales the common distance, default 1),
-// "int" (random small-integer metric, Dial bucket queue).
+// "int" (random small-integer metric, Dial bucket queue), "asym" (an
+// asymmetric matrix, d(i,j) and d(j,i) drawn apart, heap) and
+// "asym-int" (its integer twin, Dial).
 type diffCase struct {
 	name       string
 	n          int
@@ -56,9 +58,18 @@ func diffCases() []diffCase {
 		{name: "dial-directed", n: 31, linkProb: 0.1, space: "int"},
 		{name: "dial-undirected", n: 27, linkProb: 0.1, space: "int", undirected: true},
 		{name: "dial-disconnected", n: 25, linkProb: 0.03, space: "int"},
-		// …and γ > 0 on both classes, which must fall back to the heap.
+		// …γ > 0 on both classes, which must fall back to the heap…
 		{name: "bfs-congested-fallback", n: 22, linkProb: 0.15, space: "unit", gamma: 0.5},
 		{name: "dial-congested-fallback", n: 22, linkProb: 0.15, space: "int", gamma: 0.9},
+		// …and undirected games on the small-frontier loop (n ≤ 16) and
+		// on asymmetric matrices, where the reverse traversal u→v of v's
+		// link weighs d(u,v)·scale[v], not the owner's d(v,u).
+		{name: "dial-undirected-small-frontier", n: 14, linkProb: 0.2, space: "int", undirected: true},
+		{name: "asym-undirected-small-frontier", n: 9, linkProb: 0.3, space: "asym", undirected: true},
+		{name: "asym-undirected", n: 23, linkProb: 0.12, space: "asym", undirected: true},
+		{name: "asym-undirected-congested-small-frontier", n: 14, linkProb: 0.25, space: "asym", undirected: true, gamma: 0.7},
+		{name: "asym-undirected-congested", n: 23, linkProb: 0.12, space: "asym", undirected: true, gamma: 0.7},
+		{name: "dial-asym-undirected", n: 23, linkProb: 0.12, space: "asym-int", undirected: true},
 	}
 }
 
@@ -89,6 +100,8 @@ func diffSpace(t *testing.T, r *rng.RNG, c diffCase) metric.Space {
 		return space
 	case "int":
 		return randomIntSpace(t, r, c.n, 8)
+	case "asym", "asym-int":
+		return randomAsymSpace(t, r, c.n, c.space == "asym-int")
 	default:
 		t.Fatalf("unknown diff space %q", c.space)
 		return nil
@@ -107,6 +120,32 @@ func randomIntSpace(t *testing.T, r *rng.RNG, n, lo int) metric.Space {
 		for j := i + 1; j < n; j++ {
 			w := float64(lo + r.Intn(lo+1))
 			d[i][j], d[j][i] = w, w
+		}
+	}
+	space, err := metric.NewMatrixUnchecked(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return space
+}
+
+// randomAsymSpace builds an n-peer matrix whose ordered pairs are drawn
+// independently, so d(i,j) ≠ d(j,i) almost everywhere: reals in [0.5,
+// 2.5), or with integer set integers in [8, 16]. It need not be a
+// metric, and NewMatrixUnchecked does not ask it to be.
+func randomAsymSpace(t *testing.T, r *rng.RNG, n int, integer bool) metric.Space {
+	t.Helper()
+	d := make([][]float64, n)
+	for i := range d {
+		d[i] = make([]float64, n)
+		for j := range d[i] {
+			switch {
+			case i == j:
+			case integer:
+				d[i][j] = float64(8 + r.Intn(9))
+			default:
+				d[i][j] = 0.5 + 2*r.Float64()
+			}
 		}
 	}
 	space, err := metric.NewMatrixUnchecked(d)

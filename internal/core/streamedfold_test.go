@@ -77,7 +77,7 @@ func expandLevels(ev *Evaluator, part []int32) [][]float64 {
 	inst, st := ev.inst, &ev.ms
 	k, n := len(part), inst.N()
 	st.ensure(k, n)
-	msbfsChunk(part, len(inst.hopTerm), &ev.fwd, &ev.rev, inst.undirected, st)
+	msbfsChunk(part, len(inst.hopTerm), &ev.g.csr, st)
 	rows := make([][]float64, k)
 	for s := range rows {
 		rows[s] = make([]float64, n)
