@@ -114,7 +114,7 @@ func (o *Exact) BestResponse(ev *core.Evaluator, p core.Profile, i int) (Result,
 // candidate evaluation. This function supplies the model lower-bound
 // sum and maps budget/count semantics onto the Oracle contract.
 func (o *Exact) bestResponseStack(ev *core.Evaluator, b *core.DeviationBatch, p core.Profile, i int) (Result, error) {
-	out := b.ExactSearch(p.Strategy(i), TermLowerBound(ev.Instance(), i, nil), Tolerance, o.MaxEvaluations)
+	out := b.ExactSearch(p.Strategy(i), nil, TermLowerBound(ev.Instance(), i, nil), Tolerance, o.MaxEvaluations)
 	o.lastEvals = out.Resolved
 	if out.OverBudget {
 		return Result{}, ErrBudgetExceeded

@@ -19,10 +19,10 @@
 // Repairs and stabilization are best responses in the subgame induced
 // on the online peers (core's masked evaluation, see core/active.go):
 // in the directed batched regime the exact fused search
-// (DeviationBatch.ExactSearchActive), otherwise a masked add/drop/swap
-// hill climb. A repair rewrites the peer's stored memory, which is how
-// the overlay simulator's selfish repair becomes a real best response
-// instead of a heuristic against a snapshot.
+// (DeviationBatch.ExactSearch under the online mask), otherwise a
+// masked add/drop/swap hill climb. A repair rewrites the peer's stored
+// memory, which is how the overlay simulator's selfish repair becomes a
+// real best response instead of a heuristic against a snapshot.
 package churn
 
 import (
@@ -269,7 +269,7 @@ func (e *Engine) BestResponseActive(v int) (core.Strategy, core.Eval, error) {
 	var moves *bestresponse.MoveScorer
 	if b := e.ev.NewDeviationBatch(live, v); b != nil {
 		if !e.inst.Undirected() {
-			out := b.ExactSearchActive(live.Strategy(v), e.online, bestresponse.TermLowerBound(e.inst, v, e.online), bestresponse.Tolerance, DefaultSearchBudget)
+			out := b.ExactSearch(live.Strategy(v), e.online, bestresponse.TermLowerBound(e.inst, v, e.online), bestresponse.Tolerance, DefaultSearchBudget)
 			if !out.OverBudget {
 				return out.Strategy, out.Eval, nil
 			}

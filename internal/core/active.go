@@ -1,7 +1,5 @@
 package core
 
-import "math"
-
 // Active-subset (masked) evaluation. A churning overlay restricts the
 // game to the peers currently online: offline peers own no links, serve
 // no paths and must not be counted as unreachable pairs or as deviation
@@ -13,54 +11,23 @@ import "math"
 //
 // Conventions shared by every masked entry point:
 //
-//   - active == nil means "everyone", and the masked call is then
-//     bit-identical to (and delegates to) its unmasked counterpart.
+//   - active == nil means "everyone": peerEvalFrom, the one rule that
+//     sums a row into an Eval, takes the mask, so the masked call with
+//     nil or the all-true mask is bit-identical to its unmasked
+//     counterpart. Terms of inactive partners are skipped entirely (not
+//     folded as +Inf); every included pair's arithmetic is the same, in
+//     the same j order.
 //   - active[i] must be true for the subject peer i, and the profile
 //     must carry no links from or to inactive peers (the churn engine's
 //     live-profile invariant). Candidate strategies over active targets
 //     then compare identically to a from-scratch evaluation of the
 //     subgame induced on the active set.
 
-// peerEvalFromActive is peerEvalFrom restricted to the active set: terms
-// of inactive partners are skipped entirely (not folded as +Inf), so
-// Unreachable counts active peers only. Arithmetic per included pair is
-// identical to peerEvalFrom, in the same j order.
-func (ev *Evaluator) peerEvalFromActive(d []float64, i, degree int, active []bool) Eval {
-	if active == nil {
-		return ev.peerEvalFrom(d, i, degree)
-	}
-	inst := ev.inst
-	e := Eval{Cost: Cost{Link: inst.alpha * float64(degree)}}
-	row := inst.distRow(i)
-	n := inst.N()
-	for j := 0; j < n; j++ {
-		if j == i || !active[j] {
-			continue
-		}
-		var t float64
-		switch inst.modelKind {
-		case modelStretch:
-			t = d[j] / row[j]
-		case modelDistance:
-			t = d[j]
-		default:
-			t = inst.model.Term(d[j], row[j])
-		}
-		e.Cost.Term += t
-		if math.IsInf(t, 1) {
-			e.Unreachable++
-		} else {
-			e.FiniteTerm += t
-		}
-	}
-	return e
-}
-
 // PeerEvalActive returns peer i's enriched cost under p counting only
 // active partners. With active == nil it equals PeerEval.
 func (ev *Evaluator) PeerEvalActive(p Profile, i int, active []bool) Eval {
 	d := ev.sssp(p, i, -1, Strategy{})
-	return ev.peerEvalFromActive(d, i, p.OutDegree(i), active)
+	return ev.peerEvalFrom(d, i, p.OutDegree(i), active)
 }
 
 // DeviationEvalActive returns peer i's enriched cost under the
@@ -69,14 +36,14 @@ func (ev *Evaluator) PeerEvalActive(p Profile, i int, active []bool) Eval {
 // n>2048).
 func (ev *Evaluator) DeviationEvalActive(p Profile, i int, alt Strategy, active []bool) Eval {
 	d := ev.sssp(p, i, i, alt)
-	return ev.peerEvalFromActive(d, i, alt.Count(), active)
+	return ev.peerEvalFrom(d, i, alt.Count(), active)
 }
 
 // EvalActive is DeviationBatch.Eval restricted to the active set: the
 // distance fold is unchanged (folding an inactive column is harmless —
-// it is never read), only the accumulation masks inactive partners.
+// it is never read), only the sum skips inactive partners.
 func (b *DeviationBatch) EvalActive(alt Strategy, active []bool) Eval {
-	return b.ev.peerEvalFromActive(b.fold(alt), b.i, alt.Count(), active)
+	return b.ev.peerEvalFrom(b.fold(alt), b.i, alt.Count(), active)
 }
 
 // PeerEvalActive returns peer i's masked enriched cost under the
@@ -84,5 +51,5 @@ func (b *DeviationBatch) EvalActive(alt Strategy, active []bool) Eval {
 // masked counterpart of DynEval.PeerEval, bit-identical to
 // Evaluator.PeerEvalActive on the same profile.
 func (dy *DynEval) PeerEvalActive(i int, active []bool) Eval {
-	return dy.ev.peerEvalFromActive(dy.Row(i), i, dy.p.OutDegree(i), active)
+	return dy.ev.peerEvalFrom(dy.Row(i), i, dy.p.OutDegree(i), active)
 }

@@ -66,7 +66,7 @@ func allTrue(n int) []bool {
 }
 
 // maskedSumLB sums the model's per-pair lower bounds over active
-// partners only — the sumLB contract of ExactSearchActive.
+// partners only — the sumLB contract of a masked ExactSearch.
 func maskedSumLB(inst *Instance, i int, active []bool) float64 {
 	sum := 0.0
 	for j := 0; j < inst.N(); j++ {
@@ -134,9 +134,9 @@ func TestExactSearchActiveAllTrueMatchesUnmasked(t *testing.T) {
 		i := r.Intn(c.n)
 		sumLB := maskedSumLB(inst, i, nil)
 		masked := ev.NewDeviationBatch(p, i).
-			ExactSearchActive(p.Strategy(i), allTrue(c.n), sumLB, 1e-9, 0)
+			ExactSearch(p.Strategy(i), allTrue(c.n), sumLB, 1e-9, 0)
 		plain := ev2.NewDeviationBatch(p, i).
-			ExactSearch(p.Strategy(i), sumLB, 1e-9, 0)
+			ExactSearch(p.Strategy(i), nil, sumLB, 1e-9, 0)
 		if !masked.Strategy.Equal(plain.Strategy) {
 			t.Fatalf("trial %d: all-true mask changed the best response: %v vs %v",
 				trial, masked.Strategy, plain.Strategy)
@@ -177,7 +177,7 @@ func TestExactSearchActiveMatchesInducedSubInstance(t *testing.T) {
 
 		ev := NewEvaluator(inst)
 		out := ev.NewDeviationBatch(p, subject).
-			ExactSearchActive(p.Strategy(subject), active, maskedSumLB(inst, subject, active), 1e-9, 0)
+			ExactSearch(p.Strategy(subject), active, maskedSumLB(inst, subject, active), 1e-9, 0)
 
 		// Build the induced sub-instance: active peers, compacted indices.
 		var actIdx []int
@@ -218,7 +218,7 @@ func TestExactSearchActiveMatchesInducedSubInstance(t *testing.T) {
 		subEv := NewEvaluator(subInst)
 		ai := inv[subject]
 		subOut := subEv.NewDeviationBatch(subP, ai).
-			ExactSearch(subP.Strategy(ai), maskedSumLB(subInst, ai, nil), 1e-9, 0)
+			ExactSearch(subP.Strategy(ai), nil, maskedSumLB(subInst, ai, nil), 1e-9, 0)
 
 		if out.Eval != subOut.Eval {
 			t.Fatalf("trial %d (n=%d, active=%d): masked eval %+v, sub-instance %+v",
@@ -270,7 +270,7 @@ func TestExactSearchActiveOptimalByBruteForce(t *testing.T) {
 
 		ev := NewEvaluator(inst)
 		b := ev.NewDeviationBatch(p, subject)
-		out := b.ExactSearchActive(p.Strategy(subject), active, maskedSumLB(inst, subject, active), 1e-9, 0)
+		out := b.ExactSearch(p.Strategy(subject), active, maskedSumLB(inst, subject, active), 1e-9, 0)
 		if got := b.EvalActive(out.Strategy, active); got != out.Eval {
 			t.Fatalf("trial %d: outcome eval %+v but strategy scores %+v", trial, out.Eval, got)
 		}

@@ -193,7 +193,7 @@ func (ev *Evaluator) fanPool(m int) *Pool {
 // association (different summation order along paths), well within the
 // oracles' tolerance.
 func (b *DeviationBatch) Eval(alt Strategy) Eval {
-	return b.ev.peerEvalFrom(b.fold(alt), b.i, alt.Count())
+	return b.ev.peerEvalFrom(b.fold(alt), b.i, alt.Count(), nil)
 }
 
 // fold computes the deviation distances d[j] = min(fixed[j], min_{k∈alt}
@@ -201,16 +201,15 @@ func (b *DeviationBatch) Eval(alt Strategy) Eval {
 // and EvalActive (active.go).
 func (b *DeviationBatch) fold(alt Strategy) []float64 {
 	d := b.d
-	n := len(d)
 	copy(d, b.fixed)
 	alt.ForEach(func(k int) bool {
 		rk := b.rest[k]
 		if rk == nil {
 			return true // k == i: a self-link never shortens a path
 		}
-		wk := b.hop[k]
-		for j := 0; j < n; j++ {
-			d[j] = min(d[j], wk+rk[j])
+		wk, rk := b.hop[k], rk[:len(d)]
+		for j, x := range d {
+			d[j] = min(x, wk+rk[j])
 		}
 		return true
 	})
@@ -248,11 +247,11 @@ type suffixBound struct {
 
 // suffixMins builds the suffixBound for the candidate list. Returns nil
 // when the model is not a built-in monotone one (no sound bound) or the
-// table would exceed the memory cap. A non-nil active mask restricts
-// the sums and single-link Evals to active partners, matching the
-// masked Eval order the active exact search compares against; the rows
-// still fold all columns (unread inactive entries are harmless).
-func (b *DeviationBatch) suffixMins(candidates []int, active []bool) *suffixBound {
+// table would exceed the memory cap. The sums and single-link Evals run
+// over the counted partners only (j ≠ i and active: the masked Eval
+// order the exact search compares against), and so do the rows: their
+// other columns are left unset, since nothing reads them.
+func (b *DeviationBatch) suffixMins(candidates []int, counted []bool) *suffixBound {
 	n := len(b.d)
 	m := len(candidates)
 	if !b.ev.builtinMonotoneModel() || (m+1)*n > maxSuffixMinFloats {
@@ -280,46 +279,40 @@ func (b *DeviationBatch) suffixMins(candidates []int, active []bool) *suffixBoun
 		last[j] = math.Inf(1)
 	}
 	out[m] = last
-	row := ev.inst.distRow(b.i)
+	fixed, row, counted := b.fixed[:n], ev.inst.distRow(b.i)[:n], counted[:n]
 	stretch := ev.inst.modelKind == modelStretch
 	sums[m] = math.Inf(1)
 	for ci := m - 1; ci >= 0; ci-- {
 		k := candidates[ci]
-		cur := flat[ci*n : (ci+1)*n]
-		prev := out[ci+1]
-		rk := b.rest[k]
-		var se Eval
-		if rk == nil {
-			copy(cur, prev)
-			sums[ci] = sums[ci+1]
-		} else {
-			wk := b.hop[k]
-			acc := 0.0
-			for j := 0; j < n; j++ {
-				if j == b.i {
-					cur[j] = 0 // i's own column, never counted
-					continue
-				}
-				t := min(b.fixed[j], wk+rk[j])
-				if stretch {
-					t /= row[j]
-				}
-				counted := active == nil || active[j]
-				if counted {
-					se.Cost.Term += t
-					if math.IsInf(t, 1) {
-						se.Unreachable++
-					} else {
-						se.FiniteTerm += t
-					}
-				}
-				cur[j] = min(prev[j], t)
-				if counted {
-					acc += cur[j]
-				}
+		cur, prev := flat[ci*n:(ci+1)*n], out[ci+1][:n]
+		rk, wk := b.rest[k][:n], b.hop[k] // a candidate is never i, so its rest row exists
+		se, acc := Eval{}, 0.0
+		// This pass sums single[ci] itself, fused with the row build,
+		// rather than through the one fold (boundedEval), which would
+		// need each single-link row written out and read again. Only
+		// built-in models get here, so its terms lie in [0, +Inf] and
+		// boundedEval's rule gives its sums the same bits.
+		for j, f := range fixed {
+			if !counted[j] {
+				continue
 			}
-			sums[ci] = acc
+			t := min(f, wk+rk[j])
+			if stretch {
+				t /= row[j]
+			}
+			if math.IsInf(t, 1) {
+				se.Unreachable++
+			} else {
+				se.FiniteTerm += t
+			}
+			cur[j] = min(prev[j], t)
+			acc += cur[j]
 		}
+		se.Cost.Term = se.FiniteTerm
+		if se.Unreachable > 0 {
+			se.Cost.Term = math.Inf(1)
+		}
+		sums[ci] = acc
 		single[ci] = se
 		out[ci] = cur
 	}

@@ -190,7 +190,7 @@ func (dy *DynEval) tightLink(k, i int) bool {
 // bit-identical to Evaluator.PeerEval on the same profile — but O(n)
 // from the maintained distance row instead of a fresh SSSP.
 func (dy *DynEval) PeerEval(i int) Eval {
-	return dy.ev.peerEvalFrom(dy.Row(i), i, dy.p.OutDegree(i))
+	return dy.ev.peerEvalFrom(dy.Row(i), i, dy.p.OutDegree(i), nil)
 }
 
 // SocialCost returns the decomposed social cost of the current profile

@@ -280,6 +280,7 @@ type Evaluator struct {
 	suffixSums   []float64
 	suffixSingle []Eval
 	candScratch  []int
+	countScratch []bool
 	// BFS kernel arena (kernelBFS instances): bitset adjacency rows (w
 	// words per peer, reverse arcs pre-ORed in for undirected games)
 	// plus the frontier/visited slabs, all rebuilt in place by prepare
@@ -566,7 +567,7 @@ func (ev *Evaluator) settleRows(p Profile, override int, alt Strategy, srcs []in
 func (ev *Evaluator) settleEvals(p Profile, override int, alt Strategy, srcs []int32, band int, visit func(src int32, e Eval) bool) {
 	if !ev.inst.msbfsBand(band) {
 		ev.settleRows(p, override, alt, srcs, nil, func(src int32, d []float64) bool {
-			return visit(src, ev.peerEvalFrom(d, int(src), int(ev.g.owned[src])))
+			return visit(src, ev.peerEvalFrom(d, int(src), int(ev.g.owned[src]), nil))
 		})
 		return
 	}
@@ -696,23 +697,55 @@ func (e Eval) Gain(alt Eval) float64 {
 	return e.Key() - alt.Key()
 }
 
-// peerEvalFrom computes the Eval of peer i given the SSSP distances from
-// i and the out-degree of the (possibly overridden) strategy. The two
-// built-in cost models are special-cased to keep the per-pair term out
-// of interface dispatch on the hot path; the arithmetic is identical to
-// the generic loop, so results match bit for bit.
-func (ev *Evaluator) peerEvalFrom(d []float64, i, degree int) Eval {
+// peerEvalFrom is the one rule that turns a distance row into an Eval:
+// peer i's Eval given the distances d from i and the out-degree of its
+// (possibly overridden) strategy, summed over the partners j with
+// active[j] (nil: every peer; see active.go). It is boundedEval with no
+// bound.
+func (ev *Evaluator) peerEvalFrom(d []float64, i, degree int, active []bool) Eval {
+	e, _ := ev.boundedEval(d, i, degree, active, math.NaN(), math.MaxInt)
+	return e
+}
+
+// betterEval sums row d as peerEvalFrom does and reports whether the
+// Eval is Better than than by more than tol; when it is, the Eval ==
+// peerEvalFrom's. Its sum stops early once the Eval cannot be Better,
+// and the Eval it then returns means nothing: under the built-in
+// models, as soon as more terms are +Inf than than has unreachable
+// peers, and, against a connected than, as soon as Link plus the
+// partial sum reaches than.Key()−tol.
+func (ev *Evaluator) betterEval(d []float64, i, degree int, active []bool, than Eval, tol float64) (Eval, bool) {
+	threshold := math.NaN()
+	if than.Unreachable == 0 {
+		threshold = than.Key() - tol
+	}
+	e, done := ev.boundedEval(d, i, degree, active, threshold, than.Unreachable)
+	return e, done && e.Better(than, tol)
+}
+
+// boundedEval is the core of peerEvalFrom and betterEval: it sums the
+// terms of row d over the partners j ≠ i with active[j] (nil: every
+// peer), in j order. A built-in model's term, d[j] (distance) or
+// d[j]/δ(i,j) (stretch), lies in [0, +Inf], so one FiniteTerm
+// accumulator and an unreachable count suffice: Cost.Term is
+// FiniteTerm, or +Inf when a term is, the bits a separate Term
+// accumulator would give. Under the built-in models it reports false,
+// with a meaningless Eval, as soon as more than maxUnreachable terms
+// are +Inf or Link plus the partial sum reaches threshold (partial sums
+// of non-negative terms only grow); a NaN threshold never compares
+// true. A custom model's term may be +Inf or NaN at a finite distance,
+// so there Cost.Term sums every term, FiniteTerm every term but +Inf,
+// and no bound applies.
+func (ev *Evaluator) boundedEval(d []float64, i, degree int, active []bool, threshold float64, maxUnreachable int) (Eval, bool) {
 	inst := ev.inst
 	e := Eval{Cost: Cost{Link: inst.alpha * float64(degree)}}
-	row := inst.distRow(i)
-	n := inst.N()
-	switch inst.modelKind {
-	case modelStretch:
-		for j := 0; j < n; j++ {
-			if j == i {
+	row := inst.distRow(i)[:len(d)]
+	if inst.modelKind == modelCustom {
+		for j, dj := range d {
+			if j == i || (active != nil && !active[j]) {
 				continue
 			}
-			t := d[j] / row[j]
+			t := inst.model.Term(dj, row[j])
 			e.Cost.Term += t
 			if math.IsInf(t, 1) {
 				e.Unreachable++
@@ -720,34 +753,33 @@ func (ev *Evaluator) peerEvalFrom(d []float64, i, degree int) Eval {
 				e.FiniteTerm += t
 			}
 		}
-	case modelDistance:
-		for j := 0; j < n; j++ {
-			if j == i {
-				continue
-			}
-			t := d[j]
-			e.Cost.Term += t
-			if math.IsInf(t, 1) {
-				e.Unreachable++
-			} else {
-				e.FiniteTerm += t
-			}
+		return e, true
+	}
+	stretch := inst.modelKind == modelStretch
+	for j, t := range d {
+		if j == i || (active != nil && !active[j]) {
+			continue
 		}
-	default:
-		for j := 0; j < n; j++ {
-			if j == i {
-				continue
+		if stretch {
+			t /= row[j]
+		}
+		if math.IsInf(t, 1) {
+			e.Unreachable++
+			if e.Unreachable > maxUnreachable {
+				return Eval{}, false
 			}
-			t := inst.model.Term(d[j], row[j])
-			e.Cost.Term += t
-			if math.IsInf(t, 1) {
-				e.Unreachable++
-			} else {
-				e.FiniteTerm += t
-			}
+			continue
+		}
+		e.FiniteTerm += t
+		if e.Cost.Link+e.FiniteTerm >= threshold {
+			return Eval{}, false
 		}
 	}
-	return e
+	e.Cost.Term = e.FiniteTerm
+	if e.Unreachable > 0 {
+		e.Cost.Term = math.Inf(1)
+	}
+	return e, true
 }
 
 // modelKind caches the cost model's identity at construction, keeping
@@ -772,14 +804,14 @@ func (ev *Evaluator) builtinMonotoneModel() bool {
 // PeerEval returns peer i's enriched cost under profile p.
 func (ev *Evaluator) PeerEval(p Profile, i int) Eval {
 	d := ev.sssp(p, i, -1, Strategy{})
-	return ev.peerEvalFrom(d, i, p.OutDegree(i))
+	return ev.peerEvalFrom(d, i, p.OutDegree(i), nil)
 }
 
 // DeviationEval returns peer i's enriched cost if it unilaterally
 // switches to strategy alt while everyone else keeps playing p.
 func (ev *Evaluator) DeviationEval(p Profile, i int, alt Strategy) Eval {
 	d := ev.sssp(p, i, i, alt)
-	return ev.peerEvalFrom(d, i, alt.Count())
+	return ev.peerEvalFrom(d, i, alt.Count(), nil)
 }
 
 // PeerCost returns peer i's decomposed cost under profile p. The Term

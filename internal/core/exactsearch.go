@@ -1,10 +1,6 @@
 package core
 
-import (
-	"math"
-
-	"selfishnet/internal/bitset"
-)
+import "selfishnet/internal/bitset"
 
 // ExactSearchOutcome is the result of DeviationBatch.ExactSearch.
 type ExactSearchOutcome struct {
@@ -45,23 +41,19 @@ type ExactSearchOutcome struct {
 // bound α·k + sumLB (per-pair model lower bounds, supplied by the
 // caller) terminates the cardinality loop exactly as it always has.
 //
-// budget > 0 bounds Resolved; crossing it aborts with OverBudget at the
-// same candidate the unpruned enumeration would have died on.
-func (b *DeviationBatch) ExactSearch(incumbent Strategy, sumLB, tol float64, budget int) ExactSearchOutcome {
-	return b.ExactSearchActive(incumbent, nil, sumLB, tol, budget)
-}
-
-// ExactSearchActive is ExactSearch restricted to an active peer subset:
+// A non-nil active mask restricts the search to an active peer subset:
 // candidates are drawn from active peers only and every Eval — the
 // incumbent's, the leaves' and the pruning bounds' — is masked to
-// active partners (see active.go for the masking conventions). sumLB
-// must sum the model lower bounds over active partners only. With
-// active == nil it is exactly ExactSearch. This is the churn engine's
-// repair oracle: a best response in the subgame induced on the online
-// peers, with every pruning device still live because masked
-// connectivity (reaching all active peers) replaces global
-// connectivity.
-func (b *DeviationBatch) ExactSearchActive(incumbent Strategy, active []bool, sumLB, tol float64, budget int) ExactSearchOutcome {
+// active partners (see active.go for the masking conventions), and
+// sumLB must sum the model lower bounds over active partners only;
+// nil means every peer. This is the churn engine's repair oracle: a
+// best response in the subgame induced on the online peers, with every
+// pruning device still live because masked connectivity (reaching all
+// active peers) replaces global connectivity.
+//
+// budget > 0 bounds Resolved; crossing it aborts with OverBudget at the
+// same candidate the unpruned enumeration would have died on.
+func (b *DeviationBatch) ExactSearch(incumbent Strategy, active []bool, sumLB, tol float64, budget int) ExactSearchOutcome {
 	ev := b.ev
 	inst := ev.inst
 	n := inst.n
@@ -75,15 +67,16 @@ func (b *DeviationBatch) ExactSearchActive(incumbent Strategy, active []bool, su
 		stretch: inst.modelKind == modelStretch,
 		tol:     tol,
 		budget:  budget,
-		active:  active,
 	}
 
 	if cap(ev.candScratch) < n {
 		ev.candScratch = make([]int, 0, n)
+		ev.countScratch = make([]bool, n)
 	}
-	s.candidates = ev.candScratch[:0]
-	for j := 0; j < n; j++ {
-		if j != s.i && (active == nil || active[j]) {
+	s.candidates, s.counted = ev.candScratch[:0], ev.countScratch[:n]
+	for j := range s.counted {
+		s.counted[j] = j != s.i && (active == nil || active[j])
+		if s.counted[j] {
 			s.candidates = append(s.candidates, j)
 		}
 	}
@@ -115,10 +108,10 @@ func (b *DeviationBatch) ExactSearchActive(incumbent Strategy, active []bool, su
 
 	s.setBest(incumbent.Clone(), b.EvalActive(incumbent, active))
 
-	// The full strategy (link to everyone) reaches all peers at the term
-	// lower bound exactly, under both models; scoring it early makes the
-	// incumbent connected, which tightens every pruning device.
-	if sb := b.suffixMins(s.candidates, active); sb != nil {
+	// The full strategy (link to everyone) reaches every active peer;
+	// scoring it early makes the incumbent connected, which tightens
+	// every pruning device.
+	if sb := b.suffixMins(s.candidates, s.counted); sb != nil {
 		s.suffix = sb.term
 		s.suffixSum = sb.sum
 		s.single = sb.single
@@ -127,17 +120,8 @@ func (b *DeviationBatch) ExactSearchActive(incumbent Strategy, active []bool, su
 		return ExactSearchOutcome{Resolved: s.resolved, OverBudget: true}
 	}
 	full := bitset.FromSlice(s.candidates)
-	var fullEval Eval
-	if s.suffix != nil {
-		// suffix[0][j] is exactly the term of the full strategy's
-		// distance to j (min over all single links, and min commutes
-		// with the monotone term), so the full eval is one summation.
-		fullEval = s.evalFromTerms(s.suffix[0], m)
-	} else {
-		fullEval = b.EvalActive(full, active)
-	}
-	if fullEval.Better(s.bestEval, tol) {
-		s.setBest(full, fullEval)
+	if e := b.EvalActive(full, active); e.Better(s.bestEval, tol) {
+		s.setBest(full, e)
 	}
 
 	s.cur = bitset.New(n)
@@ -158,13 +142,15 @@ func (b *DeviationBatch) ExactSearchActive(incumbent Strategy, active []bool, su
 			if !s.spend(1) {
 				return ExactSearchOutcome{Resolved: s.resolved, OverBudget: true}
 			}
-			s.scoreLevel(0, 0)
+			if e, ok := ev.betterEval(base, s.i, 0, active, s.bestEval, tol); ok {
+				s.setBest(s.cur.Clone(), e)
+			}
 			continue
 		}
 		if k == 1 && s.single != nil {
 			// Cardinality 1: the suffix build already produced every
-			// single-link eval (bit-identical to the generic leaf fold);
-			// compare them in candidate order, scan-free.
+			// single-link eval (bit-identical to peerEvalFrom of its
+			// fold); compare them in candidate order, scan-free.
 			link := s.alpha
 			overBudget := false
 			for ci := 0; ci < m; ci++ {
@@ -207,7 +193,7 @@ type exactSearch struct {
 	tol        float64
 	budget     int
 	candidates []int
-	active     []bool      // active-peer mask (nil = everyone)
+	counted    []bool      // the partners summed: j ≠ i and active
 	levels     []float64   // per-depth distance folds
 	terms      []float64   // per-depth term folds (nil for custom models)
 	suffix     [][]float64 // suffix-min term rows (nil when unavailable)
@@ -262,27 +248,15 @@ func (s *exactSearch) prunable(start, depth int) bool {
 	}
 	n := s.n
 	tcur := s.terms[depth*n : (depth+1)*n]
-	tsuf := s.suffix[start]
+	tsuf, counted := s.suffix[start][:len(tcur)], s.counted[:len(tcur)]
 	partial := 0.0
-	if s.active == nil {
-		for j := 0; j < n; j++ {
-			if j == s.i {
-				continue
-			}
-			partial += min(tcur[j], tsuf[j])
-			if link+partial >= threshold {
-				return true
-			}
-		}
-		return false
-	}
-	// Masked: inactive partners carry +Inf term rows, so folding them
-	// would prune everything; they are simply not part of the sum.
-	for j := 0; j < n; j++ {
-		if j == s.i || !s.active[j] {
+	for j, t := range tcur {
+		// Inactive partners carry +Inf term rows, so folding them would
+		// prune everything; they are simply not part of the sum.
+		if !counted[j] {
 			continue
 		}
-		partial += min(tcur[j], tsuf[j])
+		partial += min(t, tsuf[j])
 		if link+partial >= threshold {
 			return true
 		}
@@ -314,93 +288,49 @@ func (s *exactSearch) push(k, depth int) {
 	}
 }
 
-// evalFromTerms sums a per-pair term row into an Eval, mirroring
-// peerEvalFrom's accumulation exactly.
-func (s *exactSearch) evalFromTerms(terms []float64, degree int) Eval {
-	e := Eval{Cost: Cost{Link: s.alpha * float64(degree)}}
-	for j := 0; j < s.n; j++ {
-		if j == s.i || (s.active != nil && !s.active[j]) {
-			continue
-		}
-		t := terms[j]
-		e.Cost.Term += t
-		if math.IsInf(t, 1) {
-			e.Unreachable++
-		} else {
-			e.FiniteTerm += t
-		}
-	}
-	return e
-}
-
-// scoreLevel scores the set currently folded at `depth` with degree
-// links against the incumbent, updating best on a strict win. It is the
-// slow path for leaves (k = 0, or custom models / disconnected best,
-// where bounded evaluation is unsound).
-func (s *exactSearch) scoreLevel(depth, degree int) {
-	e := s.b.ev.peerEvalFromActive(s.levels[depth*s.n:(depth+1)*s.n], s.i, degree, s.active)
-	if e.Better(s.bestEval, s.tol) {
-		s.setBest(s.cur.Clone(), e)
-	}
-}
-
-// leaf scores level depth plus one final link to candidate k, fused:
-// the last fold and the bounded accumulation run in one pass. Exactly
-// Push + bounded eval: a survivor's Eval is bit-identical to the full
-// fold, and an early exit means precisely "not Better than best".
+// leaf scores level depth plus one final link to candidate k, updating
+// best on a strict win. Against a connected incumbent under a built-in
+// model the last fold and the bounded sum run fused in one pass, so
+// this loop sums the row itself rather than through betterEval: split
+// into a fold plus a bounded sum, the exact oracle's hottest loop would
+// write every leaf's row out in full and read it back, where the fused
+// loop stops at the first column that rules the leaf out. Its
+// arithmetic is betterEval's: a survivor's Eval is bit-identical to
+// peerEvalFrom of the full fold, and an early exit means precisely "not
+// Better than best". Every other leaf is folded into level depth+1 and
+// scored by betterEval.
 func (s *exactSearch) leaf(k, depth int) {
+	n := s.n
 	if !s.bestConnected || s.terms == nil {
 		s.push(k, depth)
-		s.cur.Add(k)
-		s.scoreLevel(depth+1, depth+1)
-		s.cur.Remove(k)
+		if e, ok := s.b.ev.betterEval(s.levels[(depth+1)*n:(depth+2)*n], s.i, depth+1, s.counted, s.bestEval, s.tol); ok {
+			s.cur.Add(k)
+			s.setBest(s.cur.Clone(), e)
+			s.cur.Remove(k)
+		}
 		return
 	}
-	n := s.n
 	cur := s.levels[depth*n : (depth+1)*n]
-	rk := s.b.rest[k]
-	wk := s.hop[k]
-	stretch := s.stretch
-	row := s.row
+	rk, row, counted := s.b.rest[k][:len(cur)], s.row[:len(cur)], s.counted[:len(cur)]
+	wk, stretch := s.hop[k], s.stretch
 	e := Eval{Cost: Cost{Link: s.alpha * float64(depth+1)}}
 	threshold := s.threshold
-	if s.active == nil {
-		for j := 0; j < n; j++ {
-			if j == s.i {
-				continue
-			}
-			v := min(cur[j], wk+rk[j])
-			t := v
-			if stretch {
-				t = v / row[j]
-			}
-			// +Inf terms trip the threshold exit, so unreachable pairs need
-			// no separate check.
-			e.Cost.Term += t
-			e.FiniteTerm += t
-			if e.Cost.Link+e.FiniteTerm >= threshold {
-				return
-			}
+	for j, v := range cur {
+		if !counted[j] {
+			continue
 		}
-	} else {
-		// Masked: inactive partners are skipped outright — their +Inf
-		// terms must not trip the threshold, they are not in the subgame.
-		for j := 0; j < n; j++ {
-			if j == s.i || !s.active[j] {
-				continue
-			}
-			v := min(cur[j], wk+rk[j])
-			t := v
-			if stretch {
-				t = v / row[j]
-			}
-			e.Cost.Term += t
-			e.FiniteTerm += t
-			if e.Cost.Link+e.FiniteTerm >= threshold {
-				return
-			}
+		t := min(v, wk+rk[j])
+		if stretch {
+			t /= row[j]
+		}
+		// +Inf terms trip the threshold exit, so unreachable pairs need
+		// no separate check, and a survivor's Term is its FiniteTerm.
+		e.FiniteTerm += t
+		if e.Cost.Link+e.FiniteTerm >= threshold {
+			return
 		}
 	}
+	e.Cost.Term = e.FiniteTerm
 	if e.Better(s.bestEval, s.tol) {
 		s.cur.Add(k)
 		s.setBest(s.cur.Clone(), e)
@@ -468,7 +398,12 @@ var binomTableInt = func() [][]int {
 	return t
 }()
 
-// binomialInt returns C(a, b) saturated at MaxInt.
+// binomialInt returns C(a, b) saturated at MaxInt. Up to a = 64 it reads
+// the Pascal table, exact to MaxInt. Past that (churn's budgeted search
+// at n > 65) the iterative form saturates early, returning MaxInt once
+// an intermediate product could pass MaxInt/2: every value below
+// C(65, 23) ≈ 2.27e17, where that first happens, is exact, and for each
+// a, once some b ≤ a/2 saturates every larger b up to a/2 does too.
 func binomialInt(a, b int) int {
 	if b < 0 || b > a {
 		return 0

@@ -21,9 +21,10 @@ import "math"
 // non-negative hops and rest rows non-negative or +Inf no NaN can
 // arise, so each column equals what fold computes for the explicit
 // strategy. On a tie the equal value goes into second, so dropping
-// either tied peer leaves the other's value. The row's terms are then
-// summed in the usual j order by score, so every move's Eval is
-// bit-identical to Eval (or EvalActive) of the strategy it produces.
+// either tied peer leaves the other's value. The row is then summed by
+// betterEval, on the rule Eval and EvalActive sum by (peerEvalFrom's),
+// so every move's Eval is bit-identical to Eval (or EvalActive) of the
+// strategy it produces.
 
 // SetBase makes s the batch's move base and returns its Eval, summed
 // over the partners j with active[j] (nil: every peer). Every later
@@ -78,46 +79,25 @@ func (b *DeviationBatch) AddToBase(k int) {
 
 // MoveEval scores one move from the base, base \ {drop} ∪ {add} with
 // −1 for no drop or no add: an add, a drop or a swap, in one O(n) pass.
-// drop must be in the base and add must not.
+// drop must be in the base and add must not. It is MoveBetter against
+// an Eval nothing is Better than, whose sum never stops early.
 func (b *DeviationBatch) MoveEval(drop, add int) Eval {
-	e, _ := b.score(drop, add, math.NaN(), math.MaxInt)
+	e, _ := b.MoveBetter(drop, add, Eval{Unreachable: math.MaxInt}, 0)
 	return e
 }
 
-// MoveBetter scores the move (drop, add) as MoveEval does and reports
-// whether its Eval is Better than than by more than tol; when it does,
-// the Eval == MoveEval(drop, add). Its sum stops early once the move
-// cannot be Better, and the Eval it then returns means nothing: under
-// the built-in models, as soon as more columns are unreachable than in
-// than, and, against a connected than, as soon as Link plus the partial
-// term sum reaches than.Key()−tol (the exact oracle's leaf device:
-// partial sums of non-negative terms only grow).
-func (b *DeviationBatch) MoveBetter(drop, add int, than Eval, tol float64) (Eval, bool) {
-	threshold := math.NaN()
-	if than.Unreachable == 0 && b.ev.builtinMonotoneModel() {
-		threshold = than.Key() - tol
-	}
-	e, done := b.score(drop, add, threshold, than.Unreachable)
-	return e, done && e.Better(than, tol)
-}
-
-// score is the move base's one scorer, behind MoveEval and MoveBetter.
-// It folds the move's row into the batch's scratch row, then takes each
-// column's term and sums the terms of the partners the base's mask
-// counts, in j order, into one FiniteTerm accumulator and an
-// unreachable count. Cost.Term is FiniteTerm, or +Inf when a column is
-// unreachable: the bits peerEvalFromActive's two accumulators give.
-// Under the built-in models it reports false, with a meaningless Eval,
-// as soon as more than maxUnreachable columns are unreachable or Link
-// plus the partial sum reaches threshold; a NaN threshold never
-// compares true. Custom models sum the row through peerEvalFromActive.
+// MoveBetter scores the move (drop, add) and reports whether its Eval is
+// Better than than by more than tol; when it does, the Eval ==
+// MoveEval(drop, add). It folds the move's deviation row into the
+// batch's scratch row and sums it by betterEval, over the base's mask;
+// that sum stops once the move cannot be Better, and the Eval it then
+// returns means nothing.
 //
 // The fold and the sum are two tight loops, not one fused loop: fused,
 // the division sat at the end of a long chain behind every column's
 // branch, and on bases that leave many columns unreachable, where that
 // branch is unpredictable, the single loop ran slower than these two.
-func (b *DeviationBatch) score(drop, add int, threshold float64, maxUnreachable int) (Eval, bool) {
-	inst := b.ev.inst
+func (b *DeviationBatch) MoveBetter(drop, add int, than Eval, tol float64) (Eval, bool) {
 	degree := b.degree
 	// With no add the loop folds second, which never undercuts the
 	// column's value (best ≤ second), so every move takes one path.
@@ -141,34 +121,5 @@ func (b *DeviationBatch) score(drop, add int, threshold float64, maxUnreachable 
 		}
 		d[j] = min(v, wk+rk[j])
 	}
-	if inst.modelKind == modelCustom {
-		return b.ev.peerEvalFromActive(d, b.i, degree, b.active), true
-	}
-	row, active, i := inst.distRow(b.i)[:len(d)], b.active, b.i
-	stretch := inst.modelKind == modelStretch
-	e := Eval{Cost: Cost{Link: inst.alpha * float64(degree)}}
-	for j, t := range d {
-		if j == i || (active != nil && !active[j]) {
-			continue
-		}
-		if stretch {
-			t /= row[j]
-		}
-		if math.IsInf(t, 1) {
-			e.Unreachable++
-			if e.Unreachable > maxUnreachable {
-				return Eval{}, false
-			}
-			continue
-		}
-		e.FiniteTerm += t
-		if e.Cost.Link+e.FiniteTerm >= threshold {
-			return Eval{}, false
-		}
-	}
-	e.Cost.Term = e.FiniteTerm
-	if e.Unreachable > 0 {
-		e.Cost.Term = math.Inf(1)
-	}
-	return e, true
+	return b.ev.betterEval(d, b.i, degree, b.active, than, tol)
 }

@@ -33,8 +33,11 @@ import (
 // terms in one pass over the vertices, looking each up in the
 // instance's hopTerm table: the model's term of hopDist[h], the
 // left-fold replay value bfsUnitSSSP writes. Each source thus runs the
-// same j-ordered left fold that peerEvalFrom runs over the slab row, so
-// every Eval is bit-identical to it — and hence to heap Dijkstra.
+// same j-ordered left fold that peerEvalFrom, the one rule that sums a
+// distance row into an Eval, runs over the slab row, so every Eval is
+// bit-identical to it — and hence to heap Dijkstra. The fold sums its
+// terms itself rather than through peerEvalFrom because its input is
+// hop levels, not rows: a row per source is what it exists to avoid.
 //
 // Determinism conventions (shared with the rest of the core):
 //   - Evals are handed over in list order, or (on the fan-out) land in
@@ -158,10 +161,10 @@ func msbfsChunk(srcs []int32, hops int, adj *csr, st *msScratch) {
 // peerEvalFrom runs over the slab row. Under the built-in models
 // (custom false) every reached term is finite, so st.sum[s] is the
 // FiniteTerm accumulator and st.miss[s] counts the vertices s missed,
-// whose term is +Inf. A custom model's term may be +Inf or NaN at any
-// distance, so there st.sum[s] takes every term, missed vertices
-// adding miss (the term of +Inf), and peerEvalFrom's IsInf rule splits
-// st.finite[s] and st.miss[s] off it.
+// whose term is +Inf: boundedEval's built-in rule. A custom model's term
+// may be +Inf or NaN at any distance, so there st.sum[s] takes every
+// term, missed vertices adding miss (the term of +Inf), and
+// boundedEval's IsInf rule splits st.finite[s] and st.miss[s] off it.
 func (st *msScratch) foldLevels(k, n int, terms []float64, miss float64, custom bool) {
 	sum, finite, misses := st.sum[:k], st.finite[:k], st.miss[:k]
 	for s := range sum {
@@ -207,9 +210,9 @@ func (st *msScratch) foldLevels(k, n int, terms []float64, miss float64, custom 
 // loops: it settles the sources of part (at most 64) by msbfsChunk over
 // ev's prepared graph, folds their Evals by foldLevels on ev's reused
 // scratch, and hands visit each source's position in part and its Eval,
-// in order. Each Eval == peerEvalFrom over the source's slab row; a
-// source's degree is its link count in the graph (owned). It reports
-// false as soon as visit does.
+// in order. Each Eval == peerEvalFrom over the source's slab row (the
+// Term rule below is boundedEval's); a source's degree is its link
+// count in the graph (owned). It reports false as soon as visit does.
 func (ev *Evaluator) foldChunk(part []int32, visit func(k int, e Eval) bool) bool {
 	inst, st := ev.inst, &ev.ms
 	k, n := len(part), inst.N()

@@ -75,7 +75,7 @@ func (pl *Pool) settleRows(p Profile, override int, alt Strategy, srcs []int32, 
 func (pl *Pool) settleEvals(p Profile, override int, alt Strategy, srcs []int32, band int, visit func(i int, e Eval) bool) {
 	if !pl.Instance().msbfsBand(band) {
 		pl.settleRows(p, override, alt, srcs, nil, func(ev *Evaluator, i int, d []float64) bool {
-			return visit(i, ev.peerEvalFrom(d, int(srcs[i]), int(ev.g.owned[srcs[i]])))
+			return visit(i, ev.peerEvalFrom(d, int(srcs[i]), int(ev.g.owned[srcs[i]]), nil))
 		})
 		return
 	}

@@ -78,7 +78,7 @@ func TestSettleRowsContract(t *testing.T) {
 				wantEval := make(map[int32]Eval, len(srcs))
 				for _, src := range srcs {
 					want[src] = append([]float64(nil), ref.sssp(p, int(src), ov.override, ov.alt)...)
-					wantEval[src] = ref.peerEvalFrom(want[src], int(src), strategyOf(p, int(src), ov.override, ov.alt).Count())
+					wantEval[src] = ref.peerEvalFrom(want[src], int(src), strategyOf(p, int(src), ov.override, ov.alt).Count(), nil)
 				}
 				what := fmt.Sprintf("override %d rows", ov.override)
 				checkLoop(t, what, srcs, func(list []int32, visit func(int32) bool) {

@@ -115,7 +115,7 @@ func slabReference(inst *Instance, p Profile, override int, alt Strategy) ([][]f
 	rows, evals := make([][]float64, n), make([]Eval, n)
 	for s := range rows {
 		rows[s] = append([]float64(nil), ref.ssspFrom(s, 0)...)
-		evals[s] = ref.peerEvalFrom(rows[s], s, strategyOf(p, s, override, alt).Count())
+		evals[s] = ref.peerEvalFrom(rows[s], s, strategyOf(p, s, override, alt).Count(), nil)
 	}
 	return rows, evals
 }

@@ -3,9 +3,12 @@ package serve
 import (
 	"bytes"
 	"context"
+	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"sync"
 	"testing"
 	"time"
 
@@ -20,11 +23,14 @@ import (
 // dynamics run and every input costs microseconds. Every answer must be
 // one of the documented statuses, no handler may panic, a 200 may come
 // only for a body scenario.ReadSpec accepts, and a non-200 must leave
-// the result cache's entry count unchanged. The body cap is 512 bytes,
-// so 413 is reachable too. The seed corpus is under
-// testdata/fuzz/FuzzServeRun.
+// the result cache's entry count unchanged. The server has a
+// RunTimeout, and the context a run receives must carry a deadline no
+// later than the call time plus RunTimeout, whatever the header says.
+// The body cap is 512 bytes, so 413 is reachable too. The seed corpus
+// is under testdata/fuzz/FuzzServeRun.
 func FuzzServeRun(f *testing.F) {
-	s, err := New(Config{MaxBodyBytes: 512})
+	const runTimeout = time.Minute
+	s, err := New(Config{MaxBodyBytes: 512, RunTimeout: runTimeout})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -37,7 +43,20 @@ func FuzzServeRun(f *testing.F) {
 	})
 	table := &export.Table{Title: "fixed", Headers: []string{"k", "v"}}
 	table.AddRow("a", "1")
+	// deadlineErr records what was wrong with the last run's deadline.
+	var mu sync.Mutex
+	var deadlineErr error
 	s.runSpec = func(ctx context.Context, _ scenario.Spec) (*export.Table, error) {
+		called := time.Now()
+		dl, ok := ctx.Deadline()
+		mu.Lock()
+		switch {
+		case !ok:
+			deadlineErr = errors.New("the run's context has no deadline")
+		case dl.After(called.Add(runTimeout)):
+			deadlineErr = fmt.Errorf("the run's deadline is %v after the call, past RunTimeout %v", dl.Sub(called), runTimeout)
+		}
+		mu.Unlock()
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -63,8 +82,17 @@ func FuzzServeRun(f *testing.F) {
 			req.Header.Set("X-Run-Deadline-Ms", deadline)
 		}
 		before := s.cache.stats().Entries
+		mu.Lock()
+		deadlineErr = nil
+		mu.Unlock()
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, req)
+		mu.Lock()
+		err := deadlineErr
+		mu.Unlock()
+		if err != nil {
+			t.Fatalf("X-Run-Deadline-Ms %q: %v", deadline, err)
+		}
 		switch code := rec.Code; {
 		case !documented[code]:
 			t.Fatalf("status %d is not documented: %s", code, rec.Body.Bytes())

@@ -259,6 +259,69 @@ func TestRunDeadline(t *testing.T) {
 	}
 }
 
+// TestRunDeadlineHeaderOverflow pins that no X-Run-Deadline-Ms header
+// loosens the server's RunTimeout, however large: a value past
+// time.Duration's range (about 9.22e12 ms) once wrapped negative and
+// left the run with no deadline at all. With RunTimeout 50 ms and a
+// runner that waits for its context, no header, 1000, 10000000000000
+// and 9223372036854775807 all answer 504 with the run's deadline at
+// most 50 ms after the call, and 20 still tightens it to 20 ms.
+func TestRunDeadlineHeaderOverflow(t *testing.T) {
+	const runTimeout = 50 * time.Millisecond
+	s, ts := newTestServer(t, Config{RunTimeout: runTimeout})
+	runner, _ := installRunner(s)
+	// budgets carries each run's time to its deadline, measured when
+	// the runner is called; -1 means the context had no deadline.
+	budgets := make(chan time.Duration, 1)
+	hang := specRunner(func(ctx context.Context, spec scenario.Spec) (*export.Table, error) {
+		left := time.Duration(-1)
+		if dl, ok := ctx.Deadline(); ok {
+			left = time.Until(dl)
+		}
+		budgets <- left
+		<-ctx.Done()
+		return nil, ctx.Err()
+	})
+	runner.Store(&hang)
+	// A run that escaped its deadline would hang until the client gives
+	// up, so the client's own timeout turns that into a failure.
+	client := &http.Client{Timeout: 10 * time.Second}
+	for k, c := range []struct {
+		header string
+		bound  time.Duration
+	}{
+		{"", runTimeout},
+		{"1000", runTimeout},
+		{"10000000000000", runTimeout},
+		{"9223372036854775807", runTimeout},
+		{"20", 20 * time.Millisecond},
+	} {
+		req, err := http.NewRequest("POST", ts.URL+"/v1/run", strings.NewReader(seededSpec(700+k)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.header != "" {
+			req.Header.Set("X-Run-Deadline-Ms", c.header)
+		}
+		resp, err := client.Do(req)
+		if err != nil {
+			t.Fatalf("X-Run-Deadline-Ms %q: %v", c.header, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusGatewayTimeout {
+			t.Fatalf("X-Run-Deadline-Ms %q: %d, want 504", c.header, resp.StatusCode)
+		}
+		select {
+		case left := <-budgets:
+			if left < 0 || left > c.bound {
+				t.Errorf("X-Run-Deadline-Ms %q: the run's deadline was %v after the call (-1ns: none), want at most %v", c.header, left, c.bound)
+			}
+		default:
+			t.Fatalf("X-Run-Deadline-Ms %q: the runner was never called", c.header)
+		}
+	}
+}
+
 // TestRunAllAdmission pins /v1/runall to the same overload ladder as
 // /v1/run: with the slot and the queue held, an uncached runall answers
 // 429 + Retry-After (counted as shed_saturated) while a fully cached

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"sync/atomic"
@@ -338,7 +339,9 @@ func (s *Server) rejectDraining(w http.ResponseWriter) bool {
 // request: the request context (so a client disconnect aborts the run)
 // bounded by the server's RunTimeout and, when the client sends
 // X-Run-Deadline-Ms, by that too — the client deadline is clamped to
-// the server's, never extending it.
+// the server's, never extending it. A header too large for a
+// time.Duration saturates at the largest one instead of wrapping
+// negative, so it too leaves RunTimeout in force.
 func (s *Server) runRequestContext(r *http.Request) (context.Context, context.CancelFunc, error) {
 	timeout := s.cfg.RunTimeout
 	if h := r.Header.Get("X-Run-Deadline-Ms"); h != "" {
@@ -346,7 +349,10 @@ func (s *Server) runRequestContext(r *http.Request) (context.Context, context.Ca
 		if err != nil || ms <= 0 {
 			return nil, nil, fmt.Errorf("serve: invalid X-Run-Deadline-Ms %q", h)
 		}
-		d := time.Duration(ms) * time.Millisecond
+		d := time.Duration(math.MaxInt64)
+		if ms <= int64(d/time.Millisecond) {
+			d = time.Duration(ms) * time.Millisecond
+		}
 		if timeout == 0 || d < timeout {
 			timeout = d
 		}
