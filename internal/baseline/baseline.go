@@ -31,7 +31,7 @@ func NewFabrikant(n int, alpha float64) (*core.Instance, error) {
 		return nil, err
 	}
 	return core.NewInstance(space, alpha,
-		core.WithModel(core.DistanceModel{}),
+		core.WithModel(core.DistanceModel),
 		core.WithUndirected(),
 	)
 }
@@ -43,7 +43,7 @@ func NewFabrikant(n int, alpha float64) (*core.Instance, error) {
 // the edge to both, as the model requires.
 func NewBilateral(space metric.Space, alpha float64) (*core.Instance, error) {
 	return core.NewInstance(space, alpha,
-		core.WithModel(core.DistanceModel{}),
+		core.WithModel(core.DistanceModel),
 	)
 }
 

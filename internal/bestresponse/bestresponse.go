@@ -130,15 +130,12 @@ func (o *Exact) bestResponseScan(ev *core.Evaluator, p core.Profile, i int) (Res
 	n := inst.N()
 	sumLB := TermLowerBound(inst, i, nil)
 
-	o.lastEvals = 0
 	budget := o.MaxEvaluations
 	scorer := func(s core.Strategy) core.Eval { return ev.DeviationEval(p, i, s) }
 	best := Result{Strategy: p.Strategy(i).Clone(), Eval: scorer(p.Strategy(i))}
-	overBudget := false
 	score := func(s core.Strategy) (core.Eval, bool) {
 		o.lastEvals++
 		if budget > 0 && o.lastEvals > budget {
-			overBudget = true
 			return core.Eval{}, false
 		}
 		return scorer(s), true
@@ -151,17 +148,16 @@ func (o *Exact) bestResponseScan(ev *core.Evaluator, p core.Profile, i int) (Res
 		}
 	}
 
+	// The full strategy is the first candidate scored, which any budget
+	// admits.
+	o.lastEvals = 1
 	full := bitset.FromSlice(candidates)
-	c, ok := score(full)
-	if !ok {
-		return Result{}, ErrBudgetExceeded
-	}
-	if c.Better(best.Eval, Tolerance) {
+	if c := scorer(full); c.Better(best.Eval, Tolerance) {
 		best = Result{Strategy: full, Eval: c}
 	}
 
 	cur := bitset.New(n)
-	var rec func(start, remaining int) bool // returns false to abort
+	var rec func(start, remaining int) bool // returns false over budget
 	rec = func(start, remaining int) bool {
 		if remaining == 0 {
 			c, ok := score(cur)
@@ -194,10 +190,7 @@ func (o *Exact) bestResponseScan(ev *core.Evaluator, p core.Profile, i int) (Res
 			continue
 		}
 		if !rec(0, k) {
-			if overBudget {
-				return Result{}, ErrBudgetExceeded
-			}
-			break
+			return Result{}, ErrBudgetExceeded
 		}
 	}
 	return best, nil

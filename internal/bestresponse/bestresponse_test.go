@@ -405,7 +405,7 @@ func TestUndirectedExactStackMatchesScan(t *testing.T) {
 	}
 	checked := 0
 	for _, name := range []string{"points", "unit", "int-line"} {
-		for _, model := range []core.CostModel{core.StretchModel{}, core.DistanceModel{}} {
+		for _, model := range []core.CostModel{core.StretchModel, core.DistanceModel} {
 			t.Run(name+"/"+model.Name(), func(t *testing.T) {
 				for trial := 0; trial < 20; trial++ {
 					n := 4 + r.Intn(7)

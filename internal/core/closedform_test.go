@@ -182,7 +182,7 @@ func TestClosedFormDistanceModel(t *testing.T) {
 	for _, topology := range []string{"star", "chain"} {
 		for _, n := range []int{2, 5, 17, 70} {
 			p := cfProfile(t, topology, n)
-			inst, err := core.NewInstance(cfSpace(t, n, 1, true), 1.5, core.WithModel(core.DistanceModel{}))
+			inst, err := core.NewInstance(cfSpace(t, n, 1, true), 1.5, core.WithModel(core.DistanceModel))
 			if err != nil {
 				t.Fatal(err)
 			}

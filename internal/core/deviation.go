@@ -246,15 +246,14 @@ type suffixBound struct {
 }
 
 // suffixMins builds the suffixBound for the candidate list. Returns nil
-// when the model is not a built-in monotone one (no sound bound) or the
-// table would exceed the memory cap. The sums and single-link Evals run
-// over the counted partners only (j ≠ i and active: the masked Eval
-// order the exact search compares against), and so do the rows: their
-// other columns are left unset, since nothing reads them.
+// when the table would exceed the memory cap. The sums and single-link
+// Evals run over the counted partners only (j ≠ i and active: the
+// masked Eval order the exact search compares against), and so do the
+// rows: their other columns are left unset, since nothing reads them.
 func (b *DeviationBatch) suffixMins(candidates []int, counted []bool) *suffixBound {
 	n := len(b.d)
 	m := len(candidates)
-	if !b.ev.builtinMonotoneModel() || (m+1)*n > maxSuffixMinFloats {
+	if (m+1)*n > maxSuffixMinFloats {
 		return nil
 	}
 	ev := b.ev
@@ -280,7 +279,7 @@ func (b *DeviationBatch) suffixMins(candidates []int, counted []bool) *suffixBou
 	}
 	out[m] = last
 	fixed, row, counted := b.fixed[:n], ev.inst.distRow(b.i)[:n], counted[:n]
-	stretch := ev.inst.modelKind == modelStretch
+	stretch := ev.inst.model == StretchModel
 	sums[m] = math.Inf(1)
 	for ci := m - 1; ci >= 0; ci-- {
 		k := candidates[ci]
@@ -289,9 +288,9 @@ func (b *DeviationBatch) suffixMins(candidates []int, counted []bool) *suffixBou
 		se, acc := Eval{}, 0.0
 		// This pass sums single[ci] itself, fused with the row build,
 		// rather than through the one fold (boundedEval), which would
-		// need each single-link row written out and read again. Only
-		// built-in models get here, so its terms lie in [0, +Inf] and
-		// boundedEval's rule gives its sums the same bits.
+		// need each single-link row written out and read again. Its
+		// terms lie in [0, +Inf], so boundedEval's rule gives its sums
+		// the same bits.
 		for j, f := range fixed {
 			if !counted[j] {
 				continue

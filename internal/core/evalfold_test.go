@@ -4,9 +4,9 @@ package core
 // rule that sums a distance row into an Eval, against the
 // three-accumulator loop core's row loops ran before it, under every
 // mask and model; betterEval against Eval.Better; DynEval's masked Eval
-// against the evaluator's; and the exact search's corners (custom
-// models, disconnected incumbents, budgets, masks) against brute-force
-// enumeration, with binomialInt's iterative branch against math/big.
+// against the evaluator's; and the exact search's corners (disconnected
+// incumbents, budgets, masks) against brute-force enumeration, with
+// binomialInt's iterative branch against math/big.
 
 import (
 	"math"
@@ -63,9 +63,7 @@ func foldInstance(t *testing.T, r *rng.RNG, space string, n int, model CostModel
 
 // foldRow returns a random distance row from peer i: 0 at i, +Inf in
 // about one column in five, and elsewhere the direct distance times a
-// factor in [1, 3.5), so the custom fold models' +Inf terms (past two
-// direct hops) and NaN terms (past two and a half) occur at finite
-// distances.
+// factor in [1, 3.5).
 func foldRow(r *rng.RNG, inst *Instance, i int) []float64 {
 	d := make([]float64, inst.N())
 	for j := range d {
@@ -82,8 +80,7 @@ func foldRow(r *rng.RNG, inst *Instance, i int) []float64 {
 
 // TestPeerEvalFromMatchesReference pins the one fold's contract: on
 // random rows with +Inf columns, under nil, all-true and random masks,
-// for the stretch, distance and custom models (whose terms are +Inf or
-// NaN at finite distances), peerEvalFrom carries the bits of the
+// for both cost models, peerEvalFrom carries the bits of the
 // three-accumulator reference loop; and betterEval, against Evals
 // connected and not, reports true exactly when that Eval is Better,
 // returning it when it does.
@@ -161,21 +158,6 @@ func TestDynEvalPeerEvalActiveMatchesEvaluator(t *testing.T) {
 	}
 }
 
-// cutModel is a custom model whose Term is +Inf for every pair farther
-// apart than cut, whatever the overlay distance: no strategy, the full
-// one included, reaches those partners at a finite cost, so the exact
-// search's incumbent stays disconnected throughout.
-type cutModel struct{ cut float64 }
-
-func (m cutModel) Term(dG, dDirect float64) float64 {
-	if dDirect > m.cut {
-		return math.Inf(1)
-	}
-	return dG / dDirect
-}
-func (cutModel) LowerBound(float64) float64 { return 1 }
-func (cutModel) Name() string               { return "cut" }
-
 // bruteExact is what ExactSearch's outcome stands for, enumerated with
 // no pruning: the incumbent, then the full strategy, then every subset
 // of the candidates (the active peers but i) in increasing cardinality
@@ -239,18 +221,15 @@ func bruteExact(b *DeviationBatch, incumbent Strategy, active []bool, sumLB, tol
 }
 
 // TestExactSearchMatchesBruteForce runs ExactSearch at n ≤ 10, directed
-// and undirected, masked and unmasked, under the built-in models and
-// custom ones (terms +Inf or NaN at finite distances, or +Inf for every
-// far pair, which leaves every incumbent disconnected), from the
-// profile's strategy or the empty one, with no budget, a budget it just
-// fits, and budgets it overruns, against bruteExact: the same
-// OverBudget verdict and, within budget, the same strategy, Eval bits
-// and Resolved count.
+// and undirected, masked and unmasked, under both cost models, from the
+// profile's strategy or the empty one (both often disconnected on these
+// sparse profiles), with no budget, a budget it just fits, and budgets
+// it overruns, against bruteExact: the same OverBudget verdict and,
+// within budget, the same strategy, Eval bits and Resolved count.
 func TestExactSearchMatchesBruteForce(t *testing.T) {
 	r := rng.New(257)
 	const tol = 1e-9
-	models := []CostModel{StretchModel{}, DistanceModel{}, infTermModel{}, nanTermModel{}, cutModel{cut: 0.6}}
-	for _, model := range models {
+	for _, model := range foldModels {
 		for _, undirected := range []bool{false, true} {
 			for trial := 0; trial < 6; trial++ {
 				n := 4 + r.Intn(7)

@@ -15,7 +15,6 @@ type Instance struct {
 	n               int
 	alpha           float64
 	model           CostModel
-	modelKind       modelKind
 	undirected      bool
 	congestionGamma float64
 	// dist is the n×n direct-distance matrix as one row-major slab:
@@ -43,13 +42,12 @@ type Instance struct {
 	// IEEE left-fold of h unit addends, the exact value heap Dijkstra
 	// assigns a vertex settled at hop h. hopTerm[h] is the model's term
 	// of hopDist[h] at the unit (0 at h = 0, the source's own column)
-	// for each hop count whose distance is finite, and missTerm the term
-	// of +Inf: the streamed fold (msbfs.go) looks every pair up there.
-	// Immutable after construction, so evaluator clones share them.
-	unit     float64
-	hopDist  []float64
-	hopTerm  []float64
-	missTerm float64
+	// for each hop count whose distance is finite: the streamed fold
+	// (msbfs.go) looks every reached pair up there. Immutable after
+	// construction, so evaluator clones share them.
+	unit    float64
+	hopDist []float64
+	hopTerm []float64
 	// span is the largest integer distance (kernelDial).
 	span int
 	// peers is the source list 0..n−1 the all-pairs folds hand the row
@@ -85,21 +83,12 @@ func NewInstance(space metric.Space, alpha float64, opts ...Option) (*Instance, 
 	if alpha < 0 || math.IsNaN(alpha) || math.IsInf(alpha, 0) {
 		return nil, fmt.Errorf("core: invalid alpha %v", alpha)
 	}
-	in := &Instance{
-		space: space,
-		alpha: alpha,
-		model: StretchModel{},
-	}
+	in := &Instance{space: space, alpha: alpha}
 	for _, opt := range opts {
 		opt(in)
 	}
-	switch in.model.(type) {
-	case StretchModel:
-		in.modelKind = modelStretch
-	case DistanceModel:
-		in.modelKind = modelDistance
-	default:
-		in.modelKind = modelCustom
+	if in.model > DistanceModel {
+		return nil, fmt.Errorf("core: unknown cost model %d", in.model)
 	}
 	if err := validateCongestion(in.congestionGamma); err != nil {
 		return nil, err
@@ -178,7 +167,6 @@ func (in *Instance) classifyKernel(info metric.ClassInfo) {
 		for h := 1; h < n && !math.IsInf(in.hopDist[h], 1); h++ {
 			in.hopTerm = append(in.hopTerm, in.model.Term(in.hopDist[h], in.unit))
 		}
-		in.missTerm = in.model.Term(math.Inf(1), in.unit)
 	case kernelDial:
 		in.span = info.MaxWeight
 	}
@@ -271,8 +259,9 @@ type Evaluator struct {
 	// deviation batches built on its profile (see NewDeviationBatch).
 	// Nil by default.
 	dyn *DynEval
-	// Scratch for the exact oracle's stack search (one live
-	// DeviationStack / suffix-min table per evaluator at a time).
+	// Scratch for the exact search (exactsearch.go): per-depth distance
+	// and term levels, the suffix-min table, the candidate list and the
+	// counted-partner mask, for one search per evaluator at a time.
 	stackLevels  []float64
 	stackTerms   []float64
 	suffixFlat   []float64
@@ -725,37 +714,18 @@ func (ev *Evaluator) betterEval(d []float64, i, degree int, active []bool, than 
 
 // boundedEval is the core of peerEvalFrom and betterEval: it sums the
 // terms of row d over the partners j ≠ i with active[j] (nil: every
-// peer), in j order. A built-in model's term, d[j] (distance) or
-// d[j]/δ(i,j) (stretch), lies in [0, +Inf], so one FiniteTerm
-// accumulator and an unreachable count suffice: Cost.Term is
-// FiniteTerm, or +Inf when a term is, the bits a separate Term
-// accumulator would give. Under the built-in models it reports false,
-// with a meaningless Eval, as soon as more than maxUnreachable terms
-// are +Inf or Link plus the partial sum reaches threshold (partial sums
-// of non-negative terms only grow); a NaN threshold never compares
-// true. A custom model's term may be +Inf or NaN at a finite distance,
-// so there Cost.Term sums every term, FiniteTerm every term but +Inf,
-// and no bound applies.
+// peer), in j order. A term, d[j] (distance) or d[j]/δ(i,j) (stretch),
+// lies in [0, +Inf], so one FiniteTerm accumulator and an unreachable
+// count suffice: Cost.Term is FiniteTerm, or +Inf when a term is, the
+// bits a separate Term accumulator would give. It reports false, with a
+// meaningless Eval, as soon as more than maxUnreachable terms are +Inf
+// or Link plus the partial sum reaches threshold (partial sums of
+// non-negative terms only grow); a NaN threshold never compares true.
 func (ev *Evaluator) boundedEval(d []float64, i, degree int, active []bool, threshold float64, maxUnreachable int) (Eval, bool) {
 	inst := ev.inst
 	e := Eval{Cost: Cost{Link: inst.alpha * float64(degree)}}
 	row := inst.distRow(i)[:len(d)]
-	if inst.modelKind == modelCustom {
-		for j, dj := range d {
-			if j == i || (active != nil && !active[j]) {
-				continue
-			}
-			t := inst.model.Term(dj, row[j])
-			e.Cost.Term += t
-			if math.IsInf(t, 1) {
-				e.Unreachable++
-			} else {
-				e.FiniteTerm += t
-			}
-		}
-		return e, true
-	}
-	stretch := inst.modelKind == modelStretch
+	stretch := inst.model == StretchModel
 	for j, t := range d {
 		if j == i || (active != nil && !active[j]) {
 			continue
@@ -780,25 +750,6 @@ func (ev *Evaluator) boundedEval(d []float64, i, degree int, active []bool, thre
 		e.Cost.Term = math.Inf(1)
 	}
 	return e, true
-}
-
-// modelKind caches the cost model's identity at construction, keeping
-// type switches off the per-candidate hot paths.
-type modelKind uint8
-
-const (
-	modelStretch modelKind = iota
-	modelDistance
-	modelCustom
-)
-
-// builtinMonotoneModel reports whether the instance's cost model is one
-// of the two built-ins, whose per-pair term is monotone nondecreasing
-// in the overlay distance (stretch d/δ and distance d). Monotonicity is
-// what makes bounded evaluation and subtree lower bounds sound; custom
-// models fall back to full evaluation.
-func (ev *Evaluator) builtinMonotoneModel() bool {
-	return ev.inst.modelKind != modelCustom
 }
 
 // PeerEval returns peer i's enriched cost under profile p.

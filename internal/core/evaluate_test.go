@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -153,7 +154,7 @@ func TestDeviationCostMatchesSetStrategy(t *testing.T) {
 }
 
 func TestDistanceModel(t *testing.T) {
-	inst := lineInstance(t, []float64{0, 1, 3}, 1, WithModel(DistanceModel{}))
+	inst := lineInstance(t, []float64{0, 1, 3}, 1, WithModel(DistanceModel))
 	ev := NewEvaluator(inst)
 	p := NewProfile(3)
 	_ = p.AddLink(0, 1)
@@ -165,15 +166,57 @@ func TestDistanceModel(t *testing.T) {
 	}
 }
 
+// TestModelByName pins the closed cost model: ModelByName maps
+// "stretch" and "distance" to StretchModel and DistanceModel and rejects
+// other names; the zero CostModel is StretchModel, NewInstance's
+// default, and NewInstance rejects a third value; and under both models
+// Term is non-decreasing in the overlay distance, Term(+Inf, d) is
+// +Inf, and Term(d, d) == LowerBound(d), the contract the evaluator's
+// one-accumulator sums, early exits and suffix bounds rest on.
 func TestModelByName(t *testing.T) {
-	for _, name := range []string{"stretch", "distance"} {
+	models := []CostModel{StretchModel, DistanceModel}
+	for k, name := range []string{"stretch", "distance"} {
 		m, err := ModelByName(name)
-		if err != nil || m.Name() != name {
-			t.Errorf("ModelByName(%q) = %v, %v", name, m, err)
+		if err != nil || m != models[k] || m.Name() != name {
+			t.Errorf("ModelByName(%q) = %v (%q), %v", name, m, m.Name(), err)
 		}
 	}
 	if _, err := ModelByName("bogus"); err == nil {
 		t.Error("unknown model should error")
+	}
+	var zero CostModel
+	if zero != StretchModel {
+		t.Errorf("zero CostModel = %v, want StretchModel", zero)
+	}
+	if m := lineInstance(t, []float64{0, 1, 3}, 1).Model(); m != StretchModel {
+		t.Errorf("NewInstance's default model = %v, want StretchModel", m)
+	}
+	space, err := metric.Line([]float64{0, 1, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewInstance(space, 1, WithModel(DistanceModel+1)); err == nil {
+		t.Error("NewInstance accepted a third cost model")
+	}
+	for _, m := range models {
+		for _, d := range []float64{1e-300, 0.37, 1, 3, 1e307} {
+			if got := m.Term(math.Inf(1), d); !math.IsInf(got, 1) {
+				t.Errorf("%s: Term(+Inf, %g) = %v, want +Inf", m.Name(), d, got)
+			}
+			if got, lb := m.Term(d, d), m.LowerBound(d); got != lb {
+				t.Errorf("%s: Term(%g, %g) = %v, LowerBound = %v", m.Name(), d, d, got, lb)
+			}
+			dGs := []float64{0, d / 2, d, math.Nextafter(d, math.Inf(1)), 2 * d, 1e300, math.MaxFloat64, math.Inf(1)}
+			slices.Sort(dGs)
+			prev := math.Inf(-1)
+			for _, dG := range dGs {
+				got := m.Term(dG, d)
+				if got < prev {
+					t.Errorf("%s: Term(%g, %g) = %v falls below %v", m.Name(), dG, d, got, prev)
+				}
+				prev = got
+			}
+		}
 	}
 }
 

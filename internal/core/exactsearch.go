@@ -64,7 +64,7 @@ func (b *DeviationBatch) ExactSearch(incumbent Strategy, active []bool, sumLB, t
 		alpha:   inst.alpha,
 		hop:     b.hop,
 		row:     inst.distRow(b.i),
-		stretch: inst.modelKind == modelStretch,
+		stretch: inst.model == StretchModel,
 		tol:     tol,
 		budget:  budget,
 	}
@@ -86,39 +86,32 @@ func (b *DeviationBatch) ExactSearch(incumbent Strategy, active []bool, sumLB, t
 
 	if cap(ev.stackLevels) < (m+1)*n {
 		ev.stackLevels = make([]float64, (m+1)*n)
+		ev.stackTerms = make([]float64, (m+1)*n)
 	}
 	s.levels = ev.stackLevels[:(m+1)*n]
 	base := s.levels[:n]
 	copy(base, b.fixed) // the empty strategy's distances
-
-	monotone := ev.builtinMonotoneModel()
-	if monotone {
-		if cap(ev.stackTerms) < (m+1)*n {
-			ev.stackTerms = make([]float64, (m+1)*n)
+	s.terms = ev.stackTerms[:(m+1)*n]
+	tbase := s.terms[:n]
+	for j, f := range base {
+		if s.stretch && j != s.i {
+			f /= s.row[j]
 		}
-		s.terms = ev.stackTerms[:(m+1)*n]
-		tbase := s.terms[:n]
-		for j, f := range base {
-			if s.stretch && j != s.i {
-				f /= s.row[j]
-			}
-			tbase[j] = f
-		}
+		tbase[j] = f
 	}
 
 	s.setBest(incumbent.Clone(), b.EvalActive(incumbent, active))
 
-	// The full strategy (link to everyone) reaches every active peer;
-	// scoring it early makes the incumbent connected, which tightens
-	// every pruning device.
 	if sb := b.suffixMins(s.candidates, s.counted); sb != nil {
 		s.suffix = sb.term
 		s.suffixSum = sb.sum
 		s.single = sb.single
 	}
-	if !s.spend(1) {
-		return ExactSearchOutcome{Resolved: s.resolved, OverBudget: true}
-	}
+	// The full strategy (link to everyone) is the first candidate, which
+	// any budget admits, and it reaches every counted partner at a finite
+	// term. So from here on the incumbent is connected: every later one
+	// is Better than a connected Eval, so connected too.
+	s.resolved = 1
 	full := bitset.FromSlice(s.candidates)
 	if e := b.EvalActive(full, active); e.Better(s.bestEval, tol) {
 		s.setBest(full, e)
@@ -129,8 +122,7 @@ func (b *DeviationBatch) ExactSearch(incumbent Strategy, active []bool, sumLB, t
 		// Cardinality pruning: the cheapest conceivable strategy with k
 		// links costs α·k + sumLB. Once that can no longer beat the
 		// (connected) incumbent, larger k is hopeless too (α > 0).
-		if s.alpha > 0 && s.bestEval.Unreachable == 0 &&
-			s.alpha*float64(k)+sumLB >= s.bestEval.Key()-tol {
+		if s.alpha > 0 && s.alpha*float64(k)+sumLB >= s.bestEval.Key()-tol {
 			break
 		}
 		if k == m {
@@ -172,10 +164,7 @@ func (b *DeviationBatch) ExactSearch(incumbent Strategy, active []bool, sumLB, t
 			continue
 		}
 		if !s.rec(0, k, 0) {
-			if s.over {
-				return ExactSearchOutcome{Resolved: s.resolved, OverBudget: true}
-			}
-			break
+			return ExactSearchOutcome{Resolved: s.resolved, OverBudget: true}
 		}
 	}
 	return ExactSearchOutcome{Strategy: s.bestStrategy, Eval: s.bestEval, Resolved: s.resolved}
@@ -195,26 +184,23 @@ type exactSearch struct {
 	candidates []int
 	counted    []bool      // the partners summed: j ≠ i and active
 	levels     []float64   // per-depth distance folds
-	terms      []float64   // per-depth term folds (nil for custom models)
+	terms      []float64   // per-depth term folds
 	suffix     [][]float64 // suffix-min term rows (nil when unavailable)
 	suffixSum  []float64   // Eval-ordered sums of the suffix rows
 	single     []Eval      // single-link evals (Link left zero)
 	cur        Strategy
 	kTotal     int
 
-	bestStrategy  Strategy
-	bestEval      Eval
-	bestConnected bool
-	threshold     float64 // bestEval.Key() − tol, the Better margin
+	bestStrategy Strategy
+	bestEval     Eval
+	threshold    float64 // bestEval.Key() − tol, the Better margin
 
 	resolved int
-	over     bool
 }
 
 func (s *exactSearch) setBest(strat Strategy, e Eval) {
 	s.bestStrategy = strat
 	s.bestEval = e
-	s.bestConnected = e.Unreachable == 0
 	s.threshold = e.Key() - s.tol
 }
 
@@ -222,20 +208,13 @@ func (s *exactSearch) setBest(strat Strategy, e Eval) {
 // point the unpruned enumeration would exhaust its budget.
 func (s *exactSearch) spend(c int) bool {
 	s.resolved = satAddInt(s.resolved, c)
-	if s.budget > 0 && s.resolved > s.budget {
-		s.over = true
-		return false
-	}
-	return true
+	return s.budget <= 0 || s.resolved <= s.budget
 }
 
 // prunable reports whether no completion of level `depth` to
 // cardinality kTotal using links from candidates[start:] can beat the
-// incumbent by more than tol (see ExactSearch).
+// incumbent, connected by then, by more than tol (see ExactSearch).
 func (s *exactSearch) prunable(start, depth int) bool {
-	if s.terms == nil || !s.bestConnected {
-		return false
-	}
 	link := s.alpha * float64(s.kTotal)
 	threshold := s.threshold
 	if link >= threshold {
@@ -274,42 +253,30 @@ func (s *exactSearch) push(k, depth int) {
 	for j := 0; j < n; j++ {
 		next[j] = min(cur[j], wk+rk[j])
 	}
-	if s.terms != nil {
-		tcur := s.terms[depth*n : (depth+1)*n]
-		tnext := s.terms[(depth+1)*n : (depth+2)*n]
-		if s.stretch {
-			row := s.row
-			for j := 0; j < n; j++ {
-				tnext[j] = min(tcur[j], (wk+rk[j])/row[j])
-			}
-		} else {
-			copy(tnext, next)
+	tcur := s.terms[depth*n : (depth+1)*n]
+	tnext := s.terms[(depth+1)*n : (depth+2)*n]
+	if s.stretch {
+		row := s.row
+		for j := 0; j < n; j++ {
+			tnext[j] = min(tcur[j], (wk+rk[j])/row[j])
 		}
+	} else {
+		copy(tnext, next)
 	}
 }
 
 // leaf scores level depth plus one final link to candidate k, updating
-// best on a strict win. Against a connected incumbent under a built-in
-// model the last fold and the bounded sum run fused in one pass, so
-// this loop sums the row itself rather than through betterEval: split
-// into a fold plus a bounded sum, the exact oracle's hottest loop would
-// write every leaf's row out in full and read it back, where the fused
-// loop stops at the first column that rules the leaf out. Its
-// arithmetic is betterEval's: a survivor's Eval is bit-identical to
-// peerEvalFrom of the full fold, and an early exit means precisely "not
-// Better than best". Every other leaf is folded into level depth+1 and
-// scored by betterEval.
+// best on a strict win. The incumbent is connected by then (see
+// ExactSearch), so the last fold and the bounded sum run fused in one
+// pass: this loop sums the row itself rather than through betterEval,
+// because split into a fold plus a bounded sum, the exact oracle's
+// hottest loop would write every leaf's row out in full and read it
+// back, where the fused loop stops at the first column that rules the
+// leaf out. Its arithmetic is betterEval's against a connected Eval: a
+// survivor's Eval is bit-identical to peerEvalFrom of the full fold,
+// and an early exit means precisely "not Better than best".
 func (s *exactSearch) leaf(k, depth int) {
 	n := s.n
-	if !s.bestConnected || s.terms == nil {
-		s.push(k, depth)
-		if e, ok := s.b.ev.betterEval(s.levels[(depth+1)*n:(depth+2)*n], s.i, depth+1, s.counted, s.bestEval, s.tol); ok {
-			s.cur.Add(k)
-			s.setBest(s.cur.Clone(), e)
-			s.cur.Remove(k)
-		}
-		return
-	}
 	cur := s.levels[depth*n : (depth+1)*n]
 	rk, row, counted := s.b.rest[k][:len(cur)], s.row[:len(cur)], s.counted[:len(cur)]
 	wk, stretch := s.hop[k], s.stretch

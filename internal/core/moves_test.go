@@ -9,16 +9,6 @@ import (
 	"selfishnet/internal/rng"
 )
 
-// rootTermModel is a custom (non-built-in) cost model, so the move
-// base is checked on the generic Term path of peerEvalFrom too.
-type rootTermModel struct{}
-
-func (rootTermModel) Term(dG, dDirect float64) float64 { return math.Sqrt(dG) + dG/(2*dDirect) }
-func (rootTermModel) LowerBound(dDirect float64) float64 {
-	return math.Sqrt(dDirect) + 0.5
-}
-func (rootTermModel) Name() string { return "root" }
-
 // moveSpaces are the metric families the move base is checked on, with
 // the kernel each must select: random points (heap), the unit metric
 // (bfs) and two small-integer metrics (dial), a random matrix and a
@@ -31,7 +21,7 @@ var moveSpaces = []struct{ name, kernel string }{
 }
 
 // moveModels are the cost models the move base is checked under.
-var moveModels = []CostModel{StretchModel{}, DistanceModel{}, rootTermModel{}}
+var moveModels = []CostModel{StretchModel, DistanceModel}
 
 // moveInstance builds an n-peer instance over the named space, directed
 // unless opts say otherwise.
@@ -362,8 +352,8 @@ func betterProbes(base, e Eval, tol float64) []Eval {
 // strictly better Eval, a disconnected one and thresholds one ulp
 // either side of the move's key, MoveBetter reports Better iff
 // MoveEval(…).Better(than, tol), and when it does its Eval ==
-// MoveEval's. Directed and undirected, on every kernel and cost model
-// (the custom one included), masked and unmasked.
+// MoveEval's. Directed and undirected, on every kernel and cost model,
+// masked and unmasked.
 func TestMoveBetterMatchesMoveEval(t *testing.T) {
 	const tol = 1e-9
 	r := rng.New(227)

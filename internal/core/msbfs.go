@@ -60,9 +60,9 @@ type msScratch struct {
 	// k-source chunk reached vertex v, valid only where bit s of
 	// reached[v] is set: the table is never cleared.
 	level []uint32
-	// sum, finite and miss are foldLevels' per-source accumulators.
-	sum, finite [64]float64
-	miss        [64]int
+	// sum and miss are foldLevels' per-source accumulators.
+	sum  [64]float64
+	miss [64]int
 }
 
 // ensure sizes the scratch for chunks of k sources over n peers. front,
@@ -158,49 +158,31 @@ func msbfsChunk(srcs []int32, hops int, adj *csr, st *msScratch) {
 // over n peers in one pass over v = 0…n−1, reading reached[v] before
 // re-zeroing it. Each source s adds terms[h] for a vertex it reached at
 // hop h (terms[0] = 0 for its own column), in v order — the left fold
-// peerEvalFrom runs over the slab row. Under the built-in models
-// (custom false) every reached term is finite, so st.sum[s] is the
-// FiniteTerm accumulator and st.miss[s] counts the vertices s missed,
-// whose term is +Inf: boundedEval's built-in rule. A custom model's term
-// may be +Inf or NaN at any distance, so there st.sum[s] takes every
-// term, missed vertices adding miss (the term of +Inf), and
-// boundedEval's IsInf rule splits st.finite[s] and st.miss[s] off it.
-func (st *msScratch) foldLevels(k, n int, terms []float64, miss float64, custom bool) {
-	sum, finite, misses := st.sum[:k], st.finite[:k], st.miss[:k]
+// peerEvalFrom runs over the slab row. Every reached term is finite, so
+// st.sum[s] is the FiniteTerm accumulator and st.miss[s] counts the
+// vertices s missed, whose term is +Inf: boundedEval's rule.
+func (st *msScratch) foldLevels(k, n int, terms []float64) {
+	sum, misses := st.sum[:k], st.miss[:k]
 	for s := range sum {
-		sum[s], finite[s], misses[s] = 0, 0, 0
+		sum[s], misses[s] = 0, 0
 	}
 	full := ^uint64(0) >> uint(64-k)
 	reached, level := st.reached[:n], st.level
 	for v, m := range reached {
 		reached[v] = 0
 		lv := level[v*k : v*k+k]
-		switch {
-		case custom:
-			for s, h := range lv {
-				t := miss
-				if m>>uint(s)&1 != 0 {
-					t = terms[h]
-				}
-				sum[s] += t
-				if math.IsInf(t, 1) {
-					misses[s]++
-				} else {
-					finite[s] += t
-				}
-			}
-		case m == full:
+		if m == full {
 			sum := sum[:len(lv)]
 			for s, h := range lv {
 				sum[s] += terms[h]
 			}
-		default:
-			for s, h := range lv {
-				if m>>uint(s)&1 != 0 {
-					sum[s] += terms[h]
-				} else {
-					misses[s]++
-				}
+			continue
+		}
+		for s, h := range lv {
+			if m>>uint(s)&1 != 0 {
+				sum[s] += terms[h]
+			} else {
+				misses[s]++
 			}
 		}
 	}
@@ -218,18 +200,14 @@ func (ev *Evaluator) foldChunk(part []int32, visit func(k int, e Eval) bool) boo
 	k, n := len(part), inst.N()
 	st.ensure(k, n)
 	msbfsChunk(part, len(inst.hopTerm), &ev.g.csr, st)
-	custom := inst.modelKind == modelCustom
-	st.foldLevels(k, n, inst.hopTerm, inst.missTerm, custom)
+	st.foldLevels(k, n, inst.hopTerm)
 	for s, src := range part {
 		e := Eval{
 			Cost:        Cost{Link: inst.alpha * float64(ev.g.owned[src]), Term: st.sum[s]},
 			Unreachable: st.miss[s],
 			FiniteTerm:  st.sum[s],
 		}
-		switch {
-		case custom:
-			e.FiniteTerm = st.finite[s]
-		case e.Unreachable > 0:
+		if e.Unreachable > 0 {
 			e.Cost.Term = math.Inf(1)
 		}
 		if !visit(s, e) {

@@ -4,9 +4,8 @@ package core
 // every source, folded from the multi-source BFS's hop-level table,
 // must equal peerEvalFrom over the source's slab row, and the level
 // table, expanded back into rows, must equal bfsUnitSSSP's rows — at
-// non-integer and overflowing units, directed and undirected, under the
-// built-in models and custom models whose Term is +Inf or NaN at a
-// finite distance, at every band and pool width.
+// non-integer and overflowing units, directed and undirected, under both
+// cost models, at every band and pool width.
 
 import (
 	"math"
@@ -16,47 +15,15 @@ import (
 	"selfishnet/internal/rng"
 )
 
-// infTermModel is a custom model whose Term is +Inf at a finite
-// distance (past two direct hops) and finite, a flat penalty, for an
-// unreachable peer: the fold must count the first as unreachable and
-// sum the second.
-type infTermModel struct{}
-
-func (infTermModel) Term(dG, dDirect float64) float64 {
-	switch {
-	case math.IsInf(dG, 1):
-		return 1e6
-	case dG > 2*dDirect:
-		return math.Inf(1)
-	}
-	return dG / dDirect
-}
-func (infTermModel) LowerBound(float64) float64 { return 1 }
-func (infTermModel) Name() string               { return "inf-term" }
-
-// nanTermModel is a custom model whose Term is NaN at a finite distance
-// (past two and a half direct hops).
-type nanTermModel struct{}
-
-func (nanTermModel) Term(dG, dDirect float64) float64 {
-	if !math.IsInf(dG, 1) && dG > 2.5*dDirect {
-		return math.NaN()
-	}
-	return dG / dDirect
-}
-func (nanTermModel) LowerBound(float64) float64 { return 1 }
-func (nanTermModel) Name() string               { return "nan-term" }
-
 // foldModels are the cost models the streamed fold is checked under.
-var foldModels = []CostModel{StretchModel{}, DistanceModel{}, infTermModel{}, nanTermModel{}}
+var foldModels = []CostModel{StretchModel, DistanceModel}
 
 // foldUnits are the uniform units the streamed fold is checked at: the
 // integer unit, a non-integer one, a larger integer one, and one whose
 // hop sums overflow to +Inf past 17 hops.
 var foldUnits = []float64{1, 0.37, 3, 1e307}
 
-// evalsIdentical reports whether two Evals carry the same bits; NaN
-// terms compare by their bits, not by ==.
+// evalsIdentical reports whether two Evals carry the same bits.
 func evalsIdentical(a, b Eval) bool {
 	same := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
 	return a.Unreachable == b.Unreachable && same(a.Cost.Link, b.Cost.Link) &&
@@ -174,9 +141,9 @@ func connectProfile(p *Profile) {
 
 // TestStreamedFoldMatchesSlab folds every source's Eval on the streamed
 // path against peerEvalFrom over the slab row, across units, directed
-// and undirected games, disconnected and connected profiles, the
-// built-in and two custom models, bands straddling the 64-source chunk
-// and pool widths 1–3, with a peer overriding its strategy and without.
+// and undirected games, disconnected and connected profiles, both cost
+// models, bands straddling the 64-source chunk and pool widths 1–3,
+// with a peer overriding its strategy and without.
 func TestStreamedFoldMatchesSlab(t *testing.T) {
 	const n = 130
 	r := rng.New(89)

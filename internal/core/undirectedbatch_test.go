@@ -14,11 +14,11 @@ import (
 )
 
 // TestUndirectedBatchMatchesDijkstra checks, on the heap, bfs and dial
-// kernels, under stretch, distance and a custom model, masked and
-// unmasked, that Eval, EvalActive, SetBase, MoveEval and MoveBetter of
-// an undirected batch == a fresh DeviationEval(Active) of the strategy
-// each scores. Sparse profiles leave columns unreachable, and dense
-// ones give most peers links owned by others.
+// kernels, under both cost models, masked and unmasked, that Eval,
+// EvalActive, SetBase, MoveEval and MoveBetter of an undirected batch ==
+// a fresh DeviationEval(Active) of the strategy each scores. Sparse
+// profiles leave columns unreachable, and dense ones give most peers
+// links owned by others.
 func TestUndirectedBatchMatchesDijkstra(t *testing.T) {
 	r := rng.New(211)
 	for _, sp := range moveSpaces {

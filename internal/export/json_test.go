@@ -57,7 +57,7 @@ func TestInstanceDocRoundTripMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst, err := core.NewInstance(space, 1, core.WithModel(core.DistanceModel{}), core.WithUndirected())
+	inst, err := core.NewInstance(space, 1, core.WithModel(core.DistanceModel), core.WithUndirected())
 	if err != nil {
 		t.Fatal(err)
 	}

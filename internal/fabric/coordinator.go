@@ -224,7 +224,7 @@ func (c *Coordinator) Submit(sw scenario.Sweep, p scenario.Params, shards int, p
 
 	c.mu.Lock()
 	c.jobs[id] = j
-	for _, shard := range splitShards(id, hash, run.Measures(), rest, shards, c.cfg.ShardPoints) {
+	for _, shard := range splitShards(id, run.Measures(), rest, shards, c.cfg.ShardPoints) {
 		c.pending = append(c.pending, shard)
 		c.shards[shard.ID] = &shardRecord{shard: shard, job: j}
 	}
@@ -286,7 +286,7 @@ func (c *Coordinator) record(hash string, res scenario.PointResult) {
 // splitShards slices the unfinished points into `count` contiguous
 // shards (≤ 0 derives the count from shardPoints); empty input yields
 // no shards.
-func splitShards(jobID, sweepHash string, measures []string, points []scenario.Point, count, shardPoints int) []*Shard {
+func splitShards(jobID string, measures []string, points []scenario.Point, count, shardPoints int) []*Shard {
 	n := len(points)
 	if n == 0 {
 		return nil
@@ -303,11 +303,9 @@ func splitShards(jobID, sweepHash string, measures []string, points []scenario.P
 		// extra point.
 		lo, hi := i*n/count, (i+1)*n/count
 		shards = append(shards, &Shard{
-			ID:        fmt.Sprintf("%s-shard-%d", jobID, i),
-			Job:       jobID,
-			SweepHash: sweepHash,
-			Measures:  append([]string(nil), measures...),
-			Points:    points[lo:hi],
+			ID:       fmt.Sprintf("%s-shard-%d", jobID, i),
+			Measures: append([]string(nil), measures...),
+			Points:   points[lo:hi],
 		})
 	}
 	return shards
@@ -521,7 +519,7 @@ func (c *Coordinator) requeue(j *Job, from *Shard, points []scenario.Point) {
 	j.retrySeq++
 	id := fmt.Sprintf("%s-retry-%d", j.ID, j.retrySeq)
 	j.mu.Unlock()
-	shard := &Shard{ID: id, Job: j.ID, SweepHash: from.SweepHash, Measures: append([]string(nil), from.Measures...), Points: points}
+	shard := &Shard{ID: id, Measures: append([]string(nil), from.Measures...), Points: points}
 	c.mu.Lock()
 	c.pending = append(c.pending, shard)
 	c.shards[shard.ID] = &shardRecord{shard: shard, job: j}

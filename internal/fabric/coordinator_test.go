@@ -61,7 +61,7 @@ func TestSplitShardsCoversAllPointsInOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, count := range []int{1, 2, 3, 8, 16, 100} {
-		shards := splitShards("fjob-1", "sha256:x", sw.Measures(), pts, count, 8)
+		shards := splitShards("fjob-1", sw.Measures(), pts, count, 8)
 		want := count
 		if want > len(pts) {
 			want = len(pts)
@@ -86,7 +86,7 @@ func TestSplitShardsCoversAllPointsInOrder(t *testing.T) {
 		}
 	}
 	// Default sizing: shards of ~ShardPoints each.
-	if got := len(splitShards("fjob-1", "sha256:x", nil, pts, 0, 3)); got != 3 {
+	if got := len(splitShards("fjob-1", nil, pts, 0, 3)); got != 3 {
 		t.Fatalf("default sizing made %d shards for 8 points at 3/shard, want 3", got)
 	}
 }

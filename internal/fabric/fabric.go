@@ -40,11 +40,9 @@ import (
 // their grid index (for reassembly) and canonical hash (the content
 // address their rows are stored under).
 type Shard struct {
-	ID        string           `json:"id"`
-	Job       string           `json:"job"`
-	SweepHash string           `json:"sweep_hash"`
-	Measures  []string         `json:"measures"`
-	Points    []scenario.Point `json:"points"`
+	ID       string           `json:"id"`
+	Measures []string         `json:"measures"`
+	Points   []scenario.Point `json:"points"`
 }
 
 // ShardResult is what a worker pushes back. On success, Results holds

@@ -107,7 +107,7 @@ type (
 
 // WithDistanceModel switches the game to the Fabrikant-style raw
 // distance objective (default is the paper's stretch objective).
-func WithDistanceModel() GameOption { return core.WithModel(core.DistanceModel{}) }
+func WithDistanceModel() GameOption { return core.WithModel(core.DistanceModel) }
 
 // WithUndirectedLinks makes links traversable both ways (Fabrikant
 // semantics); the paper's game is directed.
