@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"selfishnet/internal/bestresponse"
 	"selfishnet/internal/core"
 	"selfishnet/internal/dynamics"
 	"selfishnet/internal/nash"
@@ -114,82 +113,6 @@ func (ik *Ik) MatchCandidate(p core.Profile) (Candidate, bool, error) {
 		}
 	}
 	return Candidate{}, false, nil
-}
-
-// Transition is the outcome of analyzing one candidate: the best
-// improving deviation found and, when the deviated profile is again a
-// candidate, its identity.
-type Transition struct {
-	From Candidate
-	// Stable is true when no peer improves (the candidate would be a
-	// Nash equilibrium, contradicting Theorem 5.1).
-	Stable bool
-	// Peer is the deviating peer with the largest gain and Gain its
-	// improvement.
-	Peer int
-	Gain float64
-	// PeerCluster is the cluster of the deviating peer.
-	PeerCluster Cluster
-	// To is the successor candidate (ok reports whether the deviated
-	// profile matches one).
-	To   Candidate
-	ToOK bool
-}
-
-// AnalyzeCandidate finds the best exact deviation from the candidate's
-// profile and classifies the successor configuration.
-func (ik *Ik) AnalyzeCandidate(c Candidate) (Transition, error) {
-	p, err := ik.CandidateProfile(c)
-	if err != nil {
-		return Transition{}, err
-	}
-	ev := core.NewEvaluator(ik.Instance)
-	rep, err := nash.Check(ev, p, &bestresponse.Exact{}, bestresponse.Tolerance)
-	if err != nil {
-		return Transition{}, err
-	}
-	tr := Transition{From: c, Stable: rep.Stable}
-	if rep.Stable {
-		return tr, nil
-	}
-	// Largest-gain deviation, lowest peer index on ties.
-	best := -1
-	for i, pr := range rep.Peers {
-		if best == -1 || pr.Gain > rep.Peers[best].Gain+bestresponse.Tolerance {
-			best = i
-		}
-	}
-	pr := rep.Peers[best]
-	tr.Peer = pr.Peer
-	tr.Gain = pr.Gain
-	cl, err := ik.ClusterOf(pr.Peer)
-	if err != nil {
-		return Transition{}, err
-	}
-	tr.PeerCluster = cl
-	q := p.Clone()
-	if err := q.SetStrategy(pr.Peer, pr.Deviation); err != nil {
-		return Transition{}, err
-	}
-	to, ok, err := ik.MatchCandidate(q)
-	if err != nil {
-		return Transition{}, err
-	}
-	tr.To, tr.ToOK = to, ok
-	return tr, nil
-}
-
-// AnalyzeAllCandidates runs AnalyzeCandidate on the six configurations.
-func (ik *Ik) AnalyzeAllCandidates() ([]Transition, error) {
-	var out []Transition
-	for _, c := range Candidates() {
-		tr, err := ik.AnalyzeCandidate(c)
-		if err != nil {
-			return nil, fmt.Errorf("construct: candidate %d: %w", c.ID, err)
-		}
-		out = append(out, tr)
-	}
-	return out, nil
 }
 
 // ErrNashExists is returned by certification when the exhaustive search

@@ -7,30 +7,6 @@ import (
 	"selfishnet/internal/core"
 )
 
-func TestAnalyzeCandidateRawProfiles(t *testing.T) {
-	// The raw (unsettled) candidate profiles must each admit an
-	// improving deviation — Theorem 5.1 guarantees no profile is stable.
-	ik := defaultIk(t, 1)
-	trs, err := ik.AnalyzeAllCandidates()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(trs) != 6 {
-		t.Fatalf("got %d transitions", len(trs))
-	}
-	for _, tr := range trs {
-		if tr.Stable {
-			t.Errorf("raw candidate %d is stable, contradicting the no-Nash certificate", tr.From.ID)
-		}
-		if tr.Gain <= 0 {
-			t.Errorf("candidate %d: non-positive gain %f", tr.From.ID, tr.Gain)
-		}
-		if tr.Peer < 0 || tr.Peer >= ik.Instance.N() {
-			t.Errorf("candidate %d: bad peer %d", tr.From.ID, tr.Peer)
-		}
-	}
-}
-
 func TestOscillateRecordsCandidateCycle(t *testing.T) {
 	ik := defaultIk(t, 1)
 	res, err := ik.Oscillate(Candidates()[0], 400)

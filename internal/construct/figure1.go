@@ -79,21 +79,10 @@ func NewFigure1(n int, alpha float64) (*Figure1, error) {
 	return &Figure1{Instance: inst, Profile: p}, nil
 }
 
-// OptimalLine returns the paper's reference topology G̃ for a line
-// instance with indices sorted by position: every peer links to its
-// nearest neighbor on each side. On a line all stretches collapse to 1
-// (collinear relaying), so C(G̃) = 2α(n-1) + n(n-1) ∈ O(αn + n²).
-func OptimalLine(n int) core.Profile {
-	p := core.NewProfile(n)
-	for i := 0; i+1 < n; i++ {
-		_ = p.AddLink(i, i+1)
-		_ = p.AddLink(i+1, i)
-	}
-	return p
-}
-
 // OptimalLineCost returns C(G̃) = 2α(n-1) + n(n-1), the closed form the
-// paper uses to upper-bound the optimal social cost.
+// paper uses to upper-bound the optimal social cost: G̃ (opt.Chain on a
+// line with indices sorted by position) links every peer to its nearest
+// neighbor on each side, and on a line every stretch is 1.
 func OptimalLineCost(n int, alpha float64) float64 {
 	return 2*alpha*float64(n-1) + float64(n)*float64(n-1)
 }

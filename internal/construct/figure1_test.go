@@ -6,6 +6,7 @@ import (
 
 	"selfishnet/internal/core"
 	"selfishnet/internal/nash"
+	"selfishnet/internal/opt"
 )
 
 func TestNewFigure1Structure(t *testing.T) {
@@ -155,7 +156,7 @@ func TestOptimalLineStretchOne(t *testing.T) {
 		t.Fatal(err)
 	}
 	ev := core.NewEvaluator(f.Instance)
-	gTilde := OptimalLine(9)
+	gTilde := opt.Chain(9)
 	sc := ev.SocialCost(gTilde)
 	// All 72 ordered pairs at stretch 1.
 	if math.Abs(sc.Term-72) > 1e-9 {

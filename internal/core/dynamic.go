@@ -7,29 +7,32 @@ import (
 
 // DynEval is the incremental dynamics engine: it maintains, for one
 // mutable profile, the full n×n matrix of overlay shortest-path
-// distances plus per-source shortest-path-tree tight-parent counts, and
-// updates both under a single-peer strategy change in time proportional
-// to the region the move actually affects (Ramalingam–Reps style)
-// instead of re-running n Dijkstras.
+// distances, and updates it under a single-peer strategy change in time
+// proportional to the region the move actually affects
+// (Ramalingam–Reps style) instead of re-running n Dijkstras.
 //
-// Per source, a move is applied in three phases. Phase A walks the old
-// tight-arc structure downward from every changed arc that was tight,
-// decrementing tight-parent counts; a vertex whose count reaches zero
-// has lost every shortest path and joins the affected set. Phase B
-// re-settles the affected set with a bounded Dijkstra seeded from the
-// best in-arcs crossing the unaffected boundary. Phase C propagates
-// improvements (added or cheapened arcs, and affected vertices whose
-// re-settled distance dropped) outward with a second bounded Dijkstra.
-// Finally the tight-parent counts of every vertex whose distance, or
-// whose in-arc weights or in-neighbor distances, changed are recomputed
-// by an in-arc scan.
+// Per source, a move is applied in three phases. Phase A decides the
+// affected set, the vertices whose distance may rise, in increasing old
+// distance: the heads of changed arcs that were tight are candidates,
+// and so are the tight children of every affected vertex. A candidate v
+// stays unaffected iff some unchanged in-arc u→v is tight, u is
+// unaffected and d(u) < d(v); an affected vertex is never a candidate
+// again. Phase B re-settles the affected set with a bounded Dijkstra
+// seeded from the best in-arcs crossing the unaffected boundary. Phase
+// C propagates improvements (added or cheapened arcs, and affected
+// vertices whose re-settled distance dropped) outward with a second
+// bounded Dijkstra.
 //
-// The result is exact, not approximate: every phase computes the same
-// min-over-paths fixpoint as a from-scratch Dijkstra run (IEEE addition
-// of positive weights is monotone, so the fixpoint is unique), and the
+// The result is exact, not approximate. IEEE addition of positive
+// weights is monotone, so a fresh Dijkstra reaches the minimum over
+// paths, but where the addition absorbs a weight (d + w == d) a cycle
+// of tight arcs can also meet the fixpoint equations at a stale, lower
+// distance. The strict d(u) < d(v) keeps such a cycle from keeping its
+// own vertices: every distance the move could raise is then affected,
+// and Phases B and C reach the fixpoint Dijkstra reaches. The
 // differential tests in dynamic_test.go assert bit-for-bit equality
 // against Evaluator.sssp over randomized move sequences in every regime
-// (directed, undirected, congestion γ > 0).
+// (directed, undirected, congestion γ > 0) and on absorbed arcs.
 //
 // All regimes are supported. Under congestion, a move by m re-weights
 // every traversal arc entering a toggled target (the target's in-degree
@@ -43,7 +46,6 @@ type DynEval struct {
 	n  int
 
 	dist []float64 // row-major n×n: dist[s*n+v] = d_G[p](s, v)
-	cnt  []int32   // row-major n×n: tight in-arcs of v under source s
 
 	// g is the overlay of the current profile, built by graph.build as
 	// the evaluator's is, with its in-degrees and congestion scale. in
@@ -70,14 +72,9 @@ type DynEval struct {
 	remT      []int
 
 	// Per-row scratch.
-	queue    []int32
 	affected []int32
 	oldAD    []float64
 	inA      []bool
-	improved []int32
-	isImp    []bool
-	recomp   []int32
-	inR      []bool
 	heap     vertexHeap
 }
 
@@ -121,13 +118,11 @@ func NewDynEval(ev *Evaluator, p Profile) (*DynEval, error) {
 		p:        p.Clone(),
 		n:        n,
 		dist:     make([]float64, n*n),
-		cnt:      make([]int32, n*n),
 		inA:      make([]bool, n),
-		isImp:    make([]bool, n),
-		inR:      make([]bool, n),
 		oldAD:    make([]float64, n),
 		newScale: make([]float64, n),
 	}
+	dy.heap.reset(n)
 	dy.rebuildAdjacency()
 	// Construction is the only full-matrix settle. It runs on the
 	// evaluator's row loop over the evaluator's own graph of p, which
@@ -137,9 +132,6 @@ func NewDynEval(ev *Evaluator, p Profile) (*DynEval, error) {
 		copy(dy.Row(int(s)), d)
 		return true
 	})
-	for s := 0; s < n; s++ {
-		dy.rebuildRowCounts(s)
-	}
 	if ev.inst.SupportsBatchEval() && !ev.inst.undirected {
 		ev.dyn = dy
 	}
@@ -257,29 +249,6 @@ func (dy *DynEval) rebuildAdjacency() {
 			dy.inTail[pos] = int32(u)
 			dy.inPos[pos] = k
 			dy.inFill[v] = pos + 1
-		}
-	}
-}
-
-// rebuildRowCounts recomputes every tight-parent count of source s by a
-// full arc scan (used at construction; moves recompute only the touched
-// set).
-func (dy *DynEval) rebuildRowCounts(s int) {
-	n := dy.n
-	d := dy.Row(s)
-	cnt := dy.cnt[s*n : (s+1)*n]
-	for i := range cnt {
-		cnt[i] = 0
-	}
-	for u := 0; u < n; u++ {
-		du := d[u]
-		if math.IsInf(du, 1) {
-			continue
-		}
-		for k := dy.g.head[u]; k < dy.g.head[u+1]; k++ {
-			if du+dy.g.w[k] == d[dy.g.to[k]] {
-				cnt[dy.g.to[k]]++
-			}
 		}
 	}
 }
@@ -426,145 +395,79 @@ func (dy *DynEval) forEachNewOutArc(u int32, fn func(x int32, w float64)) {
 }
 
 // updateRow applies the pending move's arc deltas to source s's
-// distances and counts.
+// distances. Each phase drains the heap it fills, so NewDynEval sizes
+// it once.
 func (dy *DynEval) updateRow(s int) {
-	n := dy.n
 	d := dy.Row(s)
-	cnt := dy.cnt[s*n : (s+1)*n]
+	h := &dy.heap
 
-	// Phase A: every changed arc that was tight is a lost parent (a
-	// re-weighted arc re-earns tightness in the final recount); cascade
-	// zero-count vertices through the old tight structure.
-	dy.queue = dy.queue[:0]
+	// Phase A: decide the affected set in increasing old distance. The
+	// heads of changed arcs that were tight are the first candidates.
 	dy.affected = dy.affected[:0]
 	for _, dl := range dy.deltas {
-		du := d[dl.u]
-		if !math.IsInf(du, 1) && du+dl.oldW == d[dl.v] {
-			cnt[dl.v]--
-			if cnt[dl.v] == 0 && !dy.inA[dl.v] {
-				dy.inA[dl.v] = true
-				dy.affected = append(dy.affected, dl.v)
-				dy.queue = append(dy.queue, dl.v)
-			}
+		if du := d[dl.u]; !math.IsInf(du, 1) && du+dl.oldW == d[dl.v] {
+			h.fix(dl.v, d[dl.v])
 		}
 	}
-	for len(dy.queue) > 0 {
-		v := dy.queue[len(dy.queue)-1]
-		dy.queue = dy.queue[:len(dy.queue)-1]
-		dv := d[v]
+	for !h.empty() {
+		v, dv := h.popMin()
+		if dy.kept(d, v, dv) {
+			continue
+		}
+		dy.inA[v] = true
+		dy.affected = append(dy.affected, v)
 		for k := dy.g.head[v]; k < dy.g.head[v+1]; k++ {
-			if dy.isDelta[k] {
-				continue // already accounted as a changed arc
-			}
-			x := dy.g.to[k]
-			if dv+dy.g.w[k] == d[x] {
-				cnt[x]--
-				if cnt[x] == 0 && !dy.inA[x] {
-					dy.inA[x] = true
-					dy.affected = append(dy.affected, x)
-					dy.queue = append(dy.queue, x)
-				}
+			if x := dy.g.to[k]; !dy.isDelta[k] && !dy.inA[x] && dv+dy.g.w[k] == d[x] {
+				h.fix(x, d[x])
 			}
 		}
 	}
 
-	if len(dy.affected) == 0 {
-		// Fast path: no distance can increase. Check the changed arcs for
-		// improvements; if none, the row's distances are untouched and the
-		// only count updates are the Phase A decrements plus increments
-		// for changed/inserted arcs that are tight at their new weight
-		// (non-delta in-arcs of those heads kept their distance on both
-		// ends, so their tightness is unchanged).
-		improvedSeed := false
-		for _, dl := range dy.deltas {
-			if du := d[dl.u]; !math.IsInf(dl.newW, 1) && !math.IsInf(du, 1) && du+dl.newW < d[dl.v] {
-				improvedSeed = true
-				break
+	// Phase B: re-settle the affected set from its boundary.
+	for idx, v := range dy.affected {
+		dy.oldAD[idx] = d[v]
+		d[v] = math.Inf(1)
+	}
+	for _, v := range dy.affected {
+		best := math.Inf(1)
+		dy.forEachNewInArc(v, func(u int32, w float64) {
+			if c := d[u] + w; !dy.inA[u] && c < best {
+				best = c
 			}
-		}
-		if !improvedSeed {
-			for _, dl := range dy.added {
-				if du := d[dl.u]; !math.IsInf(du, 1) && du+dl.newW < d[dl.v] {
-					improvedSeed = true
-					break
-				}
-			}
-		}
-		if !improvedSeed {
-			for _, dl := range dy.deltas {
-				if du := d[dl.u]; !math.IsInf(dl.newW, 1) && !math.IsInf(du, 1) && du+dl.newW == d[dl.v] {
-					cnt[dl.v]++
-				}
-			}
-			for _, dl := range dy.added {
-				if du := d[dl.u]; !math.IsInf(du, 1) && du+dl.newW == d[dl.v] {
-					cnt[dl.v]++
-				}
-			}
-			return
+		})
+		if best < math.Inf(1) {
+			d[v] = best
+			h.fix(v, best)
 		}
 	}
-
-	// Phase B: re-settle the affected region from its boundary.
-	h := &dy.heap
-	if len(dy.affected) > 0 {
-		for idx, v := range dy.affected {
-			dy.oldAD[idx] = d[v]
-			d[v] = math.Inf(1)
-		}
-		h.reset(n)
-		for _, v := range dy.affected {
-			best := math.Inf(1)
-			dy.forEachNewInArc(v, func(u int32, w float64) {
-				if !dy.inA[u] && !math.IsInf(d[u], 1) {
-					if c := d[u] + w; c < best {
-						best = c
-					}
-				}
-			})
-			if best < math.Inf(1) {
-				d[v] = best
-				h.fix(v, best)
+	for !h.empty() {
+		u, du := h.popMin()
+		dy.forEachNewOutArc(u, func(x int32, w float64) {
+			if nd := du + w; dy.inA[x] && nd < d[x] {
+				d[x] = nd
+				h.fix(x, nd)
 			}
-		}
-		for !h.empty() {
-			u, du := h.popMin()
-			dy.forEachNewOutArc(u, func(x int32, w float64) {
-				if dy.inA[x] {
-					if nd := du + w; nd < d[x] {
-						d[x] = nd
-						h.fix(x, nd)
-					}
-				}
-			})
-		}
+		})
 	}
 
-	// Phase C: propagate improvements from inserted/cheapened arcs and
-	// from affected vertices whose re-settled distance dropped.
-	dy.improved = dy.improved[:0]
-	h.reset(n)
+	// Phase C: propagate improvements from inserted and cheapened arcs
+	// and from affected vertices whose re-settled distance dropped. A
+	// removed arc's +Inf weight seeds nothing, and no affected flag is
+	// read, so the flags are cleared here.
 	seed := func(dl arcDelta) {
-		if du := d[dl.u]; !math.IsInf(du, 1) {
-			if c := du + dl.newW; c < d[dl.v] {
-				d[dl.v] = c
-				h.fix(dl.v, c)
-				if !dy.isImp[dl.v] {
-					dy.isImp[dl.v] = true
-					dy.improved = append(dy.improved, dl.v)
-				}
-			}
+		if c := d[dl.u] + dl.newW; c < d[dl.v] {
+			d[dl.v] = c
+			h.fix(dl.v, c)
 		}
 	}
 	for _, dl := range dy.added {
 		seed(dl)
 	}
 	for _, dl := range dy.deltas {
-		if !math.IsInf(dl.newW, 1) {
-			seed(dl)
-		}
+		seed(dl)
 	}
 	for idx, v := range dy.affected {
+		dy.inA[v] = false
 		if d[v] < dy.oldAD[idx] {
 			h.fix(v, d[v])
 		}
@@ -575,68 +478,29 @@ func (dy *DynEval) updateRow(s int) {
 			if nd := du + w; nd < d[x] {
 				d[x] = nd
 				h.fix(x, nd)
-				if !dy.isImp[x] {
-					dy.isImp[x] = true
-					dy.improved = append(dy.improved, x)
-				}
 			}
 		})
-	}
-
-	// Recount tight parents for the touched set: heads of changed and
-	// inserted arcs, every vertex whose distance changed, and the
-	// post-move out-neighbors of the latter.
-	dy.recomp = dy.recomp[:0]
-	addR := func(v int32) {
-		if !dy.inR[v] {
-			dy.inR[v] = true
-			dy.recomp = append(dy.recomp, v)
-		}
-	}
-	for _, dl := range dy.deltas {
-		addR(dl.v)
-	}
-	for _, dl := range dy.added {
-		addR(dl.v)
-	}
-	for _, v := range dy.affected {
-		addR(v)
-	}
-	for _, v := range dy.improved {
-		addR(v)
-	}
-	for i := 0; i < len(dy.recomp); i++ { // out-neighbors of changed vertices
-		v := dy.recomp[i]
-		if dy.inA[v] || dy.isImp[v] {
-			dy.forEachNewOutArc(v, func(x int32, _ float64) { addR(x) })
-		}
-	}
-	for _, v := range dy.recomp {
-		c := int32(0)
-		dv := d[v]
-		dy.forEachNewInArc(v, func(u int32, w float64) {
-			if du := d[u]; !math.IsInf(du, 1) && du+w == dv {
-				c++
-			}
-		})
-		cnt[v] = c
-	}
-
-	// Reset row scratch.
-	for _, v := range dy.affected {
-		dy.inA[v] = false
-	}
-	for _, v := range dy.improved {
-		dy.isImp[v] = false
-	}
-	for _, v := range dy.recomp {
-		dy.inR[v] = false
 	}
 }
 
+// kept reports whether Phase A keeps candidate v at its old distance
+// dv: some unchanged in-arc u→v is tight, u is unaffected and d(u) < dv.
+// A candidate is popped only after every vertex nearer the source is
+// decided, and the strict d(u) < dv stops a tight cycle of absorbed
+// weights (d + w == d) from keeping its own vertices.
+func (dy *DynEval) kept(d []float64, v int32, dv float64) bool {
+	for k := dy.inHead[v]; k < dy.inHead[v+1]; k++ {
+		u, pos := dy.inTail[k], dy.inPos[k]
+		if du := d[u]; !dy.isDelta[pos] && !dy.inA[u] && du < dv && du+dy.g.w[pos] == dv {
+			return true
+		}
+	}
+	return false
+}
+
 // Apply switches the mover to strategy alt and incrementally updates
-// every distance row, the tight-parent counts and the adjacency. The
-// caller's alt is cloned, not retained. Deviation batches that read
+// every distance row and the adjacency. The caller's alt is cloned, not
+// retained. Deviation batches that read
 // the engine's rows are valid only until the next Apply.
 func (dy *DynEval) Apply(mover int, alt Strategy) error {
 	n := dy.n

@@ -1,10 +1,11 @@
 package core
 
 // Differential tests for the incremental dynamics engine: DynEval's
-// maintained distance rows and tight-parent counts are checked
-// bit-for-bit against from-scratch computation over randomized move
-// sequences in every regime (directed/undirected, congestion γ > 0),
-// and FuzzDynEval does the same over fuzzed regimes and move scripts,
+// maintained distance rows are checked bit-for-bit against from-scratch
+// computation over randomized move sequences in every regime
+// (directed/undirected, congestion γ > 0), on hand-built cases that
+// steer Phase A through each of its decisions (absorbed weights
+// included), and by FuzzDynEval over fuzzed regimes and move scripts,
 // with the deviation batches that read the engine's rows. Exact
 // equality — not tolerance — is the contract: the incremental engine
 // must compute the same floating-point fixpoint as a fresh Dijkstra,
@@ -17,6 +18,7 @@ import (
 	"slices"
 	"testing"
 
+	"selfishnet/internal/bitset"
 	"selfishnet/internal/metric"
 	"selfishnet/internal/rng"
 )
@@ -37,17 +39,6 @@ func mutateStrategy(r *rng.RNG, s Strategy, n, self int) Strategy {
 		out.Flip(j)
 	}
 	return out
-}
-
-// exactRowsEqual compares two distance vectors for exact equality
-// (including +Inf), returning the first mismatching index.
-func exactRowsEqual(a, b []float64) (int, bool) {
-	for j := range a {
-		if a[j] != b[j] && !(math.IsInf(a[j], 1) && math.IsInf(b[j], 1)) {
-			return j, false
-		}
-	}
-	return 0, true
 }
 
 func TestDynEvalMatchesFreshSSSPUnderMoveSequences(t *testing.T) {
@@ -74,7 +65,7 @@ func TestDynEvalMatchesFreshSSSPUnderMoveSequences(t *testing.T) {
 				}
 				for src := 0; src < c.n; src++ {
 					want := fresh.sssp(p, src, -1, Strategy{})
-					if j, ok := exactRowsEqual(dy.Row(src), want); !ok {
+					if j, ok := distsIdentical(dy.Row(src), want); !ok {
 						t.Fatalf("move %d (peer %d): row %d differs at %d: incremental %v, fresh %v",
 							move, mover, src, j, dy.Row(src)[j], want[j])
 					}
@@ -88,51 +79,211 @@ func TestDynEvalMatchesFreshSSSPUnderMoveSequences(t *testing.T) {
 	}
 }
 
-func TestDynEvalTightParentCountsStayExact(t *testing.T) {
-	r := rng.New(31)
-	for _, c := range diffCases() {
-		t.Run(c.name, func(t *testing.T) {
-			inst := buildDiffInstance(t, r, c)
-			ev := NewEvaluator(inst)
-			p := randomDiffProfile(r, c.n, c.linkProb)
-			dy, err := NewDynEval(ev, p)
+// scriptCase is a hand-built game for DynEval: its space, options,
+// starting links and a script of moves, each giving the mover's new
+// links.
+type scriptCase struct {
+	name  string
+	space metric.Space
+	opts  []Option
+	links map[int][]int
+	moves []scriptMove
+}
+
+type scriptMove struct {
+	mover int
+	links []int
+}
+
+// runScriptCase plays c's moves through a DynEval and checks, after
+// every Apply, that each row == Evaluator.Distances on the same
+// profile.
+func runScriptCase(t *testing.T, c scriptCase) {
+	t.Helper()
+	n := c.space.N()
+	inst, err := NewInstance(c.space, 1, c.opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := ProfileFromLinks(n, c.links)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := NewEvaluator(inst)
+	dy, err := NewDynEval(NewEvaluator(inst), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dy.Close()
+	for move, m := range c.moves {
+		alt := bitset.New(n)
+		for _, v := range m.links {
+			alt.Add(v)
+		}
+		if err := p.SetStrategy(m.mover, alt); err != nil {
+			t.Fatal(err)
+		}
+		if err := dy.Apply(m.mover, alt); err != nil {
+			t.Fatal(err)
+		}
+		for s := 0; s < n; s++ {
+			want, err := fresh.Distances(p, s)
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer dy.Close()
-			for move := 0; move < 15; move++ {
-				mover := r.Intn(c.n)
-				alt := mutateStrategy(r, p.Strategy(mover), c.n, mover)
-				if err := p.SetStrategy(mover, alt); err != nil {
-					t.Fatal(err)
-				}
-				if err := dy.Apply(mover, alt); err != nil {
-					t.Fatal(err)
-				}
-				// A from-scratch engine over the same profile recomputes
-				// the counts with the full-scan path.
-				ref, err := NewDynEval(NewEvaluator(inst), p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for idx := range dy.cnt {
-					if dy.cnt[idx] != ref.cnt[idx] {
-						t.Fatalf("move %d: cnt[%d] = %d (incremental), %d (fresh)",
-							move, idx, dy.cnt[idx], ref.cnt[idx])
-					}
-				}
-				ref.Close()
+			if j, ok := distsIdentical(dy.Row(s), want); !ok {
+				t.Fatalf("move %d (peer %d to %v): row %d d[%d] = %v, fresh %v",
+					move, m.mover, m.links, s, j, dy.Row(s)[j], want[j])
 			}
+		}
+	}
+}
+
+func mustPoints(t *testing.T, pts ...[]float64) metric.Space {
+	t.Helper()
+	s, err := metric.NewPoints(pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+func mustLine(t *testing.T, pos ...float64) metric.Space {
+	t.Helper()
+	s, err := metric.Line(pos)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// TestDynEvalMatchesFreshOnAbsorbedArcs plays moves on four peers where
+// 1 and 2 sit 1e-17 apart, so d + d(1,2) == d at every distance the
+// rest reaches them by: the links 1→2 and 2→1 form a tight cycle whose
+// weights the addition absorbs. When peer 0 drops 0→1, each of 1 and 2
+// still has a tight parent in the other, at the same distance; only the
+// strict d(u) < d(v) of Phase A marks them affected, and a fresh
+// Dijkstra gives d(0,1) = d(0,2) = 1.2 + d(3,2), not 1.
+func TestDynEvalMatchesFreshOnAbsorbedArcs(t *testing.T) {
+	moves := []scriptMove{
+		{0, []int{3}},    // the absorbed cycle loses its only grounded parent
+		{0, []int{1, 3}}, // and gets it back
+		{3, nil},         // 2 now hangs off 1 alone
+		{1, nil},         // and is cut off
+		{3, []int{2}},    // until 3 links to it again
+	}
+	for _, undirected := range []bool{false, true} {
+		var opts []Option
+		name := "directed"
+		if undirected {
+			opts, name = []Option{WithUndirected()}, "undirected"
+		}
+		t.Run(name, func(t *testing.T) {
+			runScriptCase(t, scriptCase{
+				space: mustPoints(t, []float64{0, 0}, []float64{1, 0}, []float64{1, 1e-17}, []float64{0, 1.2}),
+				opts:  opts,
+				links: map[int][]int{0: {1, 3}, 1: {2}, 2: {1}, 3: {2}},
+				moves: moves,
+			})
 		})
+	}
+}
+
+// TestDynEvalMatchesFreshOnAffectedSets steers Phase A through each of
+// its decisions on hand-built games and checks every row against a
+// fresh Dijkstra after every move.
+func TestDynEvalMatchesFreshOnAffectedSets(t *testing.T) {
+	unit, err := metric.Uniform(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A directed weight matrix on which 4 has two tight parents, 1 at
+	// distance 1 and 3 at distance 3, and 3 descends from 1: when 0
+	// drops 0→1, 3 is affected only two levels down the cascade, before
+	// 4 is decided.
+	w := make([][]float64, 6)
+	for i := range w {
+		w[i] = make([]float64, 6)
+		for j := range w[i] {
+			if i != j {
+				w[i][j] = 20
+			}
+		}
+	}
+	w[0][1], w[1][2], w[2][3], w[1][4], w[3][4], w[0][5], w[5][4] = 1, 1, 1, 3, 1, 10, 1
+	deep, err := metric.NewMatrixUnchecked(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []scriptCase{{
+		// 3 keeps its tight parent 2 when 1 is lost, then loses both.
+		name:  "diamond-keeps-one-parent",
+		space: unit,
+		links: map[int][]int{0: {1, 2}, 1: {3}, 2: {3}, 3: {4}},
+		moves: []scriptMove{{0, []int{2}}, {0, []int{1, 2}}, {2, nil}, {0, nil}},
+	}, {
+		// Dropping 0→1 cuts the chain 1→2→3→4 at its root: every vertex
+		// of it is affected, and 4 is re-settled through 5.
+		name:  "tight-chain-tail",
+		space: mustLine(t, 0, 1, 2, 3, 4, 6),
+		links: map[int][]int{0: {1, 5}, 1: {2}, 2: {3}, 3: {4}, 5: {4}},
+		moves: []scriptMove{{0, []int{5}}, {0, []int{1, 5}}, {2, nil}, {5, nil}},
+	}, {
+		name:  "second-parent-deeper",
+		space: deep,
+		links: map[int][]int{0: {1, 5}, 1: {2, 4}, 2: {3}, 3: {4}, 5: {4}},
+		moves: []scriptMove{{0, []int{5}}, {0, []int{1, 5}}, {3, nil}, {1, []int{2}}},
+	}, {
+		// 0 reaches 1 only over the reverse traversal of 1's link 1→0.
+		name:  "undirected-lost-reverse-arc",
+		space: mustPoints(t, []float64{0, 0}, []float64{1, 0}, []float64{2, 0}, []float64{0, 3}),
+		opts:  []Option{WithUndirected()},
+		links: map[int][]int{1: {0, 2}, 3: {0, 2}},
+		moves: []scriptMove{{1, []int{2}}, {1, []int{0, 2}}, {3, []int{2}}, {1, nil}},
+	}, {
+		// Peer 1 linking to 2 doubles 2's congestion scale, raising the
+		// tight arc 0→2 from 2 to 4, while its own new arc offers 3.
+		name:  "congested-raised-in-arc",
+		space: mustLine(t, 0, 1, 2, 5),
+		opts:  []Option{WithCongestion(1)},
+		links: map[int][]int{0: {1, 2}, 2: {3}},
+		moves: []scriptMove{{1, []int{2}}, {3, []int{2}}, {0, []int{2}}, {1, nil}, {2, nil}},
+	}} {
+		t.Run(c.name, func(t *testing.T) { runScriptCase(t, c) })
 	}
 }
 
 // dynFuzzSpaces are FuzzDynEval's metric families: random points (a
 // general metric, heap kernel), the unit metric (bitset BFS), an
-// integer line (Dial) and an asymmetric matrix, real (heap) or integer
+// integer line (Dial), an asymmetric matrix, real (heap) or integer
 // (Dial), where an undirected game's reverse traversals weigh d(u,v),
-// not the owner's d(v,u).
-var dynFuzzSpaces = []string{"points", "unit", "int-line", "asym"}
+// not the owner's d(v,u), and random points with a near-coincident
+// pair (see nearPoints).
+var dynFuzzSpaces = []string{"points", "unit", "int-line", "asym", "near-points"}
+
+// nearPoints draws n random 2-D points, moves point 0 onto the x axis
+// and puts point 1 straight above it, offset by less than half an ulp
+// of point 0's distance from the rest. Every distance the rest reaches
+// either point by then absorbs the pair's own distance (d + d(0,1) ==
+// d), so links between them form tight cycles of absorbed weights.
+func nearPoints(r *rng.RNG, n int) (metric.Space, error) {
+	s, err := metric.UniformPoints(r, n, 2)
+	if err != nil {
+		return nil, err
+	}
+	pts := make([][]float64, n)
+	for i := range pts {
+		pts[i] = slices.Clone(s.Position(i))
+	}
+	pts[0][1] = 0
+	rest := 1.0
+	for _, q := range pts[2:] {
+		dx := q[0] - pts[0][0]
+		rest = min(rest, math.Sqrt(dx*dx+q[1]*q[1]))
+	}
+	pts[1] = []float64{pts[0][0], (math.Nextafter(rest, 2) - rest) / 4}
+	return metric.NewPoints(pts)
+}
 
 // dynFuzzInstance builds an n-peer instance on the named space in one
 // of three regimes: directed, undirected, or congested (γ > 0).
@@ -155,6 +306,8 @@ func dynFuzzInstance(t *testing.T, r *rng.RNG, space string, n int, regime uint8
 		s, err = metric.Line(pos)
 	case "asym":
 		s = randomAsymSpace(t, r, n, r.Bool(0.5))
+	case "near-points":
+		s, err = nearPoints(r, n)
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -174,8 +327,8 @@ func dynFuzzInstance(t *testing.T, r *rng.RNG, space string, n int, regime uint8
 }
 
 // FuzzDynEval decodes the fuzz input into a regime (directed, undirected
-// or γ > 0 on a general, unit, integer-line or asymmetric metric,
-// n ≤ 24) and a move script, and drives the script through a DynEval.
+// or γ > 0 on a general, unit, integer-line or asymmetric metric, or on
+// random points with a near-coincident pair; n ≤ 24) and a move script, and drives the script through a DynEval.
 // The script's moves toggle a link, redraw a strategy, or play a leave
 // (the peer drops its links, then every owner of a link to it drops
 // that link) or a join that reuses the index with new links and two
@@ -187,8 +340,8 @@ func dynFuzzInstance(t *testing.T, r *rng.RNG, space string, n int, regime uint8
 // exactly the rows with no tight link of the peer; in an undirected one
 // it lends none, and the batch's Evals must == DeviationEval. The seed
 // corpus under testdata/fuzz/FuzzDynEval covers the nine regime ×
-// metric pairs of the first three metrics and the undirected game on
-// the asymmetric one.
+// metric pairs of the first three metrics, the undirected game on the
+// asymmetric one and the undirected game on the near-coincident pair.
 func FuzzDynEval(f *testing.F) {
 	f.Fuzz(func(t *testing.T, size, regime uint8, seed uint64, script []byte) {
 		n := 2 + int(size)%23

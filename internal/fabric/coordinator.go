@@ -95,7 +95,6 @@ type Coordinator struct {
 	cfg Config
 
 	mu         sync.Mutex
-	jobs       map[string]*Job
 	workers    map[string]*workerState
 	pending    []*Shard
 	assigned   map[string]*assignment  // shard id → live assignment
@@ -122,7 +121,6 @@ type shardRecord struct {
 func NewCoordinator(cfg Config) *Coordinator {
 	return &Coordinator{
 		cfg:      cfg.withDefaults(),
-		jobs:     make(map[string]*Job),
 		workers:  make(map[string]*workerState),
 		assigned: make(map[string]*assignment),
 		shards:   make(map[string]*shardRecord),
@@ -137,6 +135,7 @@ type Job struct {
 	coord *Coordinator
 	sweep scenario.Sweep
 	hash  string
+	width int // cells per point row (Sweep.RowWidth)
 
 	mu        sync.Mutex
 	results   []scenario.PointResult
@@ -203,6 +202,7 @@ func (c *Coordinator) Submit(sw scenario.Sweep, p scenario.Params, shards int, p
 		coord:     c,
 		sweep:     run,
 		hash:      hash,
+		width:     run.RowWidth(),
 		results:   make([]scenario.PointResult, len(points)),
 		filled:    make([]bool, len(points)),
 		remaining: len(points),
@@ -215,7 +215,7 @@ func (c *Coordinator) Submit(sw scenario.Sweep, p scenario.Params, shards int, p
 	// for any earlier sweep (or before a restart) never runs again.
 	var rest []scenario.Point
 	for _, pt := range points {
-		if res, ok := c.lookup(pt.Hash); ok {
+		if res, ok := c.lookup(pt.Hash, j.width); ok {
 			j.fill(pt.Index, res, false)
 			continue
 		}
@@ -223,7 +223,6 @@ func (c *Coordinator) Submit(sw scenario.Sweep, p scenario.Params, shards int, p
 	}
 
 	c.mu.Lock()
-	c.jobs[id] = j
 	for _, shard := range splitShards(id, run.Measures(), rest, shards, c.cfg.ShardPoints) {
 		c.pending = append(c.pending, shard)
 		c.shards[shard.ID] = &shardRecord{shard: shard, job: j}
@@ -240,8 +239,9 @@ func (c *Coordinator) Submit(sw scenario.Sweep, p scenario.Params, shards int, p
 }
 
 // lookup finds a completed point row by content hash: the in-memory
-// memo first, then the persistent store (whose hit is memoized).
-func (c *Coordinator) lookup(hash string) (scenario.PointResult, bool) {
+// memo first, then the persistent store (whose hit is memoized). A
+// stored row must have the sweep's row width.
+func (c *Coordinator) lookup(hash string, width int) (scenario.PointResult, bool) {
 	c.mu.Lock()
 	res, ok := c.memo[hash]
 	store := c.cfg.Store
@@ -256,9 +256,11 @@ func (c *Coordinator) lookup(hash string) (scenario.PointResult, bool) {
 	if err != nil || !ok {
 		return scenario.PointResult{}, false
 	}
-	if err := json.Unmarshal(blob, &res); err != nil {
-		// A malformed blob is treated as a miss: the point re-executes
-		// and the put is a no-op (write-once), leaving the store as-is.
+	if err := json.Unmarshal(blob, &res); err != nil || len(res.Row) != width {
+		// A malformed blob, or a row of the wrong width (stored before
+		// completions were checked), is treated as a miss: the point
+		// re-executes and the put is a no-op (write-once), leaving the
+		// store as-is.
 		return scenario.PointResult{}, false
 	}
 	c.mu.Lock()
@@ -366,6 +368,9 @@ func (c *Coordinator) NextShard(workerID string) (*Shard, error) {
 // already-filled slots and changes nothing (the rows are
 // content-addressed and equal by construction). An unknown shard id
 // is an error; a completion for a finished job is a counted no-op.
+// Rows Assemble would refuse are an error that changes nothing: a
+// success must carry one row per shard point, and every row, a failed
+// shard's prefix included, must have the sweep's row width.
 //
 // A failed completion charges one unit of retry budget against the
 // failing point (ShardResult.ErrorIndex), salvages the completed
@@ -377,16 +382,20 @@ func (c *Coordinator) CompleteShard(workerID, shardID string, res ShardResult) e
 	c.mu.Lock()
 	now := time.Now()
 	c.reapLocked(now)
-	if w, ok := c.workers[workerID]; ok {
-		w.lastBeat = now
-		delete(w.shards, shardID)
-	}
 	rec, known := c.shards[shardID]
 	if !known {
 		c.mu.Unlock()
 		return fmt.Errorf("fabric: unknown shard %q", shardID)
 	}
 	j, shard := rec.job, rec.shard
+	if err := checkRows(shard, j.width, res); err != nil {
+		c.mu.Unlock()
+		return err
+	}
+	if w, ok := c.workers[workerID]; ok {
+		w.lastBeat = now
+		delete(w.shards, shardID)
+	}
 	if a, ok := c.assigned[shardID]; ok && a.worker == workerID {
 		delete(c.assigned, shardID)
 	} else {
@@ -412,15 +421,26 @@ func (c *Coordinator) CompleteShard(workerID, shardID string, res ShardResult) e
 		}
 		return nil
 	}
-	if len(res.Results) != len(shard.Points) {
-		return fmt.Errorf("fabric: shard %s: %d result(s) for %d point(s)", shardID, len(res.Results), len(shard.Points))
-	}
 	for i, pt := range shard.Points {
 		if j.fill(pt.Index, res.Results[i], true) {
 			c.record(pt.Hash, res.Results[i])
 		}
 	}
 	j.finishIfDone()
+	return nil
+}
+
+// checkRows reports an error for a shard result whose rows Assemble
+// would refuse.
+func checkRows(shard *Shard, width int, res ShardResult) error {
+	if res.Error == "" && len(res.Results) != len(shard.Points) {
+		return fmt.Errorf("fabric: shard %s: %d result(s) for %d point(s)", shard.ID, len(res.Results), len(shard.Points))
+	}
+	for i, r := range res.Results {
+		if len(r.Row) != width {
+			return fmt.Errorf("fabric: shard %s: result %d has %d cell(s), want %d", shard.ID, i, len(r.Row), width)
+		}
+	}
 	return nil
 }
 

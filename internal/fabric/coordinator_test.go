@@ -3,6 +3,7 @@ package fabric
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"strings"
@@ -452,6 +453,189 @@ func TestCompleteUnknownShardRejected(t *testing.T) {
 	if err := c.CompleteShard(w.ID, "fjob-9-shard-9", ShardResult{}); err == nil {
 		t.Error("completion of a never-issued shard accepted")
 	}
+}
+
+// rowsOf returns n point results of width cells each.
+func rowsOf(n, width int) []scenario.PointResult {
+	out := make([]scenario.PointResult, n)
+	for i := range out {
+		out[i].Row = make([]string, width)
+	}
+	return out
+}
+
+// assertStoreRowsWide fails if any point row in the store lacks the
+// sweep's row width, and returns how many point rows it holds.
+func assertStoreRowsWide(t *testing.T, store *cas.Store, sw scenario.Sweep) int {
+	t.Helper()
+	pts, err := sw.EnumeratePoints()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored := 0
+	for _, pt := range pts {
+		blob, ok, err := store.Get(pointNamespace, pt.Hash)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			continue
+		}
+		stored++
+		var res scenario.PointResult
+		if err := json.Unmarshal(blob, &res); err != nil || len(res.Row) != sw.RowWidth() {
+			t.Fatalf("point %d: stored blob %q is not a row of %d cells (%v)", pt.Index, blob, sw.RowWidth(), err)
+		}
+	}
+	return stored
+}
+
+// TestForgedShardResultRefused: completions whose rows Assemble would
+// refuse, sent for a live shard by a worker id that never registered,
+// are refused before they fill a slot, store a row or charge retry
+// budget. An honest worker then completes the job byte-identical to
+// Sweep.Run, and the store holds only full-width rows.
+func TestForgedShardResultRefused(t *testing.T) {
+	store, err := cas.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw := testSweep()
+	c := NewCoordinator(Config{Store: store})
+	j, err := c.Submit(sw, scenario.Params{}, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	width := sw.RowWidth()
+	for name, res := range map[string]ShardResult{
+		"one-cell rows":      {Results: rowsOf(8, 1), ErrorIndex: -1},
+		"one row short":      {Results: rowsOf(7, width), ErrorIndex: -1},
+		"short failure rows": {Results: rowsOf(3, 1), Error: "forged", ErrorIndex: 3},
+		"one short row":      {Results: append(rowsOf(2, width), rowsOf(1, width-1)...), Error: "forged", ErrorIndex: 3},
+	} {
+		if err := c.CompleteShard("w-999", j.ID+"-shard-0", res); err == nil {
+			t.Fatalf("%s: forged completion accepted", name)
+		}
+	}
+	if st := c.Stats(); st.ShardsCompleted != 0 || st.ShardsRetried != 0 || st.PointsExecuted != 0 || st.DuplicateResults != 0 {
+		t.Fatalf("refused completions changed the counters: %+v", st)
+	}
+	if n := store.Len(); n != 0 {
+		t.Fatalf("refused completions stored %d blob(s)", n)
+	}
+	if n := drain(t, c); n != 1 {
+		t.Fatalf("drained %d shards, want 1", n)
+	}
+	table, err := j.Wait(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := sw.Run(scenario.Params{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertTablesEqual(t, table, want)
+	if n := assertStoreRowsWide(t, store, sw); n != 8 {
+		t.Fatalf("store holds %d point rows, want 8", n)
+	}
+}
+
+// TestWrongWidthStoredRowReexecutes: a store that already holds a row
+// of the wrong width (written before completions were checked) serves
+// it to no job. The point re-executes on every coordinator, since the
+// store is write-once, while the other points come from the store.
+func TestWrongWidthStoredRowReexecutes(t *testing.T) {
+	store, err := cas.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw := testSweep()
+	pts, err := sw.EnumeratePoints()
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := json.Marshal(scenario.PointResult{Row: []string{"forged"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Put(pointNamespace, pts[0].Hash, blob); err != nil {
+		t.Fatal(err)
+	}
+	want, err := sw.Run(scenario.Params{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round, wantExecuted := range []int{8, 1} {
+		c := NewCoordinator(Config{Store: store})
+		j, err := c.Submit(sw, scenario.Params{}, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		drain(t, c)
+		table, err := j.Wait(context.Background())
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		assertTablesEqual(t, table, want)
+		if executed, fromStore, _ := j.Counts(); executed != wantExecuted || fromStore != 8-wantExecuted {
+			t.Fatalf("round %d: counts (%d executed, %d from store), want (%d, %d)",
+				round, executed, fromStore, wantExecuted, 8-wantExecuted)
+		}
+	}
+}
+
+// FuzzShardResult decodes fuzzed JSON as a CompleteRequest, the body of
+// POST /v1/shards/{id}/result, and completes a live shard of a 2-shard
+// job with it. No input may panic, a completion is accepted exactly
+// when its rows are the ones Assemble takes (one per shard point on a
+// success, and every row, a failure's prefix included, of the sweep's
+// row width), and no row of another width ever reaches the store.
+func FuzzShardResult(f *testing.F) {
+	sw := testSweep()
+	width := sw.RowWidth()
+	for _, req := range []CompleteRequest{
+		{WorkerID: "w-1", Results: rowsOf(4, width), ErrorIndex: -1},
+		{WorkerID: "w-999", Results: rowsOf(4, 1), ErrorIndex: -1},
+		{WorkerID: "w-1", Results: rowsOf(2, width), Error: "point 2: boom", ErrorIndex: 2},
+		{WorkerID: "w-1", Results: rowsOf(2, width+1), Error: "boom", ErrorIndex: 2},
+		{WorkerID: "w-1", Error: "boom", ErrorIndex: -7},
+	} {
+		body, err := json.Marshal(req)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
+	}
+	f.Add([]byte(`{"worker_id":"w-1","results":[{"row":null}]}`))
+	f.Add([]byte(`{"results":[{"row":["1","2"]},{}],"error_index":99}`))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var req CompleteRequest
+		if err := json.Unmarshal(body, &req); err != nil {
+			return
+		}
+		store, err := cas.Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := NewCoordinator(Config{Store: store})
+		if _, err := c.Submit(sw, scenario.Params{}, 2, nil); err != nil {
+			t.Fatal(err)
+		}
+		w := c.Register("fuzz")
+		shard, err := c.NextShard(w.ID)
+		if err != nil || shard == nil {
+			t.Fatalf("NextShard: %v, %v", shard, err)
+		}
+		wellFormed := req.Error != "" || len(req.Results) == len(shard.Points)
+		for _, r := range req.Results {
+			wellFormed = wellFormed && len(r.Row) == width
+		}
+		err = c.CompleteShard(req.WorkerID, shard.ID, ShardResult{Results: req.Results, Error: req.Error, ErrorIndex: req.ErrorIndex})
+		if (err == nil) != wellFormed {
+			t.Fatalf("completion %s: error %v, well-formed %t", body, err, wellFormed)
+		}
+		assertStoreRowsWide(t, store, sw)
+	})
 }
 
 func TestHeartbeatKeepsWorkerAlive(t *testing.T) {

@@ -218,6 +218,11 @@ func (sw Sweep) Measures() []string {
 	return append([]string(nil), effectiveMeasures(sw.Base)...)
 }
 
+// RowWidth is the number of cells in each of the sweep's point rows,
+// one per column of its table. Assemble refuses a row of any other
+// width, and so does the fabric before it stores one.
+func (sw Sweep) RowWidth() int { return len(specHeaders(effectiveMeasures(sw.Base))) }
+
 // PointResult is the rendered outcome of one executed grid point: its
 // table row under the sweep's measure columns, plus the cut-off flag
 // the table footer aggregates. It is the unit of work the distributed
@@ -280,7 +285,7 @@ func (sw Sweep) AssemblePartial(results []PointResult, failed []FailedPoint) (*e
 		return nil, fmt.Errorf("scenario: sweep %q: %d point result(s) for a %d-point grid",
 			sw.Name, len(results), len(sw.Points()))
 	}
-	headers := specHeaders(effectiveMeasures(sw.Base))
+	width := sw.RowWidth()
 	filled := append([]PointResult(nil), results...)
 	prev := -1
 	for _, f := range failed {
@@ -288,7 +293,7 @@ func (sw Sweep) AssemblePartial(results []PointResult, failed []FailedPoint) (*e
 			return nil, fmt.Errorf("scenario: sweep %q: failed point index %d out of order or range", sw.Name, f.Index)
 		}
 		prev = f.Index
-		row := make([]string, len(headers))
+		row := make([]string, width)
 		for i := range row {
 			row[i] = FailedCell
 		}
@@ -324,14 +329,14 @@ func (sw Sweep) Assemble(results []PointResult) (*export.Table, error) {
 		return nil, fmt.Errorf("scenario: sweep %q: %d point result(s) for a %d-point grid",
 			sw.Name, len(results), len(points))
 	}
-	measures := effectiveMeasures(sw.Base)
-	headers := specHeaders(measures)
+	headers := specHeaders(effectiveMeasures(sw.Base))
+	width := sw.RowWidth()
 	rows := make([][]string, len(results))
 	cutOffPoints := 0
 	for i, res := range results {
-		if len(res.Row) != len(headers) {
+		if len(res.Row) != width {
 			return nil, fmt.Errorf("scenario: sweep %q: point %d row has %d cell(s), want %d",
-				sw.Name, i, len(res.Row), len(headers))
+				sw.Name, i, len(res.Row), width)
 		}
 		rows[i] = res.Row
 		if res.NonEquilibrium {
